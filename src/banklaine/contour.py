@@ -1,7 +1,6 @@
 """Contour quadrature utilities: Cauchy derivatives, winding numbers, path integrals."""
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -96,11 +95,6 @@ def rect_path(x0: float, x1: float, y0: float, y1: float, per_side: int = 64) ->
     pts = bottom + right + top + left
     pts.append(pts[0])
     return pts
-
-
-def circle_points(center: complex, radius: float, count: int = 256) -> list[complex]:
-    th = np.linspace(0.0, TWO_PI, count + 1)
-    return [center + radius * cmath.exp(1j * t) for t in th]
 
 
 def winding_number(

@@ -8,11 +8,10 @@ x / 2pi of them.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from . import contour
-from .scaledcx import ScaledComplex, wrap_phase
+from .scaledcx import ScaledComplex
 
 TWO_PI = 2.0 * math.pi
 
@@ -541,8 +541,6 @@ class FunctionHandle:
     logderiv: Optional[Callable[[complex], complex]] = None
     poles_in: Optional[Callable[[tuple[float, float, float, float]], list[complex]]] = None
     zeros_in: Optional[Callable[[tuple[float, float, float, float]], list[complex]]] = None
-    entire: bool = False
-    region: Optional[Callable[[complex], bool]] = None
 
 
 def _instances_in_rect(wroots: Sequence[complex], rect: tuple[float, float, float, float]) -> list[complex]:
@@ -570,7 +568,6 @@ def model_handle(pair: PairIndex, variant: str = PLAIN) -> FunctionHandle:
         logderiv=lambda z: log_derivative(pair, z, variant),
         poles_in=lambda rect: _instances_in_rect(denom_roots(pair), rect),
         zeros_in=zeros,
-        entire=False,
     )
 
 

@@ -254,22 +254,13 @@ class StripHomeo:
         if abs(y) >= 1.0:
             return 1.0, 0.0, 0.0, 1.0
         dp = self._base_deriv(x)
-        base = self._base(x)
-        sgn = 1.0 if y >= 0 else -1.0
-        u_x = dp * (1.0 - abs(y)) + abs(y)
-        u_y = sgn * (x - base)
-        return u_x, u_y, 0.0, 1.0
+        return _shear_jacobian(x, y, self._base(x), dp)
 
-    def mu(self, z: complex) -> complex:
-        """Beltrami coefficient; zero off the strip."""
-        z = complex(z)
-        if abs(z.imag) >= 1.0:
-            return 0j
-        u_x, u_y, _, _ = self.jacobian(z)
-        den = complex(u_x + 1.0, -u_y)
-        if den == 0:
-            return complex("nan")
-        return complex(u_x - 1.0, u_y) / den
+
+def _shear_jacobian(x: float, y: float, base: float, dp: float) -> tuple[float, float, float, float]:
+    # u = base + |y| (x - base), v = y, for 0 < |y| < 1; dp = base'(x)
+    sgn = 1.0 if y >= 0 else -1.0
+    return dp * (1.0 - abs(y)) + abs(y), sgn * (x - base), 0.0, 1.0
 
 
 def build_strip_homeo(spec: DiffeoSpec) -> StripHomeo:
@@ -378,48 +369,50 @@ class _StripSystem:
                                 t, self.variant(k))
 
     def eval_xy(self, x: float, y: float) -> ScaledComplex:
-        k, t = self.locate(y)
-        return self.value(k, x, t)
+        """Value at local (x, y); below the axis, the conjugate of the mirror image."""
+        k, t = self.locate(abs(y))
+        v = self.value(k, x, t)
+        return v if y >= 0 else v.conj()
 
     # -- dilatation ------------------------------------------------------
-    def ab(self, k: int, x: float, t: float) -> tuple[float, float, float, float]:
-        """(a, b, psi', psi(x)-x) of the band chart in strip k."""
+    def ab(self, k: int, x: float, t: float, quad: bool = False) -> tuple[float, float, float, float]:
+        """(a, b, psi', psi(x)-x) of the band chart in strip k.
+
+        ``quad`` reads psi through the Hermite table (quadrature accuracy
+        only) instead of solving the conjugacy.
+        """
         pm = self.psi(k)
         if pm is None:
             return 0.0, 0.0, 1.0, 0.0
         with self._lock:
-            px = pm(x)
-            dp = pm.deriv(x)
+            if quad:
+                cache = self._quad.get(k)
+                if cache is None:
+                    span = _PsiCache.SPAN
+                    lo, hi = (0.0, span) if self.side == RIGHT else (-span, 0.0)
+                    cache = self._quad[k] = _PsiCache(pm, pm.deriv, lo, hi)
+                px, dp = cache.eval(x)
+            else:
+                px, dp = pm(x), pm.deriv(x)
         a = 0.5 * t * (dp - 1.0)
         b = (px - x) / (2.0 * TWO_PI * self.y_div(k))
         return a, b, dp, px - x
 
-    def mu_xy(self, x: float, y: float) -> complex:
-        k, t = self.locate(y)
-        a, b, _, _ = self.ab(k, x, t)
-        return _compose_affine(self.x_div(k), self.y_div(k), a, b)
+    def mu_parts(self, k: int, x: float, t: float, quad: bool, conj: bool) -> tuple:
+        """(mu, mu_band, a, b, psi', psi(x)-x) of chi o q and of q alone in strip k.
 
-    def ab_quad(self, k: int, x: float, t: float) -> tuple[float, float]:
-        """(a, b) through the Hermite table; quadrature accuracy only."""
-        pm = self.psi(k)
-        if pm is None:
-            return 0.0, 0.0
-        with self._lock:
-            cache = self._quad.get(k)
-            if cache is None:
-                span = _PsiCache.SPAN
-                lo, hi = (0.0, span) if self.side == RIGHT else (-span, 0.0)
-                cache = self._quad[k] = _PsiCache(pm, lo, hi)
-            px, dp = cache.eval(x)
-        return 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * self.y_div(k))
+        ``conj`` conjugates both coefficients, for a point of the lower
+        half-plane that this system reads through its mirror image.
+        """
+        a, b, dp, gap = self.ab(k, x, t, quad)
+        mu = _compose_affine(self.x_div(k), self.y_div(k), a, b)
+        mu_band = _band_mu(a, b)
+        if conj:
+            mu, mu_band = mu.conjugate(), mu_band.conjugate()
+        return mu, mu_band, a, b, dp, gap
 
-    def mu_xy_quad(self, x: float, y: float) -> complex:
-        k, t = self.locate(y)
-        a, b = self.ab_quad(k, x, t)
-        return _compose_affine(self.x_div(k), self.y_div(k), a, b)
-
-    def seam_distance(self, x: float, y: float) -> float:
-        k, _ = self.locate(y)
+    def seam_distance(self, k: int, x: float, y: float) -> float:
+        """Distance from (x, y), y >= 0 in strip k, to the nearest seam."""
         d = math.inf
         if self.seam_at(k):
             d = min(d, self.boundary(k) - y)
@@ -439,14 +432,33 @@ class _StripSystem:
             k += 1
         return out
 
-    def seam_ys(self, y_max: float) -> list[tuple[float, int]]:
+    def seam_ys(self, y_max: float) -> list[float]:
+        """Heights Y_k <= y_max of the seams."""
         out = []
         k = 1
         while self.boundary(k) <= y_max:
             if self.seam_at(k):
-                out.append((self.boundary(k), k))
+                out.append(self.boundary(k))
             k += 1
         return out
+
+    def seam_checks(self, xs, strips: int, k_cap: int, name: Callable[[int], str]) -> list[SeamCheck]:
+        """Log-space gaps across the first ``strips`` seams below strip k_cap, sampled at xs."""
+        checks = []
+        k = 1
+        while len(checks) < strips and k < k_cap:
+            if self.seam_at(k):
+                gaps = [_log_gap(self.value(k, float(x), 1.0), self.value(k + 1, float(x), 0.0))
+                        for x in xs]
+                i = int(np.argmax(gaps))
+                checks.append(SeamCheck(name(k), len(xs), float(gaps[i]), complex(xs[i], self.boundary(k))))
+            k += 1
+        return checks
+
+
+def _seam_heights(systems, y_max: float) -> list[float]:
+    """Sorted distinct seam heights of strip systems that share their bounds."""
+    return sorted({yv for sys in systems for yv in sys.seam_ys(y_max)})
 
 
 def _plain_rule(_k: int) -> str:
@@ -454,7 +466,7 @@ def _plain_rule(_k: int) -> str:
 
 
 class _PsiCache:
-    """Cubic-Hermite table over one psi's transition zone, for quadrature.
+    """Cubic-Hermite table of a psi (value ``f``, derivative ``df``), for quadrature.
 
     Outside |x| <= SPAN the map is affine to well below quadrature accuracy
     (the conjugacy approaches kappa x + c double-exponentially), so the two
@@ -473,8 +485,9 @@ class _PsiCache:
     SPAN = 24.0
     STEP = 0.25
 
-    def __init__(self, pm: PsiMap, lo: float, hi: float):
-        self.pm = pm
+    def __init__(self, f: Callable[[float], float], df: Callable[[float], float],
+                 lo: float, hi: float):
+        self.f, self.df = f, df
         step = self.STEP
         self._exact_below = 2.0 if lo == 0.0 else -math.inf
         self.xs = np.arange(max(lo, self._exact_below), hi + step / 2.0, step)
@@ -490,7 +503,7 @@ class _PsiCache:
                 got = self._node.get(i)
                 if got is None:
                     x = float(self.xs[i])
-                    got = (self.pm(x), self.pm.deriv(x))
+                    got = (self.f(x), self.df(x))
                     self._node[i] = got
         return got
 
@@ -500,15 +513,15 @@ class _PsiCache:
         if x >= xs[-1]:
             if self._c_hi is None:
                 with self._lock:
-                    self._c_hi = self.pm(self.SPAN + 2.0) - (self.SPAN + 2.0)
+                    self._c_hi = self.f(self.SPAN + 2.0) - (self.SPAN + 2.0)
             return x + self._c_hi, 1.0
         if x <= xs[0] or x < self._exact_below:
             if x <= -self.SPAN:
                 if self._c_lo is None:
                     with self._lock:
-                        self._c_lo = self.pm(-self.SPAN - 2.0) + (self.SPAN + 2.0)
+                        self._c_lo = self.f(-self.SPAN - 2.0) + (self.SPAN + 2.0)
                 return x + self._c_lo, 1.0
-            return self.pm(x), self.pm.deriv(x)
+            return self.f(x), self.df(x)
         i = int(np.searchsorted(xs, x, side="right")) - 1
         v0, d0 = self._at(i)
         v1, d1 = self._at(i + 1)
@@ -580,7 +593,48 @@ class BeltramiSample:
 # engines: strips / mixed
 # ---------------------------------------------------------------------------
 
-class _StripsEngine:
+class _Engine:
+    """The hooks an engine behind a :class:`GluedMap` provides.
+
+    Each engine decides where a point lands (chart, sheet, strip system,
+    strip k, height t, conjugation) in one private ``_locate`` step, which
+    ``classify``, ``cell_state``, ``seam_distance`` and ``mu_parts`` read.
+
+    - :class:`GluedMap` calls ``eval(z)``, ``classify(z)``,
+      ``piece_labels()``, ``piece_value(label, z)``,
+      ``seam_residuals(samples, strips)`` and ``to_dict()``.
+    - :func:`beltrami_at` calls ``classify(z)`` and ``mu_parts(z)``.
+    - :func:`dilatation_integral` calls ``fine_size(r_max)`` and
+      ``theta_windows(r0, r1)``; ``straddle_tester(r_max)`` where an engine
+      has one, else ``seam_functions_upto(r_max)``; ``cell_state(z)`` for
+      every cell; and ``mu_quad(z)`` for every cell it does not skip.
+
+    The hot paths run once per quadrature cell: ``cell_state``, ``mu_quad``
+    and the test that ``straddle_tester`` returns.
+
+    ``mu_parts(z, quad)`` is the one Beltrami computation.  It returns
+    ``(mu, mu_band, a, b, psi', psi(x) - x)``: mu of the whole glued map,
+    mu_band of the interpolation chart q alone, the chart's (a, b), and the
+    strip system's psi data (None on the spiral, which has none).
+    ``quad=False`` solves the conjugacy exactly, the reference;
+    ``quad=True`` reads the :class:`_PsiCache` Hermite tables, to
+    quadrature accuracy only.
+
+    ``cell_state(z)`` is ``(label, conformal, uninterpolated)``, the cheap
+    form of ``classify(z)``: the label keys ``DilatationReport.strip_sums``,
+    and ``conformal`` promises mu(z) == 0.
+    """
+
+    def mu(self, z: complex) -> complex:
+        """Beltrami coefficient of the glued map at z, from exact solves."""
+        return self.mu_parts(z)[0]
+
+    def mu_quad(self, z: complex) -> complex:
+        """Beltrami coefficient at z to quadrature accuracy (Hermite tables)."""
+        return self.mu_parts(z, quad=True)[0]
+
+
+class _StripsEngine(_Engine):
     """Half-plane strip assembly; upper and lower systems per side.
 
     The plain flavor commutes with conjugation, so the lower half-plane
@@ -616,46 +670,29 @@ class _StripsEngine:
         else:
             self.lo = self.up
 
-    def _system(self, x: float, y: float) -> _StripSystem:
-        table = self.up if y >= 0 else self.lo
-        return table[RIGHT if x >= 0 else LEFT]
+    def _systems(self) -> list[_StripSystem]:
+        tables = (self.up, self.lo) if self.mixed else (self.up,)
+        return [table[side] for table in tables for side in (RIGHT, LEFT)]
+
+    def _locate(self, z: complex) -> tuple[_StripSystem, int, float]:
+        """(system, k, t) of z; below the real axis, of its mirror image."""
+        x, y = z.real, z.imag
+        sys = (self.up if y >= 0 else self.lo)[RIGHT if x >= 0 else LEFT]
+        k, t = sys.locate(abs(y))
+        return sys, k, t
 
     def eval(self, z: complex) -> ScaledComplex:
-        x, y = z.real, z.imag
-        sys = self._system(x, y)
-        if y >= 0:
-            return sys.eval_xy(x, y)
-        return sys.eval_xy(x, -y).conj()
+        sys, k, t = self._locate(z)
+        v = sys.value(k, z.real, t)
+        return v if z.imag >= 0 else v.conj()
 
-    def mu(self, z: complex) -> complex:
-        x, y = z.real, z.imag
-        sys = self._system(x, y)
-        if y >= 0:
-            return sys.mu_xy(x, y)
-        return sys.mu_xy(x, -y).conjugate()
-
-    def mu_quad(self, z: complex) -> complex:
-        x, y = z.real, z.imag
-        sys = self._system(x, y)
-        if y >= 0:
-            return sys.mu_xy_quad(x, y)
-        return sys.mu_xy_quad(x, -y).conjugate()
-
-    def mu_parts(self, z: complex):
-        x, y = z.real, z.imag
-        sys = self._system(x, y)
-        k, t = sys.locate(abs(y))
-        a, b, dp, gap = sys.ab(k, x, t)
-        mu_band = _band_mu(a, b)
-        mu = _compose_affine(sys.x_div(k), sys.y_div(k), a, b)
-        if y < 0:
-            mu, mu_band = mu.conjugate(), mu_band.conjugate()
-        return mu, mu_band, a, b, dp, gap
+    def mu_parts(self, z: complex, quad: bool = False):
+        sys, k, t = self._locate(z)
+        return sys.mu_parts(k, z.real, t, quad, z.imag < 0)
 
     def classify(self, z: complex) -> PieceInfo:
         x, y = z.real, z.imag
-        sys = self._system(x, y)
-        k, t = sys.locate(abs(y))
+        sys, k, t = self._locate(z)
         return PieceInfo(
             label=f"{sys.tag}{k}",
             region=("upper" if y >= 0 else "lower") + ("-right" if x >= 0 else "-left"),
@@ -663,14 +700,16 @@ class _StripsEngine:
             x_div=sys.x_div(k), y_div=sys.y_div(k),
             band=sys.psi(k) is not None,
             conformal=not sys.active(k),
-            seam_distance=sys.seam_distance(x, abs(y)),
+            seam_distance=sys.seam_distance(k, x, abs(y)),
         )
 
     def cell_state(self, z: complex) -> tuple[str, bool, bool]:
-        x, y = z.real, z.imag
-        sys = self._system(x, y)
-        k, _ = sys.locate(abs(y))
+        sys, k, _ = self._locate(z)
         return f"{sys.tag}{k}", not sys.active(k), False
+
+    def seam_distance(self, z: complex) -> float:
+        sys, k, _ = self._locate(z)
+        return sys.seam_distance(k, z.real, abs(z.imag))
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("right", "left")
@@ -680,10 +719,7 @@ class _StripsEngine:
             raise KeyError(label)
         x, y = z.real, z.imag
         table = self.up if y >= 0 else self.lo
-        sys = table[RIGHT if label == "right" else LEFT]
-        if y >= 0:
-            return sys.eval_xy(x, y)
-        return sys.eval_xy(x, -y).conj()
+        return table[RIGHT if label == "right" else LEFT].eval_xy(x, y)
 
     # -- dilatation hooks -------------------------------------------------
     def fine_size(self, _r_max: float) -> float:
@@ -692,10 +728,9 @@ class _StripsEngine:
     def _all_windows(self, y_max: float) -> list[tuple[float, float]]:
         wins: list[tuple[float, float]] = []
         margin = 4.0 * self.fine_size(y_max)
-        for table in (self.up, self.lo) if self.mixed else (self.up,):
-            for sys in (table[RIGHT], table[LEFT]):
-                for lo, hi, _k in sys.active_windows(y_max):
-                    wins.append((max(0.0, lo - margin), hi + margin))
+        for sys in self._systems():
+            for lo, hi, _k in sys.active_windows(y_max):
+                wins.append((max(0.0, lo - margin), hi + margin))
         wins.sort()
         merged: list[tuple[float, float]] = []
         for lo, hi in wins:
@@ -720,15 +755,8 @@ class _StripsEngine:
         return out
 
     def seam_functions_upto(self, r_max: float):
-        fns = []
-        seen: set[float] = set()
-        for table in (self.up, self.lo) if self.mixed else (self.up,):
-            for sys in (table[RIGHT], table[LEFT]):
-                for yv, k in sys.seam_ys(r_max):
-                    if yv in seen:
-                        continue
-                    seen.add(yv)
-                    fns.append((lambda z, yv=yv: abs(z.imag) - yv, None, f"|y|={yv:.6g}"))
+        fns = [(lambda z, yv=yv: abs(z.imag) - yv, None, f"|y|={yv:.6g}")
+               for yv in _seam_heights(self._systems(), r_max)]
         wins = self._all_windows(r_max)
 
         def axis_gate(z, wins=wins):
@@ -740,12 +768,7 @@ class _StripsEngine:
 
     def straddle_tester(self, r_max: float):
         """Fast corner test: |y| seam crossings and gated axis crossings."""
-        seams: set[float] = set()
-        for table in (self.up, self.lo) if self.mixed else (self.up,):
-            for sys in (table[RIGHT], table[LEFT]):
-                for yv, _k in sys.seam_ys(r_max):
-                    seams.add(yv)
-        seam_list = sorted(seams)
+        seam_list = _seam_heights(self._systems(), r_max)
         wins = self._all_windows(r_max)
 
         def test(corners, _zc) -> bool:
@@ -761,10 +784,6 @@ class _StripsEngine:
 
         return test
 
-    def seam_distance(self, z: complex) -> float:
-        x, y = z.real, z.imag
-        return self._system(x, y).seam_distance(x, abs(y))
-
     # -- seam residuals ----------------------------------------------------
     def seam_residuals(self, samples: int = 64, strips: int = 6) -> list[SeamCheck]:
         checks = []
@@ -772,22 +791,8 @@ class _StripsEngine:
         xs_l = np.linspace(-40.0, -0.5, samples)
         for table, hemi in ((self.up, "upper"), (self.lo, "lower")) if self.mixed else ((self.up, "upper"),):
             for sys, xs in ((table[RIGHT], xs_r), (table[LEFT], xs_l)):
-                k = 1
-                found = 0
-                while found < strips and k < 400:
-                    if sys.seam_at(k):
-                        gaps = [
-                            _log_gap(sys.value(k, float(x), 1.0), sys.value(k + 1, float(x), 0.0))
-                            for x in xs
-                        ]
-                        i = int(np.argmax(gaps))
-                        checks.append(SeamCheck(
-                            name=f"{hemi}:{sys.tag}{k}|{sys.tag}{k+1}",
-                            samples=samples, max_gap=float(gaps[i]),
-                            argmax=complex(xs[i], sys.boundary(k)),
-                        ))
-                        found += 1
-                    k += 1
+                checks += sys.seam_checks(xs, strips, 400,
+                                          lambda k, tag=sys.tag: f"{hemi}:{tag}{k}|{tag}{k+1}")
         # the imaginary axis: both sides reduce to the same turn evaluation
         gaps = []
         pts = []
@@ -808,12 +813,14 @@ class _StripsEngine:
         return {"case": self.case, "l": self.l}
 
 
-class _SectorEngine:
+class _SectorEngine(_Engine):
     """z^n pullback of a strip assembly with the reciprocal boundary sheets.
 
     Sectors adjacent to the positive real axis use the flipped sheet
     G_1 (equal to 1/G_0 on the base strip 0 <= Im <= 2 pi); everything
-    within |Im z^n| <= 2 pi stays uninterpolated by design.
+    within |Im z^n| <= 2 pi stays uninterpolated by design.  Outside that
+    core the flipped sheet is the half-turn translate of the base map, so
+    every hook reads the base engine at the translated point.
     """
 
     flavor = STRIPS
@@ -840,72 +847,54 @@ class _SectorEngine:
     def base_value(self, w: complex) -> ScaledComplex:
         return self.base.eval(w)
 
+    @staticmethod
+    def _half_turn(w: complex) -> complex:
+        # the flipped sheet away from the real axis: G_1(w) = G_0(w -+ i pi)
+        return w + complex(0.0, -math.pi if w.imag > 0 else math.pi)
+
     def flipped_value(self, w: complex) -> ScaledComplex:
         if abs(w.imag) >= math.pi:
-            shift = complex(0.0, -math.pi if w.imag > 0 else math.pi)
-            return self.base.eval(w + shift)
+            return self.base.eval(self._half_turn(w))
         zeta = self._chi1(w)
         return eval_model_turns(PairIndex(0, 0), zeta.real + self._s0(),
                                 zeta.imag / TWO_PI, PLAIN).recip()
 
-    def _sector(self, z: complex) -> tuple[int, complex]:
+    def _locate(self, z: complex) -> tuple[int, complex, bool]:
+        """(sector j, base-engine point, uninterpolated) of z.
+
+        The base-engine point is z^n, shifted by -+ i pi on the flipped
+        sheet of sectors 1 and 2n.
+        """
         az = math.atan2(z.imag, z.real) % TWO_PI
         j = min(int(az // (math.pi / self.n)) + 1, 2 * self.n)
         w = z ** self.n
-        return j, w
+        if abs(w.imag) <= TWO_PI:
+            return j, w, True
+        if j in (1, 2 * self.n):
+            w = self._half_turn(w)
+        return j, w, False
 
     def eval(self, z: complex) -> ScaledComplex:
         z = complex(z)
-        j, w = self._sector(z)
-        if abs(w.imag) <= TWO_PI:
+        _, w, uninterpolated = self._locate(z)
+        if uninterpolated:
             raise UninterpolatedRegion(
                 f"|Im z^{self.n}| <= 2 pi at z={z:.6g}: no interpolation is defined here")
-        if j in (1, 2 * self.n):
-            return self.flipped_value(w)
         return self.base.eval(w)
 
-    def mu(self, z: complex) -> complex:
+    def mu_parts(self, z: complex, quad: bool = False):
         z = complex(z)
-        j, w = self._sector(z)
-        if abs(w.imag) <= TWO_PI:
+        _, w, uninterpolated = self._locate(z)
+        if uninterpolated:
             raise UninterpolatedRegion(f"uninterpolated at z={z:.6g}")
-        if j in (1, 2 * self.n):
-            if abs(w.imag) < math.pi:
-                return 0j
-            w = w + complex(0.0, -math.pi if w.imag > 0 else math.pi)
-        mu0 = self.base.mu(w)
-        dp = self.n * z ** (self.n - 1)
-        return mu0 * dp.conjugate() / dp
-
-    def mu_quad(self, z: complex) -> complex:
-        z = complex(z)
-        j, w = self._sector(z)
-        if abs(w.imag) <= TWO_PI:
-            raise UninterpolatedRegion(f"uninterpolated at z={z:.6g}")
-        if j in (1, 2 * self.n):
-            if abs(w.imag) < math.pi:
-                return 0j
-            w = w + complex(0.0, -math.pi if w.imag > 0 else math.pi)
-        mu0 = self.base.mu_quad(w)
-        dp = self.n * z ** (self.n - 1)
-        return mu0 * dp.conjugate() / dp
-
-    def mu_parts(self, z: complex):
-        j, w = self._sector(z)
-        if abs(w.imag) <= TWO_PI:
-            raise UninterpolatedRegion(f"uninterpolated at z={z:.6g}")
-        wq = w
-        if j in (1, 2 * self.n) and abs(w.imag) >= math.pi:
-            wq = w + complex(0.0, -math.pi if w.imag > 0 else math.pi)
-        mu0, mu_band, a, b, dp_, gap = self.base.mu_parts(wq)
+        mu0, mu_band, a, b, dp_, gap = self.base.mu_parts(w, quad)
         dpz = self.n * z ** (self.n - 1)
-        tw = dpz.conjugate() / dpz
-        return mu0 * tw, mu_band, a, b, dp_, gap
+        return mu0 * dpz.conjugate() / dpz, mu_band, a, b, dp_, gap
 
     def classify(self, z: complex) -> PieceInfo:
         z = complex(z)
-        j, w = self._sector(z)
-        if abs(w.imag) <= TWO_PI:
+        j, w, uninterpolated = self._locate(z)
+        if uninterpolated:
             return PieceInfo(label=f"sector{j}:uninterpolated", region=f"sector{j}",
                              conformal=False, uninterpolated=True)
         info = self.base.classify(w)
@@ -919,11 +908,18 @@ class _SectorEngine:
         )
 
     def cell_state(self, z: complex) -> tuple[str, bool, bool]:
-        j, w = self._sector(z)
-        if abs(w.imag) <= TWO_PI:
-            return f"sector{j}:uninterpolated", True, True
+        j, w, uninterpolated = self._locate(z)
+        if uninterpolated:
+            return f"sector{j}:uninterpolated", False, True
         label, conf, _ = self.base.cell_state(w)
         return f"sector{j}:{label}", conf, False
+
+    def seam_distance(self, z: complex) -> float:
+        _, w, uninterpolated = self._locate(z)
+        if uninterpolated:
+            return math.inf
+        # scale the base distance back through |d z^n/dz|
+        return self.base.seam_distance(w) / max(1e-300, self.n * abs(z) ** (self.n - 1))
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("base", "flipped")
@@ -953,15 +949,6 @@ class _SectorEngine:
             ))
         return out
 
-    def seam_distance(self, z: complex) -> float:
-        j, w = self._sector(z)
-        if abs(w.imag) <= TWO_PI:
-            return math.inf
-        if j in (1, 2 * self.n) and abs(w.imag) >= math.pi:
-            w = w + complex(0.0, -math.pi if w.imag > 0 else math.pi)
-        # scale the base distance back through |d z^n/dz|
-        return self.base.seam_distance(w) / max(1e-300, self.n * abs(z) ** (self.n - 1))
-
     def seam_residuals(self, samples: int = 64, strips: int = 6) -> list[SeamCheck]:
         checks = self.base.seam_residuals(samples, strips)
         # the two sheets are reciprocal on the base strip 0 <= Im w <= 2 pi
@@ -984,22 +971,10 @@ class _SectorEngine:
 # engine: spiral
 # ---------------------------------------------------------------------------
 
-class _SpiralEngine:
+class _SpiralEngine(_Engine):
     """Two models glued across a logarithmic spiral by the chart z^mu."""
 
     flavor = SPIRAL
-
-    class _BaseShim:
-        """Adapter letting _PsiCache tabulate the homeo's axis profile."""
-
-        def __init__(self, homeo: StripHomeo):
-            self._h = homeo
-
-        def __call__(self, x: float) -> float:
-            return self._h._base(x)
-
-        def deriv(self, x: float) -> float:
-            return self._h._base_deriv(x)
 
     def __init__(self, lower: PairIndex, upper: PairIndex):
         self.lower, self.upper = lower, upper
@@ -1007,53 +982,37 @@ class _SpiralEngine:
         self.charts = spiral_charts(self.spec.kappa)
         self.homeo = build_strip_homeo(self.spec)
         self._qlock = threading.Lock()
-        self._qcache = _PsiCache(self._BaseShim(self.homeo),
+        # tabulates the homeo's axis profile (base, base')
+        self._qcache = _PsiCache(self.homeo._base, self.homeo._base_deriv,
                                  -_PsiCache.SPAN, _PsiCache.SPAN)
 
-    def eval(self, w: complex) -> ScaledComplex:
-        w = complex(w)
-        if w == 0:
-            return eval_model(self.upper, 0j)
+    def _locate(self, w: complex) -> tuple[complex, bool]:
+        """The chart point h(w) (h(0) = 0) and whether it lies in the band.
+
+        Above the real axis h lands in the upper model, below it in the
+        lower model through the strip homeo, which has dilatation only in
+        the band -1 < Im h < 0.
+        """
         h = self.charts.h(w)
+        return h, -1.0 < h.imag < 0.0
+
+    def eval(self, w: complex) -> ScaledComplex:
+        h, _ = self._locate(complex(w))
         if h.imag >= 0:
             return eval_model(self.upper, h)
         return eval_model(self.lower, self.homeo(h))
 
-    def mu(self, w: complex) -> complex:
+    def mu_parts(self, w: complex, quad: bool = False):
         w = complex(w)
-        if w == 0:
-            return 0j
-        h = self.charts.h(w)
-        if h.imag >= 0 or h.imag <= -1.0:
-            return 0j
-        hp = self.charts.h_prime(w)
-        return self.homeo.mu(h) * hp.conjugate() / hp
-
-    def mu_quad(self, w: complex) -> complex:
-        w = complex(w)
-        if w == 0:
-            return 0j
-        h = self.charts.h(w)
-        y = h.imag
-        if y >= 0 or y <= -1.0:
-            return 0j
-        with self._qlock:
-            base, dbase = self._qcache.eval(h.real)
-        ay = -y
-        u_x = dbase * (1.0 - ay) + ay
-        u_y = -(h.real - base)
-        den = complex(u_x + 1.0, -u_y)
-        if den == 0:
-            return complex("nan")
-        hp = self.charts.h_prime(w)
-        return (complex(u_x - 1.0, u_y) / den) * hp.conjugate() / hp
-
-    def mu_parts(self, w: complex):
-        w = complex(w)
-        h = self.charts.h(w)
-        if w == 0 or h.imag >= 0 or h.imag <= -1.0:
+        h, band = self._locate(w)
+        if not band:
             return 0j, 0j, 0.0, 0.0, None, None
-        u_x, u_y, _, _ = self.homeo.jacobian(h)
+        if quad:
+            with self._qlock:
+                base, dbase = self._qcache.eval(h.real)
+            u_x, u_y, _, _ = _shear_jacobian(h.real, h.imag, base, dbase)
+        else:
+            u_x, u_y, _, _ = self.homeo.jacobian(h)
         a, b = 0.5 * (u_x - 1.0), 0.5 * u_y
         mu_band = _band_mu(a, b)
         hp = self.charts.h_prime(w)
@@ -1064,9 +1023,8 @@ class _SpiralEngine:
         if w == 0:
             return PieceInfo(label="origin", region="origin", pair=self.upper,
                              variant=PLAIN, seam_distance=0.0)
-        h = self.charts.h(w)
+        h, band = self._locate(w)
         upper = h.imag >= 0
-        band = -1.0 < h.imag < 0.0
         return PieceInfo(
             label="upper" if upper else ("lower-band" if band else "lower"),
             region="spiral-upper" if upper else "spiral-lower",
@@ -1076,8 +1034,7 @@ class _SpiralEngine:
         )
 
     def cell_state(self, w: complex) -> tuple[str, bool, bool]:
-        h = self.charts.h(complex(w))
-        if -1.0 < h.imag < 0.0:
+        if self._locate(complex(w))[1]:
             return "cut-band", False, False
         return "regular", True, False
 
@@ -1118,31 +1075,22 @@ class _SpiralEngine:
         return [(lambda z: math.sin(self.charts._xi(z)) if z != 0 else 0.0, None, "cut")]
 
     def seam_distance(self, w: complex) -> float:
-        if w == 0:
-            return 0.0
-        return abs(self.charts.h(complex(w)).imag)
+        return abs(self._locate(complex(w))[0].imag)
 
     def seam_residuals(self, samples: int = 64, strips: int = 0) -> list[SeamCheck]:
         del strips
         checks = []
-        # positive ray: upper g2(x) against lower g1(psi(x))
-        xs = np.linspace(0.5, 6.0, samples)
-        gaps = [
-            _log_gap(eval_model(self.upper, complex(float(x), 0.0)),
-                     eval_model(self.lower, self.homeo(complex(float(x), 0.0))))
-            for x in xs
-        ]
-        i = int(np.argmax(gaps))
-        checks.append(SeamCheck("positive-ray", samples, float(gaps[i]), complex(xs[i], 0)))
+        # positive ray: upper g2(x) against lower g1(psi(x));
         # spiral cut: the two h-edges x and kappa x
-        xs = np.linspace(-40.0, -0.5, samples)
-        gaps = [
-            _log_gap(eval_model(self.upper, complex(float(x), 0.0)),
-                     eval_model(self.lower, self.homeo(complex(self.charts.kappa * float(x), 0.0))))
-            for x in xs
-        ]
-        i = int(np.argmax(gaps))
-        checks.append(SeamCheck("spiral-cut", samples, float(gaps[i]), complex(xs[i], 0)))
+        for name, xs, scale in (("positive-ray", np.linspace(0.5, 6.0, samples), 1.0),
+                                ("spiral-cut", np.linspace(-40.0, -0.5, samples), self.charts.kappa)):
+            gaps = [
+                _log_gap(eval_model(self.upper, complex(float(x), 0.0)),
+                         eval_model(self.lower, self.homeo(complex(scale * float(x), 0.0))))
+                for x in xs
+            ]
+            i = int(np.argmax(gaps))
+            checks.append(SeamCheck(name, samples, float(gaps[i]), complex(xs[i], 0)))
         return checks
 
     def to_dict(self) -> dict:
@@ -1155,7 +1103,7 @@ class _SpiralEngine:
 # engine: power
 # ---------------------------------------------------------------------------
 
-class _PowerEngine:
+class _PowerEngine(_Engine):
     """Wedge gluing through z^rho / -(-z)^sigma and the radial map Q.
 
     The right wedge evaluates U(Q(z^rho)) on unit-height strips, the left
@@ -1165,6 +1113,7 @@ class _PowerEngine:
     """
 
     flavor = POWER
+    _Q_CONFORMAL = ("q-identity", "q-square")  # pieces of Q that are the identity
 
     def __init__(self, rho: float, delta: float,
                  gamma: Optional[float] = None, sigma: Optional[float] = None):
@@ -1285,115 +1234,68 @@ class _PowerEngine:
         return -cmath.exp(self.sigma * cmath.log(-z))
 
     def _sys_value(self, table, q: complex) -> ScaledComplex:
-        x, y = q.real, q.imag
-        if y >= 0:
-            return table["up"].eval_xy(x, y)
-        return table["lo"].eval_xy(x, -y).conj()
+        return table["up" if q.imag >= 0 else "lo"].eval_xy(q.real, q.imag)
 
-    def _sys_mu(self, table, q: complex) -> complex:
-        x, y = q.real, q.imag
-        if y >= 0:
-            return table["up"].mu_xy(x, y)
-        return table["lo"].mu_xy(x, -y).conjugate()
+    def _locate(self, z: complex) -> tuple:
+        """(w, q-label, q, system, k, t) of z != 0.
+
+        The right wedge reads U at q = Q(w), w = z^rho; the left wedge reads
+        V at q = -(-z)^sigma and has no w or q-label (None).  Below the real
+        axis the system reads the mirror image of q.
+        """
+        if self._right(z):
+            w = self._w(z)
+            qlab = self.q_label(w)
+            q = w if qlab in self._Q_CONFORMAL else self.q_value(w)
+            table = self.U
+        else:
+            w = qlab = None
+            q = self._v(z)
+            table = self.V
+        sys = table["up" if q.imag >= 0 else "lo"]
+        k, t = sys.locate(abs(q.imag))
+        return w, qlab, q, sys, k, t
 
     def eval(self, z: complex) -> ScaledComplex:
         z = complex(z)
         if z == 0:
             return self._sys_value(self.U, 0j)
-        if self._right(z):
-            return self._sys_value(self.U, self.q_value(self._w(z)))
-        return self._sys_value(self.V, self._v(z))
+        _, _, q, sys, k, t = self._locate(z)
+        v = sys.value(k, q.real, t)
+        return v if q.imag >= 0 else v.conj()
 
-    def mu(self, z: complex) -> complex:
-        return self.mu_parts(z)[0]
-
-    def mu_quad(self, z: complex) -> complex:
-        z = complex(z)
-        if z == 0:
-            return 0j
-        if self._right(z):
-            w = self._w(z)
-            q = self.q_value(w)
-            sys = self.U["up" if q.imag >= 0 else "lo"]
-            k, t = sys.locate(abs(q.imag))
-            a, b = sys.ab_quad(k, q.real, t)
-            mu_s = _compose_affine(sys.x_div(k), sys.y_div(k), a, b)
-            if q.imag < 0:
-                mu_s = mu_s.conjugate()
-            qw, qwb = self.q_wirtinger(w)
-            den = qw + mu_s * qwb.conjugate()
-            mu_f = complex("nan") if den == 0 else (qwb + mu_s * qw.conjugate()) / den
-            dp = self.rho * cmath.exp((self.rho - 1.0) * cmath.log(z))
-            return mu_f * dp.conjugate() / dp
-        v = self._v(z)
-        sys = self.V["up" if v.imag >= 0 else "lo"]
-        k, t = sys.locate(abs(v.imag))
-        a, b = sys.ab_quad(k, v.real, t)
-        mu_s = _compose_affine(sys.x_div(k), sys.y_div(k), a, b)
-        if v.imag < 0:
-            mu_s = mu_s.conjugate()
-        dp = self.sigma * cmath.exp((self.sigma - 1.0) * cmath.log(-z))
-        return mu_s * dp.conjugate() / dp
-
-    def mu_parts(self, z: complex):
+    def mu_parts(self, z: complex, quad: bool = False):
         z = complex(z)
         if z == 0:
             return 0j, 0j, 0.0, 0.0, None, None
-        if self._right(z):
-            w = self._w(z)
-            q = self.q_value(w)
-            table, sys_key = self.U, ("up" if q.imag >= 0 else "lo")
-            sys = table[sys_key]
-            k, t = sys.locate(abs(q.imag))
-            a, b, dpsi, gap = sys.ab(k, q.real, t)
-            mu_s = _compose_affine(sys.x_div(k), sys.y_div(k), a, b)
-            mu_band = _band_mu(a, b)
-            if q.imag < 0:
-                mu_s, mu_band = mu_s.conjugate(), mu_band.conjugate()
+        w, _, q, sys, k, t = self._locate(z)
+        mu, mu_band, a, b, dpsi, gap = sys.mu_parts(k, q.real, t, quad, q.imag < 0)
+        if w is not None:  # compose with Q, then twist by z^rho
             qw, qwb = self.q_wirtinger(w)
-            den = qw + mu_s * qwb.conjugate()
-            mu_f = complex("nan") if den == 0 else (qwb + mu_s * qw.conjugate()) / den
+            den = qw + mu * qwb.conjugate()
+            mu = complex("nan") if den == 0 else (qwb + mu * qw.conjugate()) / den
             dp = self.rho * cmath.exp((self.rho - 1.0) * cmath.log(z))
-            return mu_f * dp.conjugate() / dp, mu_band, a, b, dpsi, gap
-        v = self._v(z)
-        sys = self.V["up" if v.imag >= 0 else "lo"]
-        k, t = sys.locate(abs(v.imag))
-        a, b, dpsi, gap = sys.ab(k, v.real, t)
-        mu_s = _compose_affine(sys.x_div(k), sys.y_div(k), a, b)
-        mu_band = _band_mu(a, b)
-        if v.imag < 0:
-            mu_s, mu_band = mu_s.conjugate(), mu_band.conjugate()
-        dp = self.sigma * cmath.exp((self.sigma - 1.0) * cmath.log(-z))
-        return mu_s * dp.conjugate() / dp, mu_band, a, b, dpsi, gap
+        else:
+            dp = self.sigma * cmath.exp((self.sigma - 1.0) * cmath.log(-z))
+        return mu * dp.conjugate() / dp, mu_band, a, b, dpsi, gap
+
+    def _conformal(self, qlab: Optional[str], sys: _StripSystem, k: int) -> bool:
+        return (not sys.active(k)) and (qlab is None or qlab in self._Q_CONFORMAL)
 
     def classify(self, z: complex) -> PieceInfo:
         z = complex(z)
         if z == 0:
             return PieceInfo(label="origin", region="power-right", pair=PairIndex(0, 0),
-                             variant=PLAIN, seam_distance=0.0)
-        if self._right(z):
-            w = self._w(z)
-            q = self.q_value(w)
-            qlab = self.q_label(w)
-            sys = self.U["up" if q.imag >= 0 else "lo"]
-            k, t = sys.locate(abs(q.imag))
-            band = sys.psi(k) is not None
-            conf = (not sys.active(k)) and qlab in ("q-identity", "q-square")
-            return PieceInfo(
-                label=f"U{k}|{qlab}", region="power-right",
-                pair=sys.pair(k), variant=sys.variant(k), k=k, t=t,
-                x_div=sys.x_div(k), y_div=sys.y_div(k), band=band,
-                conformal=conf, seam_distance=self.seam_distance(z),
-            )
-        v = self._v(z)
-        sys = self.V["up" if v.imag >= 0 else "lo"]
-        k, t = sys.locate(abs(v.imag))
+                             variant=PLAIN, conformal=False, seam_distance=0.0)
+        loc = self._locate(z)
+        w, qlab, _, sys, k, t = loc
         return PieceInfo(
-            label=f"V{k}", region="power-left",
+            label=f"V{k}" if w is None else f"U{k}|{qlab}",
+            region="power-left" if w is None else "power-right",
             pair=sys.pair(k), variant=sys.variant(k), k=k, t=t,
-            x_div=sys.x_div(k), y_div=sys.y_div(k),
-            band=sys.psi(k) is not None, conformal=not sys.active(k),
-            seam_distance=self.seam_distance(z),
+            x_div=sys.x_div(k), y_div=sys.y_div(k), band=sys.psi(k) is not None,
+            conformal=self._conformal(qlab, sys, k),
+            seam_distance=self._seam_distance(z, loc),
         )
 
     def cell_state(self, z: complex) -> tuple[str, bool, bool]:
@@ -1401,18 +1303,8 @@ class _PowerEngine:
         z = complex(z)
         if z == 0:
             return "q-disk", False, False
-        if self._right(z):
-            w = self._w(z)
-            qlab = self.q_label(w)
-            q = w if qlab in ("q-identity", "q-square") else self.q_value(w)
-            sys = self.U["up" if q.imag >= 0 else "lo"]
-            k, _ = sys.locate(abs(q.imag))
-            conf = (not sys.active(k)) and qlab in ("q-identity", "q-square")
-            return qlab, conf, False
-        v = self._v(z)
-        sys = self.V["up" if v.imag >= 0 else "lo"]
-        k, _ = sys.locate(abs(v.imag))
-        return f"V{k}", not sys.active(k), False
+        w, qlab, _, sys, k, _ = self._locate(z)
+        return (f"V{k}" if w is None else qlab), self._conformal(qlab, sys, k), False
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("wedge", "left-wedge")
@@ -1438,49 +1330,34 @@ class _PowerEngine:
             (lambda z: math.atan2(z.imag, z.real) + self.ray, None, "ray-"),
         ]
         if r_max > 1.0:
-            fns.append((lambda z: abs(z) - 1.0, lambda z: self._right(z), "q-circle"))
-
-        def right_gate(z):
-            return self._right(z)
+            fns.append((lambda z: abs(z) - 1.0, self._right, "q-circle"))
 
         def left_gate(z):
             return not self._right(z)
 
-        w_top = r_max ** self.rho
-        k = 1
-        while self.U["up"].boundary(k) <= w_top:
-            if self.U["up"].seam_at(k) or self.U["lo"].seam_at(k):
-                yk = self.U["up"].boundary(k)
-                fns.append((lambda z, yk=yk: abs(self._w(z).imag) - yk, right_gate, f"U|y|={yk:.6g}"))
-            k += 1
-        k = 1
-        while self.V["up"].boundary(k) <= r_max ** self.sigma:
-            if self.V["up"].seam_at(k) or self.V["lo"].seam_at(k):
-                yk = self.V["up"].boundary(k)
-                fns.append((lambda z, yk=yk: abs(self._v(z).imag) - yk, left_gate, f"V|y|={yk:.6g}"))
-            k += 1
+        for table, top, chart, gate, tag in ((self.U, r_max ** self.rho, self._w, self._right, "U"),
+                                             (self.V, r_max ** self.sigma, self._v, left_gate, "V")):
+            for yk in _seam_heights(table.values(), top):
+                fns.append((lambda z, yk=yk, chart=chart: abs(chart(z).imag) - yk, gate, f"{tag}|y|={yk:.6g}"))
         return fns
 
     def seam_distance(self, z: complex) -> float:
         z = complex(z)
         if z == 0:
             return 0.0
+        return self._seam_distance(z, self._locate(z))
+
+    def _seam_distance(self, z: complex, loc: tuple) -> float:
+        w, qlab, q, sys, k, _ = loc
         th = math.atan2(z.imag, z.real)
         d = abs(z) * min(abs(th - self.ray), abs(th + self.ray))
-        if self._right(z):
-            w = self._w(z)
-            q = self.q_value(w)
-            scale = self.rho * abs(z) ** (self.rho - 1.0)
-            sys = self.U["up" if q.imag >= 0 else "lo"]
-            d = min(d, sys.seam_distance(q.real, abs(q.imag)) / max(scale, 1e-300))
-            if self.q_label(w) != "q-identity":
-                d = min(d, abs(abs(w) - 1.0) / max(scale, 1e-300))
-        else:
-            v = self._v(z)
+        if w is None:
             scale = self.sigma * abs(z) ** (self.sigma - 1.0)
-            sys = self.V["up" if v.imag >= 0 else "lo"]
-            d = min(d, sys.seam_distance(v.real, abs(v.imag)) / max(scale, 1e-300))
-        return d
+        else:
+            scale = self.rho * abs(z) ** (self.rho - 1.0)
+            if qlab != "q-identity":
+                d = min(d, abs(abs(w) - 1.0) / max(scale, 1e-300))
+        return min(d, sys.seam_distance(k, q.real, abs(q.imag)) / max(scale, 1e-300))
 
     def seam_residuals(self, samples: int = 64, strips: int = 4) -> list[SeamCheck]:
         checks = []
@@ -1510,17 +1387,7 @@ class _PowerEngine:
         xs_l = np.linspace(-40.0, -0.5, samples)
         for table, xs, tag in ((self.U, xs_r, "U"), (self.V, xs_l, "V")):
             for key in ("up", "lo"):
-                sys = table[key]
-                k, found = 1, 0
-                while found < strips and k < 200:
-                    if sys.seam_at(k):
-                        gaps = [_log_gap(sys.value(k, float(x), 1.0), sys.value(k + 1, float(x), 0.0))
-                                for x in xs]
-                        i = int(np.argmax(gaps))
-                        checks.append(SeamCheck(f"{tag}:{key}:{k}|{k+1}", samples,
-                                                float(gaps[i]), complex(xs[i], sys.boundary(k))))
-                        found += 1
-                    k += 1
+                checks += table[key].seam_checks(xs, strips, 200, lambda k, key=key: f"{tag}:{key}:{k}|{k+1}")
         return checks
 
     def to_dict(self) -> dict:
@@ -1809,7 +1676,6 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
                     return True
             return False
 
-    mu_fn = getattr(eng, "mu_quad", eng.mu)
     annulus_area = math.pi * (r_max * r_max - r_min * r_min)
     straddle_area = 0.0
     straddled = evaluated = conformal = skipped = 0
@@ -1867,8 +1733,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
                 if conf and not is_straddle:
                     conformal += 1
                     continue
-                mu = mu_fn(zc)
-                mu_abs = abs(mu)
+                mu_abs = abs(eng.mu_quad(zc))
                 km1 = _k_of_mu(mu_abs) - 1.0
                 if not math.isfinite(km1):
                     km1 = 0.0  # degenerate midpoint; the straddle flag records it

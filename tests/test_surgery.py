@@ -482,6 +482,29 @@ def test_quadrature_mu_tracks_exact_mu(strips_map, spiral_map, power_map):
         assert worst < tol, gm.flavor
 
 
+def test_cell_state_agrees_with_classify_and_mu(strips_map, spiral_map, power_map, sectors_map):
+    # the quadrature's cheap cell state must place a point where classify
+    # and mu do: a cell marked conformal carries no dilatation.  The sector
+    # points sit in sectors 1 and 2n, where the flipped sheet reads the base
+    # strips half a turn away from z^n.
+    rng = random.Random(13)
+    mixed_map = assemble("mixed", lam1=0.5, lam2=1.0)
+    for name, gm, r_lo, r_hi, th_max, count in (("strips", strips_map, 1.0, 60.0, math.pi, 200),
+                                                ("mixed", mixed_map, 1.0, 60.0, math.pi, 200),
+                                                ("spiral", spiral_map, 1.0, 60.0, math.pi, 200),
+                                                ("power", power_map, 0.5, 8.0, math.pi, 200),
+                                                ("sectors", sectors_map, 2.0, 5.0, math.pi / 3, 800)):
+        eng = gm._impl
+        for _ in range(count):
+            z = cmath.rect(rng.uniform(r_lo, r_hi), rng.uniform(-th_max, th_max))
+            _label, conformal, uninterpolated = eng.cell_state(z)
+            info = gm.classify(z)
+            assert info.conformal == conformal, (name, z)
+            assert info.uninterpolated == uninterpolated, (name, z)
+            if conformal:
+                assert eng.mu(z) == eng.mu_quad(z) == 0, (name, z)
+
+
 def test_map_serialization(spiral_map):
     d = spiral_map.to_dict()
     assert d["flavor"] == "spiral"
