@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lgamma
+from threading import Lock
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -25,6 +26,7 @@ from .scaledcx import ScaledComplex
 TWO_PI = 2.0 * math.pi
 
 PAIR_CAP = 10_000
+_MP_LOCK = Lock()  # mpmath's working precision is one process-wide setting
 SINGULAR_TOL = 1e-13  # Newton distance |T/(dT/dz)| below this => root hit (zero/pole)
 CANCEL_TOL = 1e-4     # |T|/max-term below this => redo the sum at high precision
 
@@ -189,10 +191,9 @@ def _poly_logsum_mp(
 ) -> tuple[complex, complex, float]:
     """High-precision fallback for the cancellation-prone alternating sum."""
     dps = min(300, 30 + int(lost_digits))
-    m = table.pair.m
-    n2 = 2 * table.pair.n
+    m, n2 = table.pair.m, 2 * table.pair.n
     deg = n2 if numer else m
-    with mp.workdps(dps):
+    with _MP_LOCK, mp.workdps(dps):
         w = mp.exp(mp.mpc(x, yr))
         lg_top = mp.loggamma(m + n2 + 1)
         if numer:
@@ -580,10 +581,9 @@ def tail_expansion_residual(pair: PairIndex, y: float) -> float:
     """
     if y <= 0:
         raise ValueError("tail residual needs y > 0")
-    m, n = pair.m, pair.n
-    N = pair.N
+    m, n, N = pair.m, pair.n, pair.N
     table = build_coefficients(pair)
-    with mp.workdps(40):
+    with _MP_LOCK, mp.workdps(40):
         yy = mp.mpf(y)
         P = mp.mpf(0)
         for b in reversed(table.numer):

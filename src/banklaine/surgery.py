@@ -272,6 +272,31 @@ def build_strip_homeo(spec: DiffeoSpec) -> StripHomeo:
 # one half-plane side of a strip assembly
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Strip:
+    """Strip k of one strip system, built once.
+
+    The strip spans local heights [lo, hi) with hi - lo = 2 pi y_div,
+    carries the model ``pair`` in ``variant`` scaled by
+    chi = x/x_div + i y/y_div and shifted by ``shift``, and interpolates
+    toward strip k+1 through ``psi`` (None when that map is the identity),
+    tabulated for quadrature in ``psi_table``.  ``active`` says whether the
+    strip carries any dilatation at all.
+    """
+
+    k: int
+    pair: PairIndex
+    variant: str
+    x_div: float
+    y_div: float
+    shift: float
+    lo: float
+    hi: float
+    psi: Optional[PsiMap]
+    psi_table: Optional[_PsiCache]
+    active: bool
+
+
 class _StripSystem:
     """Strip-indexed evaluator on one horizontal side of a half-plane.
 
@@ -282,6 +307,10 @@ class _StripSystem:
     Evaluation feeds t straight into the exact-turn model evaluator, so
     the top edge of strip k and the bottom edge of strip k+1 agree to the
     accuracy of the conjugacy solve.
+
+    Each strip is one :class:`_Strip` record, appended by ``_grow`` under
+    the lock the first time a lookup reaches it; ``_tops`` holds the
+    heights Y_0 = 0, Y_1, ... that ``locate`` bisects.
     """
 
     def __init__(self, m_seq, n_seq, side: str, l: int, heights: str,
@@ -295,150 +324,128 @@ class _StripSystem:
         self.variant_rule = variant_rule
         self.tag = tag
         self._lock = threading.RLock()
-        self._bounds: list[float] = [0.0]
-        self._psis: dict[int, Optional[PsiMap]] = {}
-        self._quad: dict[int, _PsiCache] = {}
+        self._strips: list[_Strip] = []
+        self._tops: list[float] = [0.0]
 
-    # -- sequence-indexed structure ------------------------------------
-    def pair(self, k: int) -> PairIndex:
-        return PairIndex(self._m.entry(k), self._n.entry(k))
+    # -- strip records -----------------------------------------------------
+    def _model(self, k: int) -> tuple[PairIndex, str, float, float]:
+        """(pair, variant, x_div, shift) of strip k."""
+        pair = PairIndex(self._m.entry(k), self._n.entry(k))
+        variant = self.variant_rule(k)
+        x_div = float(self.l) if self.side == RIGHT else float(pair.N)
+        return pair, variant, x_div, _shift_value(pair, variant)
 
-    def variant(self, k: int) -> str:
-        return self.variant_rule(k)
+    def _grow(self) -> None:
+        """Append the next strip record; the caller holds the lock."""
+        k = len(self._strips) + 1
+        pair, variant, x_div, shift = self._model(k)
+        pair1, variant1, x_div1, shift1 = self._model(k + 1)
+        y_div = 1.0 if self.heights == "unit" else float(pair.N)
+        pm = PsiMap(DiffeoSpec(pair, pair1, variant, variant1), shift, shift1, x_div1, x_div)
+        table = None
+        if pm.exact_identity:
+            pm = None
+        else:
+            span = _PsiCache.SPAN
+            x_lo, x_hi = (0.0, span) if self.side == RIGHT else (-span, 0.0)
+            table = _PsiCache(pm, pm.deriv, x_lo, x_hi)
+        lo = self._tops[-1]
+        hi = lo + TWO_PI * y_div
+        self._strips.append(_Strip(k, pair, variant, x_div, y_div, shift, lo, hi, pm, table,
+                                   pm is not None or x_div != y_div))
+        self._tops.append(hi)
 
-    def x_div(self, k: int) -> float:
-        return float(self.l) if self.side == RIGHT else float(self.pair(k).N)
+    def strip(self, k: int) -> _Strip:
+        """The record of strip k >= 1."""
+        if k > len(self._strips):
+            with self._lock:
+                while len(self._strips) < k:
+                    self._grow()
+        return self._strips[k - 1]
 
-    def y_div(self, k: int) -> float:
-        return 1.0 if self.heights == "unit" else float(self.pair(k).N)
-
-    def shift(self, k: int) -> float:
-        return _shift_value(self.pair(k), self.variant(k))
-
-    def boundary(self, k: int) -> float:
-        """Y_k, the top edge of strip k (Y_0 = 0)."""
-        with self._lock:
-            while len(self._bounds) <= k:
-                j = len(self._bounds)
-                self._bounds.append(self._bounds[-1] + TWO_PI * self.y_div(j))
-            return self._bounds[k]
-
-    def locate(self, y: float) -> tuple[int, float]:
-        """Strip index and normalized height for y >= 0."""
+    def locate(self, y: float) -> tuple[_Strip, float]:
+        """Strip record and normalized height for y >= 0."""
         if y < 0:
             raise ValueError("strip systems cover y >= 0")
         with self._lock:
-            while self._bounds[-1] <= y:
-                j = len(self._bounds)
-                self._bounds.append(self._bounds[-1] + TWO_PI * self.y_div(j))
-            k = bisect_right(self._bounds, y)
-            t = (y - self._bounds[k - 1]) / (TWO_PI * self.y_div(k))
-        return k, t
-
-    def psi(self, k: int) -> Optional[PsiMap]:
-        """The interpolation map of strip k toward k+1; None when trivial."""
-        with self._lock:
-            if k not in self._psis:
-                p0, p1 = self.pair(k), self.pair(k + 1)
-                v0, v1 = self.variant(k), self.variant(k + 1)
-                spec = DiffeoSpec(p0, p1, v0, v1)
-                pm = PsiMap(spec, _shift_value(p0, v0), _shift_value(p1, v1),
-                            self.x_div(k + 1), self.x_div(k))
-                self._psis[k] = None if pm.exact_identity else pm
-            return self._psis[k]
-
-    def seam_at(self, k: int) -> bool:
-        """Whether the boundary Y_k separates two different piece formulas."""
-        return self.psi(k) is not None
-
-    def active(self, k: int) -> bool:
-        """Whether strip k carries any dilatation at all."""
-        return self.psi(k) is not None or self.x_div(k) != self.y_div(k)
+            while self._tops[-1] <= y:
+                self._grow()
+            s = self._strips[bisect_right(self._tops, y) - 1]
+        return s, (y - s.lo) / (TWO_PI * s.y_div)
 
     # -- evaluation ------------------------------------------------------
-    def displaced(self, k: int, x: float, t: float) -> float:
-        pm = self.psi(k)
-        if pm is None:
-            return x
-        with self._lock:
-            return x + t * (pm(x) - x)
-
-    def value(self, k: int, x: float, t: float) -> ScaledComplex:
-        xt = self.displaced(k, x, t)
-        return eval_model_turns(self.pair(k), xt / self.x_div(k) + self.shift(k),
-                                t, self.variant(k))
+    def value(self, s: _Strip, x: float, t: float) -> ScaledComplex:
+        xt = x
+        if s.psi is not None:
+            with self._lock:
+                xt = x + t * (s.psi(x) - x)
+        return eval_model_turns(s.pair, xt / s.x_div + s.shift, t, s.variant)
 
     def eval_xy(self, x: float, y: float) -> ScaledComplex:
         """Value at local (x, y); below the axis, the conjugate of the mirror image."""
-        k, t = self.locate(abs(y))
-        v = self.value(k, x, t)
+        s, t = self.locate(abs(y))
+        v = self.value(s, x, t)
         return v if y >= 0 else v.conj()
 
     # -- dilatation ------------------------------------------------------
-    def ab(self, k: int, x: float, t: float, quad: bool = False) -> tuple[float, float, float, float]:
-        """(a, b, psi', psi(x)-x) of the band chart in strip k.
+    def ab(self, s: _Strip, x: float, t: float, quad: bool = False) -> tuple[float, float, float, float]:
+        """(a, b, psi', psi(x)-x) of the band chart in strip s.
 
         ``quad`` reads psi through the Hermite table (quadrature accuracy
         only) instead of solving the conjugacy.
         """
-        pm = self.psi(k)
+        pm = s.psi
         if pm is None:
             return 0.0, 0.0, 1.0, 0.0
         with self._lock:
-            if quad:
-                cache = self._quad.get(k)
-                if cache is None:
-                    span = _PsiCache.SPAN
-                    lo, hi = (0.0, span) if self.side == RIGHT else (-span, 0.0)
-                    cache = self._quad[k] = _PsiCache(pm, pm.deriv, lo, hi)
-                px, dp = cache.eval(x)
-            else:
-                px, dp = pm(x), pm.deriv(x)
+            px, dp = s.psi_table.eval(x) if quad else (pm(x), pm.deriv(x))
         a = 0.5 * t * (dp - 1.0)
-        b = (px - x) / (2.0 * TWO_PI * self.y_div(k))
+        b = (px - x) / (2.0 * TWO_PI * s.y_div)
         return a, b, dp, px - x
 
-    def mu_parts(self, k: int, x: float, t: float, quad: bool, conj: bool) -> tuple:
-        """(mu, mu_band, a, b, psi', psi(x)-x) of chi o q and of q alone in strip k.
+    def mu_parts(self, s: _Strip, x: float, t: float, quad: bool, conj: bool) -> tuple:
+        """(mu, mu_band, a, b, psi', psi(x)-x) of chi o q and of q alone in strip s.
 
         ``conj`` conjugates both coefficients, for a point of the lower
         half-plane that this system reads through its mirror image.
         """
-        a, b, dp, gap = self.ab(k, x, t, quad)
-        mu = _compose_affine(self.x_div(k), self.y_div(k), a, b)
+        a, b, dp, gap = self.ab(s, x, t, quad)
+        mu = _compose_affine(s.x_div, s.y_div, a, b)
         mu_band = _band_mu(a, b)
         if conj:
             mu, mu_band = mu.conjugate(), mu_band.conjugate()
         return mu, mu_band, a, b, dp, gap
 
-    def seam_distance(self, k: int, x: float, y: float) -> float:
-        """Distance from (x, y), y >= 0 in strip k, to the nearest seam."""
+    def seam_distance(self, s: _Strip, x: float, y: float) -> float:
+        """Distance from (x, y), y >= 0 in strip s, to the nearest seam."""
         d = math.inf
-        if self.seam_at(k):
-            d = min(d, self.boundary(k) - y)
-        if k > 1 and self.seam_at(k - 1):
-            d = min(d, y - self.boundary(k - 1))
-        if self.active(k):
+        if s.psi is not None:
+            d = min(d, s.hi - y)
+        if s.k > 1 and self.strip(s.k - 1).psi is not None:
+            d = min(d, y - s.lo)
+        if s.active:
             d = min(d, abs(x))  # the imaginary axis separates the two sides
         return d
 
     def active_windows(self, y_max: float) -> list[tuple[float, float, int]]:
         """(y_lo, y_hi, k) of strips with dilatation, up to height y_max."""
         out = []
-        k = 1
-        while self.boundary(k - 1) < y_max:
-            if self.active(k):
-                out.append((self.boundary(k - 1), self.boundary(k), k))
+        k, hi = 0, 0.0
+        while hi < y_max:
             k += 1
+            s = self.strip(k)
+            if s.active:
+                out.append((s.lo, s.hi, k))
+            hi = s.hi
         return out
 
     def seam_ys(self, y_max: float) -> list[float]:
         """Heights Y_k <= y_max of the seams."""
         out = []
         k = 1
-        while self.boundary(k) <= y_max:
-            if self.seam_at(k):
-                out.append(self.boundary(k))
+        while (s := self.strip(k)).hi <= y_max:
+            if s.psi is not None:
+                out.append(s.hi)
             k += 1
         return out
 
@@ -447,11 +454,13 @@ class _StripSystem:
         checks = []
         k = 1
         while len(checks) < strips and k < k_cap:
-            if self.seam_at(k):
-                gaps = [_log_gap(self.value(k, float(x), 1.0), self.value(k + 1, float(x), 0.0))
+            s = self.strip(k)
+            if s.psi is not None:
+                above = self.strip(k + 1)
+                gaps = [_log_gap(self.value(s, float(x), 1.0), self.value(above, float(x), 0.0))
                         for x in xs]
                 i = int(np.argmax(gaps))
-                checks.append(SeamCheck(name(k), len(xs), float(gaps[i]), complex(xs[i], self.boundary(k))))
+                checks.append(SeamCheck(name(k), len(xs), float(gaps[i]), complex(xs[i], s.hi)))
             k += 1
         return checks
 
@@ -541,7 +550,10 @@ class _PsiCache:
 
 @dataclass(frozen=True)
 class PieceInfo:
-    """Where a point landed inside an assembled map."""
+    """Where a point landed inside an assembled map.
+
+    ``seam_distance`` is the z-plane distance to the nearest declared seam.
+    """
 
     label: str
     region: str
@@ -597,17 +609,20 @@ class _Engine:
     """The hooks an engine behind a :class:`GluedMap` provides.
 
     Each engine decides where a point lands (chart, sheet, strip system,
-    strip k, height t, conjugation) in one private ``_locate`` step, which
-    ``classify``, ``cell_state``, ``seam_distance`` and ``mu_parts`` read.
+    strip record, height t, conjugation) in one private ``_locate`` step,
+    which ``classify``, ``cell_state`` and ``mu_parts`` read.
 
     - :class:`GluedMap` calls ``eval(z)``, ``classify(z)``,
       ``piece_labels()``, ``piece_value(label, z)``,
       ``seam_residuals(samples, strips)`` and ``to_dict()``.
-    - :func:`beltrami_at` calls ``classify(z)`` and ``mu_parts(z)``.
-    - :func:`dilatation_integral` calls ``fine_size(r_max)`` and
-      ``theta_windows(r0, r1)``; ``straddle_tester(r_max)`` where an engine
-      has one, else ``seam_functions_upto(r_max)``; ``cell_state(z)`` for
-      every cell; and ``mu_quad(z)`` for every cell it does not skip.
+    - :func:`beltrami_at` calls ``classify(z)``, whose ``seam_distance`` is
+      a z-plane distance in every flavor, and ``mu_parts(z)``.
+    - :func:`dilatation_integral` calls ``fine_size(r_max)``,
+      ``theta_windows(r0, r1)`` and ``straddle_tester(r_max)``;
+      ``cell_state(z)`` for every cell; and ``mu_quad(z)`` for every cell it
+      does not skip.  The default ``straddle_tester`` looks for a sign
+      change of the functions ``seam_functions_upto(r_max)`` lists; the
+      strips engine overrides it with a bisection on the seam heights.
 
     The hot paths run once per quadrature cell: ``cell_state``, ``mu_quad``
     and the test that ``straddle_tester`` returns.
@@ -632,6 +647,27 @@ class _Engine:
     def mu_quad(self, z: complex) -> complex:
         """Beltrami coefficient at z to quadrature accuracy (Hermite tables)."""
         return self.mu_parts(z, quad=True)[0]
+
+    def straddle_tester(self, r_max: float):
+        """Corner test: does any gated seam function change sign over the corners?"""
+        seam_fns = self.seam_functions_upto(r_max)
+
+        def test(corners, zc) -> bool:
+            for f, gate, _label in seam_fns:
+                if gate is not None and not gate(zc):
+                    continue
+                signs = set()
+                for c in corners:
+                    v = f(c)
+                    if v > 0:
+                        signs.add(1)
+                    elif v < 0:
+                        signs.add(-1)
+                if len(signs) == 2:
+                    return True
+            return False
+
+        return test
 
 
 class _StripsEngine(_Engine):
@@ -674,42 +710,37 @@ class _StripsEngine(_Engine):
         tables = (self.up, self.lo) if self.mixed else (self.up,)
         return [table[side] for table in tables for side in (RIGHT, LEFT)]
 
-    def _locate(self, z: complex) -> tuple[_StripSystem, int, float]:
-        """(system, k, t) of z; below the real axis, of its mirror image."""
+    def _locate(self, z: complex) -> tuple[_StripSystem, _Strip, float]:
+        """(system, strip, t) of z; below the real axis, of its mirror image."""
         x, y = z.real, z.imag
         sys = (self.up if y >= 0 else self.lo)[RIGHT if x >= 0 else LEFT]
-        k, t = sys.locate(abs(y))
-        return sys, k, t
+        return (sys, *sys.locate(abs(y)))
 
     def eval(self, z: complex) -> ScaledComplex:
-        sys, k, t = self._locate(z)
-        v = sys.value(k, z.real, t)
+        sys, s, t = self._locate(z)
+        v = sys.value(s, z.real, t)
         return v if z.imag >= 0 else v.conj()
 
     def mu_parts(self, z: complex, quad: bool = False):
-        sys, k, t = self._locate(z)
-        return sys.mu_parts(k, z.real, t, quad, z.imag < 0)
+        sys, s, t = self._locate(z)
+        return sys.mu_parts(s, z.real, t, quad, z.imag < 0)
 
     def classify(self, z: complex) -> PieceInfo:
         x, y = z.real, z.imag
-        sys, k, t = self._locate(z)
+        sys, s, t = self._locate(z)
         return PieceInfo(
-            label=f"{sys.tag}{k}",
+            label=f"{sys.tag}{s.k}",
             region=("upper" if y >= 0 else "lower") + ("-right" if x >= 0 else "-left"),
-            pair=sys.pair(k), variant=sys.variant(k), k=k, t=t,
-            x_div=sys.x_div(k), y_div=sys.y_div(k),
-            band=sys.psi(k) is not None,
-            conformal=not sys.active(k),
-            seam_distance=sys.seam_distance(k, x, abs(y)),
+            pair=s.pair, variant=s.variant, k=s.k, t=t,
+            x_div=s.x_div, y_div=s.y_div,
+            band=s.psi is not None,
+            conformal=not s.active,
+            seam_distance=sys.seam_distance(s, x, abs(y)),
         )
 
     def cell_state(self, z: complex) -> tuple[str, bool, bool]:
-        sys, k, _ = self._locate(z)
-        return f"{sys.tag}{k}", not sys.active(k), False
-
-    def seam_distance(self, z: complex) -> float:
-        sys, k, _ = self._locate(z)
-        return sys.seam_distance(k, z.real, abs(z.imag))
+        sys, s, _ = self._locate(z)
+        return f"{sys.tag}{s.k}", not s.active, False
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("right", "left")
@@ -797,7 +828,8 @@ class _StripsEngine(_Engine):
         gaps = []
         pts = []
         for k in range(1, strips + 1):
-            y = 0.5 * (self.up[RIGHT].boundary(k - 1) + self.up[RIGHT].boundary(k))
+            s = self.up[RIGHT].strip(k)
+            y = 0.5 * (s.lo + s.hi)
             gaps.append(_log_gap(self.up[RIGHT].eval_xy(0.0, y), self.up[LEFT].eval_xy(0.0, y)))
             pts.append(complex(0.0, y))
         i = int(np.argmax(gaps))
@@ -829,9 +861,10 @@ class _SectorEngine(_Engine):
         if n < 2:
             raise ValueError("sector extension needs n >= 2")
         for k in (1, 2):
-            if base.up[RIGHT].pair(k) != PairIndex(0, 0):
+            if base.up[RIGHT].strip(k).pair != PairIndex(0, 0):
                 raise ValueError("sector extension requires a plain (0,0) prefix")
         self.base = base
+        self._sheet = base.up[RIGHT].strip(1)  # the plain (0,0) model of the flipped sheet
         self.n = int(n)
         self.case = base.case
         self.l = base.l
@@ -840,9 +873,6 @@ class _SectorEngine(_Engine):
         if w.real >= 0:
             return complex(w.real / self.l, w.imag)
         return w
-
-    def _s0(self) -> float:
-        return _shift_value(PairIndex(0, 0), PLAIN)
 
     def base_value(self, w: complex) -> ScaledComplex:
         return self.base.eval(w)
@@ -856,7 +886,7 @@ class _SectorEngine(_Engine):
         if abs(w.imag) >= math.pi:
             return self.base.eval(self._half_turn(w))
         zeta = self._chi1(w)
-        return eval_model_turns(PairIndex(0, 0), zeta.real + self._s0(),
+        return eval_model_turns(self._sheet.pair, zeta.real + self._sheet.shift,
                                 zeta.imag / TWO_PI, PLAIN).recip()
 
     def _locate(self, z: complex) -> tuple[int, complex, bool]:
@@ -904,7 +934,8 @@ class _SectorEngine(_Engine):
             pair=info.pair, variant=info.variant, k=info.k, t=info.t,
             x_div=info.x_div, y_div=info.y_div, band=info.band,
             conformal=info.conformal,
-            seam_distance=info.seam_distance,
+            # back to the z-plane through |d z^n/dz|
+            seam_distance=info.seam_distance / max(1e-300, self.n * abs(z) ** (self.n - 1)),
         )
 
     def cell_state(self, z: complex) -> tuple[str, bool, bool]:
@@ -913,13 +944,6 @@ class _SectorEngine(_Engine):
             return f"sector{j}:uninterpolated", False, True
         label, conf, _ = self.base.cell_state(w)
         return f"sector{j}:{label}", conf, False
-
-    def seam_distance(self, z: complex) -> float:
-        _, w, uninterpolated = self._locate(z)
-        if uninterpolated:
-            return math.inf
-        # scale the base distance back through |d z^n/dz|
-        return self.base.seam_distance(w) / max(1e-300, self.n * abs(z) ** (self.n - 1))
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("base", "flipped")
@@ -1030,7 +1054,7 @@ class _SpiralEngine(_Engine):
             region="spiral-upper" if upper else "spiral-lower",
             pair=self.upper if upper else self.lower, variant=PLAIN,
             band=band, conformal=not band,
-            seam_distance=abs(h.imag),
+            seam_distance=abs(h.imag) / abs(self.charts.h_prime(w)),
         )
 
     def cell_state(self, w: complex) -> tuple[str, bool, bool]:
@@ -1073,9 +1097,6 @@ class _SpiralEngine(_Engine):
 
     def seam_functions_upto(self, _r_max: float):
         return [(lambda z: math.sin(self.charts._xi(z)) if z != 0 else 0.0, None, "cut")]
-
-    def seam_distance(self, w: complex) -> float:
-        return abs(self._locate(complex(w))[0].imag)
 
     def seam_residuals(self, samples: int = 64, strips: int = 0) -> list[SeamCheck]:
         del strips
@@ -1169,19 +1190,17 @@ class _PowerEngine(_Engine):
             self._g_cache = (cum, slopes)
         return self._g_cache
 
-    def g_axis(self, y: float) -> float:
+    def _g(self, y: float) -> tuple[float, float]:
+        """(g(y), g'(y)); g is piecewise linear in y^gamma with slope 1/N_k."""
         if y < 0.0:
             raise ValueError("g is defined on [0, infinity)")
         t = y**self.gamma
         cum, slopes = self._g_table(t)
         i = min(max(int(np.searchsorted(cum, t, side="right")) - 1, 0), len(slopes) - 1)
-        return TWO_PI * i + (t - cum[i]) / slopes[i]
+        return TWO_PI * i + (t - cum[i]) / slopes[i], self.gamma * y ** (self.gamma - 1.0) / slopes[i]
 
-    def _g_prime(self, y: float) -> float:
-        gy = self.g_axis(y)
-        k = int(gy // TWO_PI) + 1
-        nk = PairIndex(self.m_seq.entry(k), self.n_seq.entry(k)).N
-        return self.gamma * y ** (self.gamma - 1.0) / nk
+    def g_axis(self, y: float) -> float:
+        return self._g(y)[0]
 
     def q_label(self, w: complex) -> str:
         x, y = w.real, w.imag
@@ -1214,7 +1233,7 @@ class _PowerEngine(_Engine):
         if label == "q-band":
             s = 1.0 if y >= 0 else -1.0
             ay = abs(y)
-            gp, gv = self._g_prime(ay), self.g_axis(ay)
+            gv, gp = self._g(ay)
             qw = complex(0.5 * (1.0 + (1.0 - x) * gp + x), 0.5 * s * (ay - gv))
             qwb = complex(0.5 * (1.0 - (1.0 - x) * gp - x), 0.5 * s * (ay - gv))
             return qw, qwb
@@ -1237,7 +1256,7 @@ class _PowerEngine(_Engine):
         return table["up" if q.imag >= 0 else "lo"].eval_xy(q.real, q.imag)
 
     def _locate(self, z: complex) -> tuple:
-        """(w, q-label, q, system, k, t) of z != 0.
+        """(w, q-label, q, system, strip, t) of z != 0.
 
         The right wedge reads U at q = Q(w), w = z^rho; the left wedge reads
         V at q = -(-z)^sigma and has no w or q-label (None).  Below the real
@@ -1253,23 +1272,22 @@ class _PowerEngine(_Engine):
             q = self._v(z)
             table = self.V
         sys = table["up" if q.imag >= 0 else "lo"]
-        k, t = sys.locate(abs(q.imag))
-        return w, qlab, q, sys, k, t
+        return (w, qlab, q, sys, *sys.locate(abs(q.imag)))
 
     def eval(self, z: complex) -> ScaledComplex:
         z = complex(z)
         if z == 0:
             return self._sys_value(self.U, 0j)
-        _, _, q, sys, k, t = self._locate(z)
-        v = sys.value(k, q.real, t)
+        _, _, q, sys, s, t = self._locate(z)
+        v = sys.value(s, q.real, t)
         return v if q.imag >= 0 else v.conj()
 
     def mu_parts(self, z: complex, quad: bool = False):
         z = complex(z)
         if z == 0:
             return 0j, 0j, 0.0, 0.0, None, None
-        w, _, q, sys, k, t = self._locate(z)
-        mu, mu_band, a, b, dpsi, gap = sys.mu_parts(k, q.real, t, quad, q.imag < 0)
+        w, _, q, sys, s, t = self._locate(z)
+        mu, mu_band, a, b, dpsi, gap = sys.mu_parts(s, q.real, t, quad, q.imag < 0)
         if w is not None:  # compose with Q, then twist by z^rho
             qw, qwb = self.q_wirtinger(w)
             den = qw + mu * qwb.conjugate()
@@ -1279,8 +1297,8 @@ class _PowerEngine(_Engine):
             dp = self.sigma * cmath.exp((self.sigma - 1.0) * cmath.log(-z))
         return mu * dp.conjugate() / dp, mu_band, a, b, dpsi, gap
 
-    def _conformal(self, qlab: Optional[str], sys: _StripSystem, k: int) -> bool:
-        return (not sys.active(k)) and (qlab is None or qlab in self._Q_CONFORMAL)
+    def _conformal(self, qlab: Optional[str], s: _Strip) -> bool:
+        return (not s.active) and (qlab is None or qlab in self._Q_CONFORMAL)
 
     def classify(self, z: complex) -> PieceInfo:
         z = complex(z)
@@ -1288,13 +1306,13 @@ class _PowerEngine(_Engine):
             return PieceInfo(label="origin", region="power-right", pair=PairIndex(0, 0),
                              variant=PLAIN, conformal=False, seam_distance=0.0)
         loc = self._locate(z)
-        w, qlab, _, sys, k, t = loc
+        w, qlab, _, _, s, t = loc
         return PieceInfo(
-            label=f"V{k}" if w is None else f"U{k}|{qlab}",
+            label=f"V{s.k}" if w is None else f"U{s.k}|{qlab}",
             region="power-left" if w is None else "power-right",
-            pair=sys.pair(k), variant=sys.variant(k), k=k, t=t,
-            x_div=sys.x_div(k), y_div=sys.y_div(k), band=sys.psi(k) is not None,
-            conformal=self._conformal(qlab, sys, k),
+            pair=s.pair, variant=s.variant, k=s.k, t=t,
+            x_div=s.x_div, y_div=s.y_div, band=s.psi is not None,
+            conformal=self._conformal(qlab, s),
             seam_distance=self._seam_distance(z, loc),
         )
 
@@ -1303,8 +1321,8 @@ class _PowerEngine(_Engine):
         z = complex(z)
         if z == 0:
             return "q-disk", False, False
-        w, qlab, _, sys, k, _ = self._locate(z)
-        return (f"V{k}" if w is None else qlab), self._conformal(qlab, sys, k), False
+        w, qlab, _, _, s, _ = self._locate(z)
+        return (f"V{s.k}" if w is None else qlab), self._conformal(qlab, s), False
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("wedge", "left-wedge")
@@ -1341,14 +1359,8 @@ class _PowerEngine(_Engine):
                 fns.append((lambda z, yk=yk, chart=chart: abs(chart(z).imag) - yk, gate, f"{tag}|y|={yk:.6g}"))
         return fns
 
-    def seam_distance(self, z: complex) -> float:
-        z = complex(z)
-        if z == 0:
-            return 0.0
-        return self._seam_distance(z, self._locate(z))
-
     def _seam_distance(self, z: complex, loc: tuple) -> float:
-        w, qlab, q, sys, k, _ = loc
+        w, qlab, q, sys, s, _ = loc
         th = math.atan2(z.imag, z.real)
         d = abs(z) * min(abs(th - self.ray), abs(th + self.ray))
         if w is None:
@@ -1357,7 +1369,7 @@ class _PowerEngine(_Engine):
             scale = self.rho * abs(z) ** (self.rho - 1.0)
             if qlab != "q-identity":
                 d = min(d, abs(abs(w) - 1.0) / max(scale, 1e-300))
-        return min(d, sys.seam_distance(k, q.real, abs(q.imag)) / max(scale, 1e-300))
+        return min(d, sys.seam_distance(s, q.real, abs(q.imag)) / max(scale, 1e-300))
 
     def seam_residuals(self, samples: int = 64, strips: int = 4) -> list[SeamCheck]:
         checks = []
@@ -1517,7 +1529,7 @@ def _no_extras(flavor: str, opts: dict) -> None:
 def beltrami_at(gmap: GluedMap, z: complex, seam_tol: float = 1e-9) -> BeltramiSample:
     """Closed-form Beltrami coefficient of the glued map at z.
 
-    Points closer than ``seam_tol`` (in the piece's own chart units) to a
+    Points closer than ``seam_tol`` (a z-plane distance) to a
     declared seam, or at a chart singularity, come back flagged
     ``indeterminate`` -- the coefficient is still the one-sided value.
     """
@@ -1655,27 +1667,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         edges = np.linspace(r_min, r_max, n_r + 1)
     coarse_arc = None if uniform else max(8.0 * fine, (r_max - r_min) / 48.0)
 
-    tester = getattr(eng, "straddle_tester", None)
-    if tester is not None:
-        straddle_fn = tester(r_max)
-    else:
-        seam_fns = eng.seam_functions_upto(r_max)
-
-        def straddle_fn(corners, zc) -> bool:
-            for f, gate, _label in seam_fns:
-                if gate is not None and not gate(zc):
-                    continue
-                signs = set()
-                for c in corners:
-                    v = f(c)
-                    if v > 0:
-                        signs.add(1)
-                    elif v < 0:
-                        signs.add(-1)
-                if len(signs) == 2:
-                    return True
-            return False
-
+    straddle_fn = eng.straddle_tester(r_max)
     annulus_area = math.pi * (r_max * r_max - r_min * r_min)
     straddle_area = 0.0
     straddled = evaluated = conformal = skipped = 0

@@ -5,6 +5,8 @@ any agreement here is between two genuinely different code paths.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from banklaine.specfun import (
     EvalDomainError,
+    _poly_logsum_mp,
     HALF,
     PLAIN,
     PairIndex,
@@ -267,3 +270,32 @@ def test_monotone_on_real_axis():
 )
 def test_value_above_one_on_axis(m, n, x):
     assert real_log_value(PairIndex(m, n), x) > 0.0
+
+
+def test_concurrent_mp_fallbacks_keep_their_precision():
+    # mpmath's working precision is one process-wide setting: a fallback
+    # sum running at 230 digits must not finish at another thread's 30
+    table = build_coefficients(PairIndex(3, 20))
+    args = [(table, numer, x, 0.3, lost) for numer in (True, False)
+            for x in (-2.0, 0.5, 3.0) for lost in (0, 60, 200)]
+    want = [_poly_logsum_mp(*a) for a in args]
+    bad = []
+
+    def work(i):
+        for _ in range(3):
+            for a, w in zip(args[i:] + args[:i], want[i:] + want[:i]):
+                if _poly_logsum_mp(*a) != w:
+                    bad.append(a[1:])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad

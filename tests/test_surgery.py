@@ -4,7 +4,10 @@ import cmath
 import dataclasses
 import json
 import math
+import os
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -321,6 +324,38 @@ def test_on_seam_sample_is_flagged(strips_map):
     assert s.indeterminate
 
 
+def test_seam_distance_is_a_z_plane_distance(sectors_map, spiral_map):
+    # step a distance delta off a seam along its normal; the seam lies in
+    # the chart f (z^n on the sectors, h on the spiral), where it is the
+    # level set Im f = const, so the normal step is i conj(f')/|f'|
+    delta = 1e-4
+
+    def step_off(z0, fprime):
+        return z0 + delta * 1j * fprime.conjugate() / abs(fprime)
+
+    # sectors: pull back the first base strip seam above 2 pi (the top of a
+    # band strip) by z^3, in sector 3 (a base sheet, arg z in [2 pi/3, pi))
+    base = sectors_map._impl.base
+    y = 2.0 * TWO_PI
+    while True:
+        info = base.classify(complex(3.0, y))
+        top = y + (1.0 - info.t) * TWO_PI * info.y_div
+        if info.band:
+            break
+        y = top + 0.1
+    w0 = complex(3.0, top)
+    z0 = abs(w0) ** (1.0 / 3.0) * cmath.exp(1j * (cmath.phase(w0) + TWO_PI) / 3.0)
+    z = step_off(z0, 3.0 * z0 * z0)
+    info = sectors_map.classify(z)
+    assert info.region == "sector3" and info.label.startswith("sector3:base")
+    assert info.seam_distance == pytest.approx(delta, rel=1e-3)
+    # spiral: the positive ray of the h-chart, pushed into the w-plane by p
+    charts = spiral_map._impl.charts
+    w0 = charts.p(30.0)
+    info = spiral_map.classify(step_off(w0, charts.h_prime(w0)))
+    assert info.seam_distance == pytest.approx(delta, rel=1e-3)
+
+
 # ---- dilatation integrals ------------------------------------------------------
 
 def test_identity_gluing_has_no_dilatation():
@@ -461,6 +496,61 @@ def test_concurrent_evaluation_matches_serial(strips_map):
     for a, b in zip(serial, threaded):
         assert math.isclose(a.log_modulus, b.log_modulus, rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(a.phase, b.phase, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_concurrent_strip_growth_matches_serial():
+    # fresh maps start with empty strip tables, so threads append strip
+    # records while others bisect them; a lost or doubled append would
+    # shift the strip index of every point above it
+    cases = (
+        ({"flavor": "strips", "lam1": 0.5, "lam2": 0.5},
+         [complex(x, y) for y in np.linspace(0.2, 300.0, 25) for x in (-3.1, 0.8)]),
+        ({"flavor": "power", "rho": 0.75, "delta": 0.5},
+         [cmath.rect(r, th) for r in np.geomspace(0.7, 250.0, 7) for th in (-2.9, -1.9, 1.0, 2.5)]),
+    )
+    n_threads = (os.cpu_count() or 1) + 3
+
+    def sample(gm, zs):
+        out = {}
+        for z in zs:
+            info = gm.classify(z)
+            out[z] = (info.k, info.t, info.pair, gm(z))
+        return out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for params, zs in cases:
+            serial = sample(assemble(**params), zs)
+            gm = assemble(**params)
+            barrier = threading.Barrier(n_threads)
+            results, errors = [None] * n_threads, []
+
+            def work(i):
+                try:
+                    barrier.wait(timeout=60)
+                    order = zs[::-1] if i % 2 else zs  # half start at the top
+                    results[i] = sample(gm, order[i:] + order[:i])
+                except BaseException as exc:  # surfaced by the asserts below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                       for i in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads), params
+            assert not errors, errors
+            for got in results:
+                for z in zs:
+                    k, t, pair, v = got[z]
+                    k0, t0, pair0, v0 = serial[z]
+                    assert (k, t, pair) == (k0, t0, pair0), (params, z)
+                    assert math.isclose(v.log_modulus, v0.log_modulus, rel_tol=1e-12, abs_tol=1e-12)
+                    assert math.isclose(v.phase, v0.phase, rel_tol=1e-12, abs_tol=1e-12)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_quadrature_mu_tracks_exact_mu(strips_map, spiral_map, power_map):
