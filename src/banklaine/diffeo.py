@@ -27,8 +27,14 @@ from .specfun import (
 LOG2 = math.log(2.0)
 
 
-def _log_binom(m: int, k: int) -> float:
-    return lgamma(m + k + 1) - lgamma(m + 1) - lgamma(k + 1)
+def _log_intercept(pair: PairIndex, variant: str) -> float:
+    """log(binom(m+2n, m) N!), plus log 2 for the half variant.
+
+    F(x) = N x - _log_intercept(pair, variant) + o(1) as x -> -infinity.
+    """
+    m, n2 = pair.m, 2 * pair.n
+    val = lgamma(m + n2 + 1) - lgamma(m + 1) - lgamma(n2 + 1) + lgamma(pair.N + 1)
+    return val + LOG2 if variant == HALF else val
 
 
 def closed_form_c(
@@ -36,17 +42,11 @@ def closed_form_c(
 ) -> float:
     """Limit constant c with phi(x) = kappa*x + c + o(1) as x -> -infinity.
 
-    c = (1/N)[log(binom(m+2n,m) N!) - log(binom(M-1... ) M!)] with a -+ log 2
-    correction when either side is half-shifted.
+    c = (1/N)[log(binom(m+2n,m) N!) - log(binom(m'+2n',m') M!)] for src
+    (m, n) and dst (m', n'), with a -+ log 2 correction when either side is
+    half-shifted.
     """
-    N, M = src.N, dst.N
-    val = _log_binom(src.m, 2 * src.n) + lgamma(N + 1)
-    val -= _log_binom(dst.m, 2 * dst.n) + lgamma(M + 1)
-    if variant_src == HALF:
-        val += LOG2
-    if variant_dst == HALF:
-        val -= LOG2
-    return val / N
+    return (_log_intercept(src, variant_src) - _log_intercept(dst, variant_dst)) / src.N
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,8 @@ class PhiSolver:
         self.spec = spec
         self._warm: Optional[tuple[float, float]] = None  # (x, phi)
         if not spec.is_identity:
-            # left asymptote intercepts of F for cold-start guesses
-            self._logc_src = -(
-                _log_binom(spec.src.m, 2 * spec.src.n)
-                + lgamma(spec.src.N + 1)
-                + (LOG2 if spec.variant_src == HALF else 0.0)
-            )
-            self._logc_dst = -(
-                _log_binom(spec.dst.m, 2 * spec.dst.n)
-                + lgamma(spec.dst.N + 1)
-                + (LOG2 if spec.variant_dst == HALF else 0.0)
-            )
+            # left asymptote intercept of F_src for cold-start guesses
+            self._logc_src = -_log_intercept(spec.src, spec.variant_src)
 
     def _f_src(self, u: float) -> float:
         return real_log_gap(self.spec.src, u, self.spec.variant_src)

@@ -63,8 +63,10 @@ class PairIndex:
 class CoefficientTable:
     """Coefficients of P (numerator, degree 2n) and Q (denominator, degree m).
 
-    Exact values are Fractions; float and log-magnitude mirrors are kept for
-    the stable log-sum evaluation path.  ``log_norm`` is
+    The exact Fractions ``numer``/``denom`` are the one source of the
+    coefficients: the mpmath fallback sum, the gap tail of g - 1 and the root
+    registries all read them.  The log-magnitude mirrors feed the double
+    log-sum evaluation path.  ``log_norm`` is
     log(binom(m+2n, m) * (m+2n)!), the constant in the closed-form derivative.
     """
 
@@ -153,6 +155,15 @@ def _reduce_turns(t: float) -> float:
     return frac
 
 
+def _horner(cs: Sequence, w):
+    """(p(w), p'(w)) for p(w) = sum_k cs[k] w^k, by Horner's rule."""
+    p = dp = 0
+    for c in reversed(cs):
+        dp = dp * w + p
+        p = p * w + c
+    return p, dp
+
+
 def _poly_logsum(
     logc: np.ndarray, alternating: bool, x: float, yr: float
 ) -> tuple[complex, complex, float]:
@@ -189,46 +200,34 @@ def _poly_logsum(
 def _poly_logsum_mp(
     table: CoefficientTable, numer: bool, x: float, yr: float, lost_digits: float
 ) -> tuple[complex, complex, float]:
-    """High-precision fallback for the cancellation-prone alternating sum."""
-    dps = min(300, 30 + int(lost_digits))
-    m, n2 = table.pair.m, 2 * table.pair.n
-    deg = n2 if numer else m
+    """High-precision fallback for the cancellation-prone alternating sum.
+
+    The sum runs at 30 + lost_digits digits on the exact coefficients and
+    measures its own loss, log10(max_k |c_k w^k| / |T|); with fewer than 20
+    digits to spare it is redone at loss + 30 digits.  A sum that needs more
+    than 300 digits raises EvalDomainError.
+    """
+    dps = 30 + int(lost_digits)
+    if dps > 300:
+        raise EvalDomainError(f"polynomial sum at x={x} needs {dps} digits (cap 300)")
     with _MP_LOCK, mp.workdps(dps):
         w = mp.exp(mp.mpc(x, yr))
-        lg_top = mp.loggamma(m + n2 + 1)
-        if numer:
-            coeffs = [
-                (-1) ** j
-                * mp.exp(
-                    mp.loggamma(n2 + 1) + mp.loggamma(m + n2 - j + 1)
-                    - mp.loggamma(j + 1) - mp.loggamma(n2 - j + 1) - lg_top
-                )
-                for j in range(deg + 1)
-            ]
-        else:
-            coeffs = [
-                mp.exp(
-                    mp.loggamma(m + 1) + mp.loggamma(m + n2 - i + 1)
-                    - mp.loggamma(i + 1) - mp.loggamma(m - i + 1) - lg_top
-                )
-                for i in range(deg + 1)
-            ]
         T = mp.mpc(0)
         D = mp.mpc(0)
         scale = mp.mpf(0)
         wk = mp.mpc(1)
-        for k, c in enumerate(coeffs):
-            term = c * wk
+        for k, c in enumerate(table.numer if numer else table.denom):
+            term = mp.mpf(c.numerator) / c.denominator * wk
             T += term
             D += k * term
             scale = max(scale, abs(term))
             wk *= w
         if T == 0:
             return complex(-math.inf, 0.0), 0j, 0.0
-        tiny = float(abs(T) / scale)
-        logT = complex(mp.log(T))
-        ratio = complex(D / (T * w))
-    return logT, ratio, tiny
+        loss = float(mp.log10(scale / abs(T)))
+        if dps - loss >= 20:
+            return complex(mp.log(T)), complex(D / (T * w)), float(abs(T) / scale)
+    return _poly_logsum_mp(table, numer, x, yr, loss)
 
 
 def _poly_eval(
@@ -240,7 +239,8 @@ def _poly_eval(
     root is below SINGULAR_TOL, i.e. the point is a zero/pole hit for all
     practical purposes.  Cancellation-depleted sums are recomputed with
     mpmath first, so the distance test sees accurate values even when the
-    double sum lost every digit.
+    double sum lost every digit; the mpmath sum checks the digits it kept
+    itself, since the double sum's estimate of its loss saturates near 16.
     """
     logc = table.log_abs_numer if numer else table.log_abs_denom
     logT, ratio, tiny = _poly_logsum(logc, numer, x, yr)
@@ -358,17 +358,28 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
 # real-axis fast paths (used heavily by the conjugacy solver)
 # ---------------------------------------------------------------------------
 
+def _gap_exponent(table: CoefficientTable) -> int:
+    """Binary exponent e that makes 2^e c_N a normal double; 0 if c_N already is.
+
+    c_N = 1/(binom(m+2n, m) N!) = exp(-log_norm)/N underflows from N ~ 170 on.
+    """
+    bits = (table.log_norm + math.log(table.pair.N)) / math.log(2.0)
+    return 0 if bits <= 1022.0 else math.ceil(bits)
+
+
 @lru_cache(maxsize=256)
 def _gap_tail(pair: PairIndex, terms: int = 70) -> np.ndarray:
     """Taylor coefficients c_N..c_{N+terms-1} of g(z)-1 in w = e^z, exact then floated.
 
     c_k = sum_j B_j/(k-j)! - A_k vanishes identically for k < N = m+2n+1; a
     nonzero early coefficient would mean the coefficient tables are corrupt,
-    so that is checked here once per pair.
+    so that is checked here once per pair.  The floats are 2^e c_k with
+    e = _gap_exponent(table), which is 0 unless c_N itself would underflow.
     """
     table = build_coefficients(pair)
     B, A = table.numer, table.denom
     N = pair.N
+    scale = 2 ** _gap_exponent(table)
     out = []
     for k in range(N + terms):
         c = Fraction(0)
@@ -380,7 +391,7 @@ def _gap_tail(pair: PairIndex, terms: int = 70) -> np.ndarray:
             if c != 0:
                 raise ArithmeticError(f"gap coefficient c_{k} nonzero for pair {pair}")
         else:
-            out.append(float(c))
+            out.append(float(c * scale))
     return np.array(out)
 
 
@@ -408,16 +419,13 @@ def real_log_gap(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
     if logg > 1e-3:
         out = logg + math.log(-math.expm1(-logg))
     else:
-        tail = _gap_tail(pair)
-        w = math.exp(x)
-        s = 0.0
-        for c in tail[::-1]:
-            s = s * w + c
+        # Horner on Python floats: numpy scalar arithmetic is about 3x slower
+        s, _ = _horner(_gap_tail(pair).tolist(), math.exp(x))
         if s <= 0.0:
             raise EvalDomainError(f"gap series lost positivity at x={x}")
         table = build_coefficients(pair)
         logQ, _, _ = _poly_eval(table, False, x, 0.0)
-        out = pair.N * x + math.log(s) - logQ.real
+        out = pair.N * x + math.log(s) - logQ.real - _gap_exponent(table) * math.log(2.0)
     if variant == HALF:
         out -= math.log(2.0)
     return out
@@ -468,11 +476,7 @@ def _poly_roots(coeffs: Sequence[Fraction]) -> tuple[complex, ...]:
     for r in roots:
         w = complex(r)
         for _ in range(8):
-            p = complex(0)
-            dp = complex(0)
-            for c in cf[::-1]:
-                dp = dp * w + p
-                p = p * w + c
+            p, dp = _horner(cf, w)
             if dp == 0:
                 break
             step = p / dp
@@ -496,34 +500,28 @@ def denom_roots(pair: PairIndex) -> tuple[complex, ...]:
 
 
 def solve_value_negative_one(pair: PairIndex, w_seed: complex, iters: int = 60) -> complex | None:
-    """Newton solve of P(w) e^w + Q(w) = 0 (i.e. g = -1) from a w-plane seed."""
+    """Newton solve of P(w) e^w + Q(w) = 0 (i.e. g = -1) from a w-plane seed.
+
+    Returns None when Newton fails: a vanishing derivative, an iterate that
+    overflows, or no convergence within ``iters`` steps.
+    """
     table = build_coefficients(pair)
-    B = np.array([float(b) for b in table.numer])
-    A = np.array([float(a) for a in table.denom])
-
-    def h_and_hp(w: complex) -> tuple[complex, complex]:
-        p = complex(0)
-        dp = complex(0)
-        for c in B[::-1]:
-            dp = dp * w + p
-            p = p * w + c
-        q = complex(0)
-        dq = complex(0)
-        for c in A[::-1]:
-            dq = dq * w + q
-            q = q * w + c
-        ew = cmath.exp(w)
-        return p * ew + q, (dp + p) * ew + dq
-
+    B = [float(b) for b in table.numer]
+    A = [float(a) for a in table.denom]
     w = complex(w_seed)
-    for _ in range(iters):
-        h, hp = h_and_hp(w)
-        if hp == 0:
-            return None
-        step = h / hp
-        w -= step
-        if abs(step) < 1e-13 * max(1.0, abs(w)):
-            return w
+    try:
+        for _ in range(iters):
+            (p, dp), (q, dq) = _horner(B, w), _horner(A, w)
+            ew = cmath.exp(w)
+            h, hp = p * ew + q, (dp + p) * ew + dq
+            if hp == 0:
+                return None
+            step = h / hp
+            w -= step
+            if abs(step) < 1e-13 * max(1.0, abs(w)):
+                return w
+    except OverflowError:
+        return None
     return None
 
 
@@ -585,12 +583,8 @@ def tail_expansion_residual(pair: PairIndex, y: float) -> float:
     table = build_coefficients(pair)
     with _MP_LOCK, mp.workdps(40):
         yy = mp.mpf(y)
-        P = mp.mpf(0)
-        for b in reversed(table.numer):
-            P = P * yy + mp.mpf(b.numerator) / mp.mpf(b.denominator)
-        Q = mp.mpf(0)
-        for a in reversed(table.denom):
-            Q = Q * yy + mp.mpf(a.numerator) / mp.mpf(a.denominator)
+        P, _ = _horner([mp.mpf(b.numerator) / b.denominator for b in table.numer], yy)
+        Q, _ = _horner([mp.mpf(a.numerator) / a.denominator for a in table.denom], yy)
         h = P / Q * mp.exp(yy)
         norm = mp.mpf(math.comb(m + 2 * n, m)) * mp.factorial(N)
         lead = yy + N * mp.log(yy) - mp.log(norm) - 2 * mp.log(Q) - mp.log(1 + yy / N)
@@ -619,14 +613,3 @@ def apply_B(handle: FunctionHandle, z: complex, radius: float = 0.25) -> complex
     if winding != 0:
         raise ValueError(f"disk of radius {radius} at {z} contains a zero/pole (winding {winding})")
     return -2.0 * e2 / e0 + (e1 / e0) ** 2 - 1.0 / (e0 * e0)
-
-
-def apply_schwarzian(handle: FunctionHandle, z: complex, radius: float = 0.25) -> complex:
-    """Schwarzian derivative F'''/F' - (3/2)(F''/F')^2 at z via contour derivatives."""
-    (f0, f1, f2, f3), winding = contour.circle_derivatives(_complex_eval(handle), z, radius, 3)
-    if winding != 0:
-        raise ValueError(f"disk of radius {radius} at {z} contains a zero/pole (winding {winding})")
-    scale = abs(f2) * radius + abs(f0) / radius
-    if abs(f1) < 1e-10 * max(scale, 1e-300):
-        raise ValueError("F' vanishes inside the working disk; point is not benign")
-    return f3 / f1 - 1.5 * (f2 / f1) ** 2

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from banklaine.diffeo import (
     solve_phi,
     solve_shift,
 )
-from banklaine.specfun import HALF, PLAIN, PairIndex
+from banklaine.specfun import HALF, PLAIN, PairIndex, build_coefficients
 
 P00, P10, P11 = PairIndex(0, 0), PairIndex(1, 0), PairIndex(1, 1)
 
@@ -34,6 +35,25 @@ def test_shift_00_plain_is_loglog2():
 def test_shift_00_half_is_loglog3():
     s = solve_shift(P00, HALF)
     assert s.value == pytest.approx(math.log(math.log(3.0)), abs=1e-12)
+
+
+def test_shift_large_pair_keeps_its_gap_tail():
+    # c_N = 1/(binom(m+2n, m) N!) underflows a double for N = 182; the
+    # scaled gap tail must still resolve g(s) = 3 against a 400-digit root
+    pair = PairIndex(1, 90)
+    s = solve_shift(pair, HALF)
+    t = build_coefficients(pair)
+    with mp.workdps(400):
+        B = [mp.mpf(c.numerator) / c.denominator for c in reversed(t.numer)]
+        A = [mp.mpf(c.numerator) / c.denominator for c in reversed(t.denom)]
+
+        def g_minus_3(u):
+            w = mp.exp(u)
+            return mp.polyval(B, w) / mp.polyval(A, w) * mp.exp(w) - 3
+
+        root = float(mp.findroot(g_minus_3, mp.mpf(s.value)))
+    assert s.value == pytest.approx(root, abs=1e-12)
+    assert s.residual < 1e-12
 
 
 def test_shift_10_solves_transcendental():

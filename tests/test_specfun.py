@@ -4,6 +4,7 @@ The oracle rebuilds P, Q from exact rationals and evaluates at 60 digits, so
 any agreement here is between two genuinely different code paths.
 """
 
+import cmath
 import math
 import sys
 import threading
@@ -19,7 +20,9 @@ from banklaine.specfun import (
     _poly_logsum_mp,
     HALF,
     PLAIN,
+    FunctionHandle,
     PairIndex,
+    apply_B,
     build_coefficients,
     denom_roots,
     eval_model,
@@ -299,3 +302,58 @@ def test_concurrent_mp_fallbacks_keep_their_precision():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
+
+
+def test_solve_negative_one_returns_none_on_divergence():
+    # from this seed the Newton iterates run off to the right and e^w overflows
+    assert solve_value_negative_one(PairIndex(0, 3), -0.5 + 0.5j) is None
+
+
+# ---- the mpmath fallback checks its own digits -------------------------------
+
+@pytest.mark.parametrize("m,n,x", [(3, 120, 4.5), (1, 90, 4.0), (0, 600, 6.1)])
+def test_mp_fallback_recovers_the_digits_it_lost(m, n, x):
+    # the double sum's loss estimate saturates near 16 digits while these
+    # numerator sums lose 42 to 189; the fallback has to see that for itself
+    pair = PairIndex(m, n)
+    ref = float(mp.log(abs(oracle(pair, complex(x, 0.0), dps=600))))
+    got = eval_model_turns(pair, x, 0.0).log_modulus
+    assert got == pytest.approx(ref, rel=1e-13)
+
+
+def test_mp_fallback_cap_fails_loudly():
+    table = build_coefficients(PairIndex(0, 4))
+    with pytest.raises(EvalDomainError):
+        _poly_logsum_mp(table, True, 0.5, 0.0, 400)
+
+
+# ---- the Bank-Laine property of E = g/g' -------------------------------------
+
+BL_PAIRS = [PairIndex(m, n) for m in range(4) for n in range(3)]
+
+
+def bank_laine_E(pair: PairIndex):
+    return lambda z: eval_model(pair, z).div(eval_model_derivative(pair, z))
+
+
+@pytest.mark.parametrize("pair", BL_PAIRS)
+def test_bank_laine_coefficient_is_twice_the_schwarzian(pair):
+    # E'' + A E = 0 with 4A = apply_B(E) = 2 S(g), and for the model
+    # S(g) = -e^{2z}/2 + (m-2n) e^z - N^2/2 in closed form
+    handle = FunctionHandle(eval=bank_laine_E(pair))
+    for z in (0.3 + 0.5j, -0.4 + 2.0j, 0.9 - 1.2j, -1.5 - 0.3j):
+        ez = cmath.exp(z)
+        S = -ez * ez / 2 + (pair.m - 2 * pair.n) * ez - pair.N ** 2 / 2
+        assert abs(apply_B(handle, z) - 2 * S) <= 1e-12 * max(1.0, abs(S))
+
+
+@pytest.mark.parametrize("pair", BL_PAIRS)
+def test_bank_laine_derivative_at_zeros_and_poles(pair):
+    # E' = +1 at every zero of g and -1 at every pole (central differences)
+    E = bank_laine_E(pair)
+    h = 1e-5
+    for roots, sign in ((numer_roots(pair), 1.0), (denom_roots(pair), -1.0)):
+        for r in roots:
+            z0 = cmath.log(r)
+            d = (E(z0 + h).to_complex() - E(z0 - h).to_complex()) / (2 * h)
+            assert abs(d - sign) < 1e-8

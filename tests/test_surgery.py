@@ -239,6 +239,13 @@ def test_power_seam_residuals(power_map):
         assert c.max_gap < 1e-9, c
 
 
+def test_power_map_reaches_large_n_strips():
+    # locating U strip 14 needs solve_shift(PairIndex(1, 90), HALF), whose
+    # gap tail c_N = 1/(binom(m+2n, m) N!) underflows a double unless scaled
+    gm = assemble("power", rho=0.75, delta=0.5)
+    assert gm.classify(600 * cmath.exp(1j)).k == 14
+
+
 # ---- Beltrami coefficients -----------------------------------------------------
 
 def test_affine_beltrami_values():
