@@ -30,11 +30,13 @@ import csv
 import io
 import json
 import math
+import numbers
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -1456,11 +1458,18 @@ class GluedMap:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int: ints and whole floats such as 3.0 pass, 2.7 raises."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _as_pair(value) -> PairIndex:
     if isinstance(value, PairIndex):
         return value
     m, n = value
-    return PairIndex(int(m), int(n))
+    return PairIndex(_whole("m", m), _whole("n", n))
 
 
 def assemble(flavor: str, params: Optional[dict] = None, **kw) -> GluedMap:
@@ -1486,7 +1495,7 @@ def assemble(flavor: str, params: Optional[dict] = None, **kw) -> GluedMap:
     elif flavor in (STRIPS, MIXED):
         lam1 = float(_take(flavor, opts, "lam1"))
         lam2 = float(_take(flavor, opts, "lam2"))
-        sectors = int(opts.pop("sectors", 1))
+        sectors = _whole("sectors", opts.pop("sectors", 1))
         if sectors < 1:
             raise ValueError("sectors must be a positive integer")
         if flavor == MIXED and sectors != 1:
@@ -1552,20 +1561,16 @@ def beltrami_at(gmap: GluedMap, z: complex, seam_tol: float = 1e-9) -> BeltramiS
 # dilatation quadrature
 # ---------------------------------------------------------------------------
 
-_CELL_DTYPE = np.dtype([
-    ("z", np.complex128), ("mu_abs", np.float64), ("k_minus_1", np.float64),
-    ("area", np.float64), ("contribution", np.float64), ("straddle", np.bool_),
-])
-
-
 @dataclass
 class DilatationReport:
     """Midpoint-rule account of int (K-1)/|z|^2 over an annulus.
 
-    ``strip_sums`` aggregates by gluing strip; ``cumulative`` runs over the
-    radial shells, whose increments serve as the Cauchy tail diagnostic.
-    ``cells`` holds every cell that was actually evaluated (conformal cells
-    are classified analytically and skipped).
+    ``strip_sums`` aggregates by gluing strip, ``shell_sums`` by radial
+    shell and ``shell_strip_sums`` by (shell index, strip); ``cumulative``
+    runs over the shells, whose increments serve as the Cauchy tail
+    diagnostic.  The four cell counts say how each cell was handled:
+    conformal cells are classified analytically and skipped, and only the
+    evaluated ones contribute.
     """
 
     flavor: str
@@ -1581,15 +1586,12 @@ class DilatationReport:
     evaluated_cells: int
     conformal_cells: int
     skipped_cells: int
-    cells: np.ndarray
     shell_strip_sums: dict = field(default_factory=dict, repr=False)
 
     def tail_increment(self, r0: float) -> float:
         """Largest shell increment beyond radius r0 (the Cauchy tail gauge)."""
         mask = self.shell_edges[1:] > r0
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(np.abs(self.shell_sums[mask])))
+        return float(np.max(np.abs(self.shell_sums[mask]), initial=0.0))
 
     @property
     def tail_ok(self) -> bool:
@@ -1603,14 +1605,6 @@ class DilatationReport:
         for (i, label), s in sorted(self.shell_strip_sums.items()):
             w.writerow([f"{self.shell_edges[i + 1]:.17g}", label, f"{s:.17g}"])
         return buf.getvalue()
-
-    def to_csv(self, dest) -> None:
-        text = self.csv_text()
-        if hasattr(dest, "write"):
-            dest.write(text)
-        else:
-            with open(dest, "w") as fh:
-                fh.write(text)
 
     def to_dict(self) -> dict:
         return {
@@ -1640,67 +1634,43 @@ def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, floa
 
 
 def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
-                        resolution=None) -> DilatationReport:
+                        resolution: Optional[float] = None) -> DilatationReport:
     """Midpoint quadrature of (K_G - 1)/|z|^2 over r_min < |z| < r_max.
 
-    ``resolution`` is either None (cells sized to an eighth of the thinnest
-    gluing strip, refined inside the active windows), a float cell-size
-    target, or an explicit ``(n_r, n_theta)`` uniform grid.  Grids whose
+    ``resolution`` is the cell size: None takes an eighth of the thinnest
+    gluing strip, a positive float sets it directly.  Cells have that size
+    inside the active windows and a coarser arc outside them.  Grids whose
     seam-straddling cells exceed 20% of the annulus area raise
     :class:`ResolutionError`.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
     eng = gmap._impl
-    uniform = isinstance(resolution, (tuple, list))
-    if uniform:
-        n_r, n_th = int(resolution[0]), int(resolution[1])
-        if n_r < 1 or n_th < 1:
-            raise ValueError("grid counts must be positive")
-        edges = np.linspace(r_min, r_max, n_r + 1)
-        fine = None
-    else:
-        fine = float(resolution) if resolution is not None else eng.fine_size(r_max)
-        if fine <= 0:
-            raise ValueError("cell size must be positive")
-        n_r = max(1, int(math.ceil((r_max - r_min) / fine)))
-        edges = np.linspace(r_min, r_max, n_r + 1)
-    coarse_arc = None if uniform else max(8.0 * fine, (r_max - r_min) / 48.0)
+    fine = float(resolution) if resolution is not None else eng.fine_size(r_max)
+    if not fine > 0:
+        raise ValueError("cell size must be positive")
+    n_r = max(1, int(math.ceil((r_max - r_min) / fine)))
+    edges = np.linspace(r_min, r_max, n_r + 1)
+    coarse_arc = max(8.0 * fine, (r_max - r_min) / 48.0)
 
     straddle_fn = eng.straddle_tester(r_max)
     annulus_area = math.pi * (r_max * r_max - r_min * r_min)
     straddle_area = 0.0
     straddled = evaluated = conformal = skipped = 0
-    shell_sums = np.zeros(n_r)
-    strip_lists: dict = {}
-    shell_strip_lists: dict = {}
-    recs: list = []
+    contribs: dict = {}  # (shell index, strip label) -> cell contributions
 
     for i in range(n_r):
         r0, r1 = float(edges[i]), float(edges[i + 1])
         rc = 0.5 * (r0 + r1)
-        if uniform:
-            th_edges = np.linspace(-math.pi, math.pi, n_th + 1)
-            pieces = [(float(th_edges[j]), float(th_edges[j + 1])) for j in range(n_th)]
-        else:
-            wins = _merge_intervals(eng.theta_windows(r0, r1))
-            pieces = []
-            cursor = -math.pi
-            for lo, hi in wins + [(math.pi, math.pi)]:
-                if lo > cursor:
-                    pieces.append((cursor, lo, False))
-                if hi > lo:
-                    pieces.append((lo, hi, True))
-                cursor = max(cursor, hi)
-            pieces = [(a, b, f) for a, b, f in pieces if b > a]
-        ring_contribs: list[float] = []
-        for piece in pieces:
-            if uniform:
-                a, b = piece
-                target = (b - a) * rc  # one cell per slot
-            else:
-                a, b, is_fine = piece
-                target = fine if is_fine else coarse_arc
+        pieces = []  # (theta_lo, theta_hi, arc length of one cell)
+        cursor = -math.pi
+        for lo, hi in _merge_intervals(eng.theta_windows(r0, r1)) + [(math.pi, math.pi)]:
+            if lo > cursor:
+                pieces.append((cursor, lo, coarse_arc))
+            if hi > lo:
+                pieces.append((lo, hi, fine))
+            cursor = max(cursor, hi)
+        for a, b, target in pieces:
             m = max(1, int(math.ceil((b - a) * rc / target)))
             dth = (b - a) / m
             for j in range(m):
@@ -1708,12 +1678,8 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
                 tc = 0.5 * (t0 + t1)
                 zc = rc * complex(math.cos(tc), math.sin(tc))
                 area = 0.5 * (r1 * r1 - r0 * r0) * dth
-                corners = [
-                    r0 * complex(math.cos(t0), math.sin(t0)),
-                    r0 * complex(math.cos(t1), math.sin(t1)),
-                    r1 * complex(math.cos(t0), math.sin(t0)),
-                    r1 * complex(math.cos(t1), math.sin(t1)),
-                ]
+                e0, e1 = complex(math.cos(t0), math.sin(t0)), complex(math.cos(t1), math.sin(t1))
+                corners = [r0 * e0, r0 * e1, r1 * e0, r1 * e1]
                 is_straddle = straddle_fn(corners, zc)
                 if is_straddle:
                     straddled += 1
@@ -1725,34 +1691,35 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
                 if conf and not is_straddle:
                     conformal += 1
                     continue
-                mu_abs = abs(eng.mu_quad(zc))
-                km1 = _k_of_mu(mu_abs) - 1.0
+                km1 = _k_of_mu(abs(eng.mu_quad(zc))) - 1.0
                 if not math.isfinite(km1):
                     km1 = 0.0  # degenerate midpoint; the straddle flag records it
-                contrib = km1 / (rc * rc) * area
                 evaluated += 1
-                ring_contribs.append(contrib)
-                strip_lists.setdefault(label, []).append(contrib)
-                shell_strip_lists.setdefault((i, label), []).append(contrib)
-                recs.append((zc, mu_abs, km1, area, contrib, is_straddle))
-        shell_sums[i] = math.fsum(ring_contribs)
+                contribs.setdefault((i, label), []).append(km1 / (rc * rc) * area)
 
     straddle_fraction = straddle_area / annulus_area
     if straddle_fraction > 0.20:
         raise ResolutionError(
             f"straddling cells cover {straddle_fraction:.1%} of the annulus; "
             "refine the grid (>20% is past the reliability cutoff)")
-    cells = np.array(recs, dtype=_CELL_DTYPE) if recs else np.empty(0, dtype=_CELL_DTYPE)
-    strip_sums = {k: math.fsum(v) for k, v in strip_lists.items()}
-    shell_strip_sums = {k: math.fsum(v) for k, v in shell_strip_lists.items()}
+
+    def fsum_by(part: int) -> dict:
+        # fsum is correctly rounded: any grouping of the cells gives the same bits
+        groups: dict = {}
+        for key, vals in contribs.items():
+            groups.setdefault(key[part], []).append(vals)
+        return {g: math.fsum(chain.from_iterable(vs)) for g, vs in groups.items()}
+
+    by_shell = fsum_by(0)
+    shell_sums = np.array([by_shell.get(i, 0.0) for i in range(n_r)])
     return DilatationReport(
         flavor=gmap.flavor, r_min=r_min, r_max=r_max,
         total=math.fsum(shell_sums.tolist()),
-        strip_sums=strip_sums,
+        strip_sums=fsum_by(1),
         shell_edges=edges, shell_sums=shell_sums,
         cumulative=np.cumsum(shell_sums),
         straddle_fraction=straddle_fraction,
         straddled_cells=straddled, evaluated_cells=evaluated,
         conformal_cells=conformal, skipped_cells=skipped,
-        cells=cells, shell_strip_sums=shell_strip_sums,
+        shell_strip_sums={k: math.fsum(v) for k, v in contribs.items()},
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from banklaine.specfun import (
     EvalDomainError,
@@ -345,6 +345,23 @@ def test_bank_laine_coefficient_is_twice_the_schwarzian(pair):
         ez = cmath.exp(z)
         S = -ez * ez / 2 + (pair.m - 2 * pair.n) * ez - pair.N ** 2 / 2
         assert abs(apply_B(handle, z) - 2 * S) <= 1e-12 * max(1.0, abs(S))
+
+
+@given(m=st.integers(0, 7), n=st.integers(0, 5),
+       x=st.floats(-1.5, 1.5), y=st.floats(-math.pi, math.pi))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_bank_laine_identity_over_pairs(m, n, x, y):
+    # the identity above as a property over pairs and points, skipping the
+    # disks around z that hold a zero or pole of E
+    pair, z = PairIndex(m, n), complex(x, y)
+    try:
+        B = apply_B(FunctionHandle(eval=bank_laine_E(pair)), z)
+    except ValueError as exc:
+        assume("zero/pole" not in str(exc))
+        raise
+    ez = cmath.exp(z)
+    S = -ez * ez / 2 + (m - 2 * n) * ez - pair.N ** 2 / 2
+    assert abs(B - 2 * S) <= 1e-12 * max(1.0, abs(S))
 
 
 @pytest.mark.parametrize("pair", BL_PAIRS)

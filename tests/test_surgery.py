@@ -402,9 +402,26 @@ def test_power_dilatation_small_annulus(power_report):
     assert rep.cumulative[-1] == pytest.approx(rep.total, rel=1e-9)
 
 
-def test_coarse_uniform_grid_is_rejected(strips_map):
+def test_coarse_grid_is_rejected(strips_map):
+    # 20-unit cells straddle seams over about half of the annulus
     with pytest.raises(ResolutionError):
-        dilatation_integral(strips_map, 1.0, 60.0, resolution=(4, 6))
+        dilatation_integral(strips_map, 1.0, 60.0, resolution=20.0)
+
+
+def test_halving_the_cell_size_barely_moves_the_total(strips_map):
+    fine = strips_map._impl.fine_size(60.0)
+    coarse = dilatation_integral(strips_map, 1.0, 60.0)
+    halved = dilatation_integral(strips_map, 1.0, 60.0, resolution=fine / 2)
+    assert halved.total == pytest.approx(coarse.total, rel=0.01)
+
+
+def test_report_groupings_add_up(power_report):
+    rep = power_report
+    assert math.fsum(rep.strip_sums.values()) == pytest.approx(rep.total, rel=1e-12)
+    per_shell = [0.0] * len(rep.shell_sums)
+    for (i, _), s in rep.shell_strip_sums.items():
+        per_shell[i] += s
+    assert per_shell == pytest.approx(rep.shell_sums.tolist(), rel=1e-12)
 
 
 def test_report_csv_and_json_round_trip(power_report):
@@ -491,6 +508,18 @@ def test_assemble_rejects_bad_input():
         assemble("power", rho=1.0, delta=0.5)
     with pytest.raises(ValueError, match="inconsistent"):
         assemble("power", rho=0.75, delta=0.5, gamma=2.5)
+
+
+def test_assemble_rejects_non_whole_numbers():
+    with pytest.raises(ValueError, match="whole number"):
+        assemble("strips", lam1=0.5, lam2=0.5, sectors=2.7)
+    with pytest.raises(ValueError, match="whole number"):
+        assemble("spiral", lower=(0, 0), upper=(1.5, 1))
+    # ints, numpy ints and whole floats stand for the same integer
+    for sectors in (3, np.int64(3), 3.0):
+        assert assemble("strips", lam1=0.5, lam2=0.5, sectors=sectors).params_dict["sectors"] == 3
+    for upper in ((1, 1), (np.int64(1), 1.0)):
+        assert assemble("spiral", lower=(0, 0), upper=upper).params_dict["upper"] == (1, 1)
 
 
 def test_concurrent_evaluation_matches_serial(strips_map):
