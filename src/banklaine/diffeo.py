@@ -1,30 +1,30 @@
 """Conjugating diffeomorphisms between model functions: shifts, phi, psi, fixed points.
 
 The central equation is g_dst(x) = (g_src o phi)(x) on the real axis, solved
-in F(u) = log(g(u) - 1) coordinates where both tails are affine (slope N at
--infinity, e^u at +infinity), so Newton steps stay well-scaled across the
-whole line.
+in F(u) = log(g(u) - 1) coordinates.  specfun sums g - 1 there as a series of
+positive terms, so F keeps its relative precision on the whole line, and
+F' >= 2n + 1 runs from N at -infinity to e^u at +infinity, so Newton steps
+stay well-scaled.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import lgamma
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .specfun import (
     HALF,
+    LOG2,
     PLAIN,
     PairIndex,
+    build_coefficients,
     real_log_gap,
     real_log_gap_deriv,
     real_log_value,
     real_log_value_deriv,
 )
-
-LOG2 = math.log(2.0)
 
 
 def _log_intercept(pair: PairIndex, variant: str) -> float:
@@ -32,8 +32,7 @@ def _log_intercept(pair: PairIndex, variant: str) -> float:
 
     F(x) = N x - _log_intercept(pair, variant) + o(1) as x -> -infinity.
     """
-    m, n2 = pair.m, 2 * pair.n
-    val = lgamma(m + n2 + 1) - lgamma(m + 1) - lgamma(n2 + 1) + lgamma(pair.N + 1)
+    val = build_coefficients(pair).log_intercept
     return val + LOG2 if variant == HALF else val
 
 

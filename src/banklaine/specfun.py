@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lgamma
@@ -24,6 +25,7 @@ from . import contour
 from .scaledcx import ScaledComplex
 
 TWO_PI = 2.0 * math.pi
+LOG2 = math.log(2.0)
 
 PAIR_CAP = 10_000
 _MP_LOCK = Lock()  # mpmath's working precision is one process-wide setting
@@ -64,16 +66,20 @@ class CoefficientTable:
     """Coefficients of P (numerator, degree 2n) and Q (denominator, degree m).
 
     The exact Fractions ``numer``/``denom`` are the one source of the
-    coefficients: the mpmath fallback sum, the gap tail of g - 1 and the root
-    registries all read them.  The log-magnitude mirrors feed the double
-    log-sum evaluation path.  ``log_norm`` is
-    log(binom(m+2n, m) * (m+2n)!), the constant in the closed-form derivative.
+    coefficients: the mpmath fallback sum and the root registries read them.
+    The log-magnitude mirrors feed the double log-sum evaluation path.
+    ``log_intercept`` = log(binom(m+2n, m) N!) = -log c_N, with c_N w^N the
+    first term of g - 1, so F(x) = log(g(x) - 1) = N x - log_intercept + o(1)
+    as x -> -infinity.  ``lead_zero`` is log_intercept/N as a sum hi + lo of
+    two doubles: N((x - hi) - lo) keeps its digits where N x and
+    log_intercept cancel.
     """
 
     pair: PairIndex
     log_abs_numer: np.ndarray = field(repr=False)
     log_abs_denom: np.ndarray = field(repr=False)
-    log_norm: float = 0.0
+    log_intercept: float = 0.0
+    lead_zero: tuple[float, float] = (0.0, 0.0)
 
     @cached_property
     def numer(self) -> tuple[Fraction, ...]:
@@ -122,7 +128,8 @@ def build_coefficients(pair: PairIndex) -> CoefficientTable:
     The values solve the two-term recursions forced by the underlying linear
     ODE:  A_i = m!(m+2n-i)!/(i!(m-i)!(m+2n)!)  and
     B_j = (-1)^j (2n)!(m+2n-j)!/(j!(2n-j)!(m+2n)!).  For m = 0 the numerator
-    is the truncated series of exp(-w).
+    is the truncated series of exp(-w).  ``log_intercept`` is the logarithm
+    of the exact integer binom(m+2n, m) N!, taken to 40 digits.
     """
     m, n2 = pair.m, 2 * pair.n
     lg_top = lgamma(m + n2 + 1)
@@ -138,8 +145,12 @@ def build_coefficients(pair: PairIndex) -> CoefficientTable:
             for i in range(m + 1)
         ]
     )
-    log_norm = 2.0 * lgamma(m + n2 + 1) - lgamma(m + 1) - lgamma(n2 + 1)
-    return CoefficientTable(pair, log_num, log_den, log_norm)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log_c = Decimal(math.comb(m + n2, m) * math.factorial(pair.N)).ln()
+        hi = float(log_c / pair.N)
+        lead_zero = (hi, float(log_c / pair.N - Decimal(hi)))
+    return CoefficientTable(pair, log_num, log_den, float(log_c), lead_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +281,15 @@ def eval_model_turns(
 
     Working directly in turn units lets strip assemblies hit their seams
     exactly: an integer ``turns`` reduces to a real-axis evaluation with
-    phase identically zero.
+    phase identically zero, where g > 1 has no zero or pole to test for.
     """
     _check_re(x)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    table = build_coefficients(pair)
     frac = _reduce_turns(turns)
+    if frac == 0.0:
+        return ScaledComplex.from_log(real_log_value(pair, x, variant))
+    table = build_coefficients(pair)
     yr = TWO_PI * frac
     logP, _, psing = _poly_eval(table, True, x, yr)
     logQ, _, qsing = _poly_eval(table, False, x, yr)
@@ -302,9 +315,9 @@ def eval_model(pair: PairIndex, z: complex, variant: str = PLAIN) -> ScaledCompl
 def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> ScaledComplex:
     """dg/dz in log-polar form, via the closed-form monomial identity.
 
-    P'Q - PQ' + PQ collapses to w^(m+2n) / (binom(m+2n,m) (m+2n)!), so the
-    derivative needs no numerator evaluation at all:
-    log g' = e^z + N z - log_norm - 2 log Q(e^z),  N = m + 2n + 1.
+    P'Q - PQ' + PQ collapses to N c_N w^(N-1), so the derivative needs no
+    numerator evaluation at all:
+    log g' = e^z + log N + N z - log_intercept - 2 log Q(e^z),  N = m + 2n + 1.
     The half variant just halves it.
     """
     z = complex(z)
@@ -319,7 +332,8 @@ def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> 
         return ScaledComplex.pole()
     ez = cmath.exp(complex(z.real, yr))
     zred = complex(z.real, yr)
-    sc = ScaledComplex.from_log(ez + pair.N * zred - table.log_norm - 2.0 * logQ)
+    sc = ScaledComplex.from_log(ez + math.log(pair.N) + pair.N * zred - table.log_intercept
+                                - 2.0 * logQ)
     if variant == HALF:
         sc = sc.times_real(0.5)
     return sc
@@ -343,7 +357,7 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
             raise EvalDomainError(f"log-derivative requested at a zero near z={z}")
         return ez * (1.0 + rP - rQ)
     # half: (g+1)'/(g+1) = g'/(g+1), via logs to dodge zeros of g
-    log_gp = ez + pair.N * zred - table.log_norm - 2.0 * logQ
+    log_gp = ez + math.log(pair.N) + pair.N * zred - table.log_intercept - 2.0 * logQ
     g_sc = eval_model_turns(pair, z.real, z.imag / TWO_PI, PLAIN)
     gp1 = g_sc.add_real(1.0)
     if gp1.is_zero:
@@ -355,105 +369,84 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
 
 
 # ---------------------------------------------------------------------------
-# real-axis fast paths (used heavily by the conjugacy solver)
+# the real axis: g - 1 as a sum of positive terms
 # ---------------------------------------------------------------------------
+# On w = e^x > 0, g - 1 = S(w)/Q(w) with S = e^w P - Q = sum_{k>=N} c_k w^k and
+# c_k = m!(2n)!/(m+2n)! * C(k-m-1, 2n)/k! > 0.  Q and S are sums of positive
+# terms, so F = log(g - 1) and F' = w S'/S - w Q'/Q >= 2n+1 do not cancel.
 
-def _gap_exponent(table: CoefficientTable) -> int:
-    """Binary exponent e that makes 2^e c_N a normal double; 0 if c_N already is.
+def _ratio_sum(pair: PairIndex, w: float, k: int, last: float = math.inf) -> tuple[float, float]:
+    """(log sum_j t_j, sum_j j t_j / sum_j t_j) over j = k..last, with t_k = 1.
 
-    c_N = 1/(binom(m+2n, m) N!) = exp(-log_norm)/N underflows from N ~ 170 on.
+    t_{j+1}/t_j = w (j-m)/((j+1)(j-N+1)), the ratio of consecutive Taylor
+    coefficients of Q (j < m) and of S (j >= N).  The terms rise, then fall,
+    so the sum stops at the first term below 1e-17 of it.  Partial sums past
+    2^800 are scaled down by 2^800 so that they stay finite.
     """
-    bits = (table.log_norm + math.log(table.pair.N)) / math.log(2.0)
-    return 0 if bits <= 1022.0 else math.ceil(bits)
+    m, N = pair.m, pair.N
+    t = s = 1.0
+    ks = float(k)
+    e = 0
+    while k < last and t > 1e-17 * s:
+        t *= w * (k - m) / ((k + 1) * (k - N + 1))
+        k += 1
+        s += t
+        ks += k * t
+        if s > 2.0 ** 800:
+            t, s, ks, e = t * 2.0 ** -800, s * 2.0 ** -800, ks * 2.0 ** -800, e + 800
+    return math.log(s) + e * LOG2, ks / s
 
 
-@lru_cache(maxsize=256)
-def _gap_tail(pair: PairIndex, terms: int = 70) -> np.ndarray:
-    """Taylor coefficients c_N..c_{N+terms-1} of g(z)-1 in w = e^z, exact then floated.
+def _series_end(pair: PairIndex) -> int:
+    """The w = max(4n(m+1), 2N) past which the direct sum of P e^w / Q takes over.
 
-    c_k = sum_j B_j/(k-j)! - A_k vanishes identically for k < N = m+2n+1; a
-    nonzero early coefficient would mean the coefficient tables are corrupt,
-    so that is checked here once per pair.  The floats are 2^e c_k with
-    e = _gap_exponent(table), which is 0 unless c_N itself would underflow.
+    Past 4n(m+1) each term of P is at least twice the one before it, so |P|
+    keeps half its top term; past 2N, w Q'/Q <= m < w/2 and g > 2, so neither
+    log(g - 1) nor (log g)' = w + w P'/P - w Q'/Q cancels.
     """
+    return max(4 * pair.n * (pair.m + 1), 2 * pair.N)
+
+
+def _real_gap(pair: PairIndex, x: float) -> tuple[float, float]:
+    """(F(x), F'(x)) with F = log(g - 1) at real x."""
+    _check_re(x)
     table = build_coefficients(pair)
-    B, A = table.numer, table.denom
-    N = pair.N
-    scale = 2 ** _gap_exponent(table)
-    out = []
-    for k in range(N + terms):
-        c = Fraction(0)
-        for j in range(0, min(k, len(B) - 1) + 1):
-            c += B[j] * Fraction(1, math.factorial(k - j))
-        if k < len(A):
-            c -= A[k]
-        if k < N:
-            if c != 0:
-                raise ArithmeticError(f"gap coefficient c_{k} nonzero for pair {pair}")
-        else:
-            out.append(float(c * scale))
-    return np.array(out)
-
-
-def real_log_value(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
-    """log g(x) or log((g(x)+1)/2) for real x; always finite and positive.
-
-    Below log g ~ 1e-3 the direct log-polar evaluation has cancelled down to
-    rounding noise (it can even come back negative), so the value is rebuilt
-    from the exact gap series instead.
-    """
-    sc = eval_model_turns(pair, x, 0.0, variant)
-    if sc.log_modulus >= 1e-3:
-        return sc.log_modulus
-    return math.log1p(math.exp(real_log_gap(pair, x, variant)))
+    w = math.exp(x)
+    if w <= _series_end(pair):
+        log_s, ks = _ratio_sum(pair, w, pair.N)
+        log_q, kq = _ratio_sum(pair, w, 0, pair.m)
+        hi, lo = table.lead_zero
+        return pair.N * ((x - hi) - lo) + log_s - log_q, ks - kq
+    logP, rP, _ = _poly_eval(table, True, x, 0.0)
+    logQ, rQ, _ = _poly_eval(table, False, x, 0.0)
+    logg = (w + logP - logQ).real
+    d = -math.expm1(-logg)  # (g - 1)/g
+    return logg + math.log(d), (w * (1.0 + rP - rQ)).real / d
 
 
 def real_log_gap(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
-    """F(x) = log(g(x) - 1), minus log 2 for the half variant.
-
-    Far to the left g - 1 underflows below the resolution of log g, so the
-    evaluation switches to the exact tail series of g - 1 in powers of e^x.
-    """
-    _check_re(x)
-    logg = eval_model_turns(pair, x, 0.0, PLAIN).log_modulus
-    if logg > 1e-3:
-        out = logg + math.log(-math.expm1(-logg))
-    else:
-        # Horner on Python floats: numpy scalar arithmetic is about 3x slower
-        s, _ = _horner(_gap_tail(pair).tolist(), math.exp(x))
-        if s <= 0.0:
-            raise EvalDomainError(f"gap series lost positivity at x={x}")
-        table = build_coefficients(pair)
-        logQ, _, _ = _poly_eval(table, False, x, 0.0)
-        out = pair.N * x + math.log(s) - logQ.real - _gap_exponent(table) * math.log(2.0)
-    if variant == HALF:
-        out -= math.log(2.0)
-    return out
+    """F(x) = log(g(x) - 1), minus log 2 for the half variant."""
+    f, _ = _real_gap(pair, x)
+    return f - LOG2 if variant == HALF else f
 
 
 def real_log_gap_deriv(pair: PairIndex, x: float) -> float:
-    """dF/dx = g'(x)/(g(x)-1); identical for both variants.
+    """F'(x) = g'(x)/(g(x) - 1) >= 2n + 1; identical for both variants."""
+    return _real_gap(pair, x)[1]
 
-    Two regimes, each dodging a different cancellation: to the right both
-    log g' and F are ~e^x, so their float difference is ulp noise and the
-    product form g'/g * g/(g-1) is used instead (g/(g-1) = 1 there to double
-    precision); to the left g'/g itself cancels to O(e^{Nx}) and the
-    log-difference form is the stable one.
-    """
-    if x > 15.0:
-        table = build_coefficients(pair)
-        _, rP, _ = _poly_eval(table, True, x, 0.0)
-        _, rQ, _ = _poly_eval(table, False, x, 0.0)
-        return math.exp(x) * (1.0 + rP - rQ).real
-    table = build_coefficients(pair)
-    logQ, _, _ = _poly_eval(table, False, x, 0.0)
-    log_gp = math.exp(x) + pair.N * x - table.log_norm - 2.0 * logQ.real
-    return math.exp(log_gp - real_log_gap(pair, x, PLAIN))
+
+def real_log_value(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
+    """log g(x) = log(1 + e^F) > 0, or log((g(x)+1)/2) = log(1 + e^(F - log 2)) > 0."""
+    f = real_log_gap(pair, x, variant)
+    return max(f, 0.0) + math.log1p(math.exp(-abs(f)))
 
 
 def real_log_value_deriv(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
-    """d/dx of log g (plain) or of log((g+1)/2) (half) at real x."""
-    return log_derivative(pair, complex(x, 0.0), variant).real
+    """d/dx of log g = F'/(1 + e^-F) (plain) or of log((g+1)/2) = F'/(1 + 2e^-F) (half)."""
+    f, df = _real_gap(pair, x)
+    if variant == HALF:
+        f -= LOG2
+    return df * math.exp(min(f, 0.0)) / (1.0 + math.exp(-abs(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from banklaine.specfun import (
     EvalDomainError,
     _poly_logsum_mp,
+    _series_end,
     HALF,
     PLAIN,
     FunctionHandle,
@@ -33,6 +34,7 @@ from banklaine.specfun import (
     real_log_gap,
     real_log_gap_deriv,
     real_log_value,
+    real_log_value_deriv,
     solve_value_negative_one,
     tail_expansion_residual,
 )
@@ -93,10 +95,19 @@ def test_denominator_coefficients_positive_decreasing():
 
 
 def test_gap_series_head_vanishes():
-    # implicit: building the tail raises if any c_k (k < N) is nonzero
-    from banklaine.specfun import _gap_tail
-    tail = _gap_tail(PairIndex(1, 1))
-    assert tail[0] == pytest.approx(1.0 / 72.0, rel=1e-15)
+    # the Taylor coefficients c_k of e^w P - Q, exact from the tables (times
+    # k! and a common denominator D): zero below N = m + 2n + 1, then
+    # c_k = m!(2n)!/(m+2n)! C(k-m-1, 2n)/k! > 0
+    for m in range(10):
+        for n in range(8):
+            t, N = build_coefficients(PairIndex(m, n)), m + 2 * n + 1
+            D = math.lcm(*(c.denominator for c in t.numer + t.denom))
+            B, A = [int(c * D) for c in t.numer], [int(c * D) for c in t.denom]
+            lead = Fraction(D * math.factorial(m) * math.factorial(2 * n), math.factorial(m + 2 * n))
+            for k in range(150):
+                ck = sum(b * math.perm(k, j) for j, b in enumerate(B[: k + 1]))
+                ck -= A[k] * math.factorial(k) if k <= m else 0
+                assert ck == (lead * math.comb(k - m - 1, 2 * n) if k >= N else 0), (m, n, k)
 
 
 # ---- evaluation vs oracle ---------------------------------------------------
@@ -252,6 +263,89 @@ def test_gap_derivative_against_fd_everywhere():
         assert real_log_gap_deriv(pair, x) == pytest.approx(fd, rel=1e-7)
 
 
+def series_oracle(pair: PairIndex, x: float, dps: int = 40) -> tuple[float, float]:
+    """(F, F') from S = sum_{k>=N} c_k w^k and Q, summed at dps digits."""
+    m, N = pair.m, pair.N
+    with mp.workdps(dps):
+        w = mp.exp(mp.mpf(x))
+        t, s, ks, k = mp.mpf(1), mp.mpf(1), mp.mpf(N), N
+        while k < N + 2 * w or t > s * mp.mpf(10) ** -dps:
+            t *= w * (k - m) / ((k + 1) * (k - N + 1))
+            k += 1
+            s, ks = s + t, ks + k * t
+        q = [mp.binomial(m, i) * mp.factorial(m + 2 * pair.n - i) / mp.factorial(m + 2 * pair.n)
+             * w**i for i in range(m + 1)]
+        c_N = 1 / (mp.binomial(m + 2 * pair.n, m) * mp.factorial(N))
+        F = mp.log(c_N * w**N * s / sum(q))
+        return float(F), float(ks / s - sum(i * qi for i, qi in enumerate(q)) / sum(q))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+def test_real_log_gap_matches_the_series_oracle(m):
+    # both regimes (positive series, then the direct sum past _series_end);
+    # near (2,8), x = 1.75, log(g - 1) taken from log g loses 8 digits
+    for n in (0, 1, 4, 8, 12):
+        pair = PairIndex(m, n)
+        for x in (-2.0, -1.0, -0.25, 0.5, 1.25, 1.75, 2.5, 3.0, 3.5, 4.25, 5.0, 5.5):
+            F, dF = series_oracle(pair, x)
+            assert abs(real_log_gap(pair, x) - F) <= 1e-13 * max(1.0, abs(F)), (pair, x)
+            assert abs(real_log_gap_deriv(pair, x) - dF) <= 1e-13 * max(1.0, abs(dF)), (pair, x)
+
+
+@pytest.mark.parametrize("m,n,x", [(1, 90, 6.5), (0, 600, 7.5), (700, 0, 7.1)])
+def test_gap_series_sums_past_the_float_range(m, n, x):
+    # partial sums of S, and for (700,0) of Q, pass 2^800 and are rescaled
+    pair = PairIndex(m, n)
+    assert math.exp(x) <= _series_end(pair)
+    F, dF = series_oracle(pair, x)
+    assert real_log_gap(pair, x) == pytest.approx(F, rel=1e-13)
+    assert real_log_gap_deriv(pair, x) == pytest.approx(dF, rel=1e-13)
+
+
+@pytest.mark.parametrize("pair,xs", [
+    (PairIndex(1, 28), [3.7526]),
+    (PairIndex(1, 47), [3.0 + 0.1 * i for i in range(21)]),
+    (PairIndex(4, 6), [-3.0, 0.4, 1.9, 2.6, 4.1, 6.0]),
+])
+def test_real_axis_eval_matches_the_oracle(pair, xs):
+    # log g on the real axis to 1e-14 relative, where the alternating sum
+    # of P cancels: by up to 4 digits at (1,28), x = 3.7526, which stay in
+    # a double sum, and by more along (1,47)
+    for x in xs:
+        g = oracle(pair, x, dps=80).real
+        for variant, want in ((PLAIN, g), (HALF, (g + 1) / 2)):
+            ref = float(mp.log(want))
+            got = eval_model_turns(pair, x, 0.0, variant).log_modulus
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (pair, x, variant)
+
+
+def test_series_hands_over_to_the_direct_sum():
+    # at the hand-over g > 2, and F, F' agree across it to rounding
+    for m in range(0, 30, 3):
+        for n in range(0, 30, 3):
+            pair = PairIndex(m, n)
+            x = math.log(_series_end(pair))
+            x_right = math.nextafter(x, math.inf)
+            assert real_log_gap(pair, x) > 0.0
+            for f in (real_log_gap, real_log_gap_deriv):
+                assert f(pair, x_right) == pytest.approx(f(pair, x), rel=1e-14), (pair, f)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=st.integers(0, 12), n=st.integers(0, 12), x=st.floats(-40.0, 6.0))
+def test_real_axis_paper_bounds(m, n, x):
+    # F' = w S'/S - w Q'/Q >= N - m = 2n + 1, F' -> N at -infinity, and
+    # log g = log1p(e^F), log((g+1)/2) = log1p(e^F / 2)
+    pair = PairIndex(m, n)
+    F, dF = real_log_gap(pair, x), real_log_gap_deriv(pair, x)
+    assert dF >= (2 * n + 1) * (1.0 - 1e-15)
+    assert real_log_gap_deriv(pair, x - 40.0) == pytest.approx(pair.N, rel=1e-15)
+    eF = math.exp(F)
+    assert real_log_value(pair, x) == pytest.approx(math.log1p(eF), rel=1e-15)
+    assert real_log_value(pair, x, HALF) == pytest.approx(math.log1p(eF / 2), rel=1e-15)
+    assert real_log_value_deriv(pair, x) == pytest.approx(dF * eF / (1 + eF), rel=1e-15)
+
+
 def test_tail_expansion_residual_frozen():
     # (0,0) at y=1: log(e^e/e - 1) vs 1 + 0 - 0 - log(1+1) exactly
     want = math.log(math.e - 1.0) - 1.0 + math.log(2.0)
@@ -319,6 +413,17 @@ def test_mp_fallback_recovers_the_digits_it_lost(m, n, x):
     ref = float(mp.log(abs(oracle(pair, complex(x, 0.0), dps=600))))
     got = eval_model_turns(pair, x, 0.0).log_modulus
     assert got == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("m,n,x", [(3, 120, 4.5), (1, 90, 4.0)])
+def test_mp_fallback_recovers_the_digits_it_lost_off_axis(m, n, x):
+    # the gap series sums these points on the real axis; a hundredth of a
+    # turn off it they need the fallback, and it retries with more digits
+    pair, turns = PairIndex(m, n), 0.01
+    ref = oracle(pair, complex(x, 2 * math.pi * turns), dps=600)
+    got = eval_model_turns(pair, x, turns)
+    assert got.log_modulus == pytest.approx(float(mp.log(abs(ref))), rel=1e-13)
+    assert got.phase == pytest.approx(float(mp.arg(ref)), abs=1e-12)
 
 
 def test_mp_fallback_cap_fails_loudly():
