@@ -106,45 +106,45 @@ def winding_number(
 ) -> float:
     """Total phase winding of f along a closed path, in turns.
 
-    The path is refined by midpoint insertion until consecutive phase steps
-    are below ``step_cap``, so the continuous argument is tracked without
-    ever materializing |f|.  Raises BoundarySingularity if a sample hits a
-    tagged zero/pole.
+    The path is refined by midpoint insertion until, on every segment, the
+    phase step is below ``step_cap`` and so is the change of log|f| across
+    the segment, sampled a quarter segment to either side of its midpoint.
+    The wrapped phase step alone cannot see a step of 2 pi k; by
+    Cauchy-Riemann the argument turns along the path as fast as log|f|
+    changes across it, so the second test catches such a segment.  The
+    continuous argument is tracked without ever materializing |f|.  Raises
+    BoundarySingularity if a path sample hits a tagged zero/pole.
     """
+
+    def sample(p: complex) -> ScaledComplex:
+        v = eval_sc(p)
+        if v.kind != "finite":
+            raise BoundarySingularity(f"path sample at {p} hits a {v.kind}")
+        return v
+
+    inserted = 0
+
+    def turn(a: complex, va: ScaledComplex, b: complex, vb: ScaledComplex, depth: int) -> float:
+        nonlocal inserted
+        step = wrap_phase(vb.phase - va.phase)
+        if depth == max_passes:
+            return step
+        mid, across = 0.5 * (a + b), 0.25j * (b - a)
+        # a zero or pole beside the path makes the change across infinite or NaN: refine
+        if abs(step) < step_cap and abs(
+                eval_sc(mid + across).log_modulus - eval_sc(mid - across).log_modulus) < step_cap:
+            return step
+        inserted += 1
+        if len(pts) + inserted > max_points:
+            raise RuntimeError("winding_number refinement exceeded point budget")
+        vm = sample(mid)
+        return turn(a, va, mid, vm, depth + 1) + turn(mid, vm, b, vb, depth + 1)
+
     pts = list(path)
     if pts[0] != pts[-1]:
         pts.append(pts[0])
-    vals = [eval_sc(p) for p in pts]
-    for v, p in zip(vals, pts):
-        if v.kind != "finite":
-            raise BoundarySingularity(f"path sample at {p} hits a {v.kind}")
-    for _ in range(max_passes):
-        new_pts: list[complex] = []
-        new_vals: list[ScaledComplex] = []
-        refined = False
-        for i in range(len(pts) - 1):
-            new_pts.append(pts[i])
-            new_vals.append(vals[i])
-            d = wrap_phase(vals[i + 1].phase - vals[i].phase)
-            if abs(d) >= step_cap:
-                mid = 0.5 * (pts[i] + pts[i + 1])
-                v = eval_sc(mid)
-                if v.kind != "finite":
-                    raise BoundarySingularity(f"path refinement hit a {v.kind} at {mid}")
-                new_pts.append(mid)
-                new_vals.append(v)
-                refined = True
-        new_pts.append(pts[-1])
-        new_vals.append(vals[-1])
-        pts, vals = new_pts, new_vals
-        if not refined:
-            break
-        if len(pts) > max_points:
-            raise RuntimeError("winding_number refinement exceeded point budget")
-    total = 0.0
-    for i in range(len(pts) - 1):
-        total += wrap_phase(vals[i + 1].phase - vals[i].phase)
-    return total / TWO_PI
+    vals = [sample(p) for p in pts]
+    return sum(turn(pts[i], vals[i], pts[i + 1], vals[i + 1], 0) for i in range(len(pts) - 1)) / TWO_PI
 
 
 def logderiv_loop_integral(

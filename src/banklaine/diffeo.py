@@ -9,6 +9,7 @@ stay well-scaled.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -158,11 +159,15 @@ class PhiSolver:
     Newton (bracketed bisection on a cold start).  The public conjugacy
     residual |log g_dst(x) - log g_src(phi(x))| is never larger than the
     F-space one.
+
+    ``_lock`` guards the warm start ``_warm``, the solver's one mutable
+    state, from its read to its update, so threads may share one solver.
     """
 
     def __init__(self, spec: DiffeoSpec):
         self.spec = spec
         self._warm: Optional[tuple[float, float]] = None  # (x, phi)
+        self._lock = threading.Lock()
         if not spec.is_identity:
             # left asymptote intercept of F_src for cold-start guesses
             self._logc_src = -_log_intercept(spec.src, spec.variant_src)
@@ -218,16 +223,17 @@ class PhiSolver:
         v = self._f_dst(x)
         f = lambda u: self._f_src(u) - v
         fp = lambda u: real_log_gap_deriv(self.spec.src, u)
-        if self._warm is not None and abs(self._warm[0] - x) < 0.5:
-            u = self._polish(self._warm[1], f, fp)
-            if abs(f(u)) < 1e-10 * max(1.0, abs(v)):  # warm start actually converged
-                self._warm = (x, u)
-                return u
-        g = self._guess(v)
-        u, _, _ = _bisect_newton(f, fp, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))
-        u = self._polish(u, f, fp)
-        self._warm = (x, u)
-        return u
+        with self._lock:
+            if self._warm is not None and abs(self._warm[0] - x) < 0.5:
+                u = self._polish(self._warm[1], f, fp)
+                if abs(f(u)) < 1e-10 * max(1.0, abs(v)):  # warm start actually converged
+                    self._warm = (x, u)
+                    return u
+            g = self._guess(v)
+            u, _, _ = _bisect_newton(f, fp, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))
+            u = self._polish(u, f, fp)
+            self._warm = (x, u)
+            return u
 
     def deriv(self, x: float) -> float:
         if self.spec.is_identity:

@@ -101,3 +101,18 @@ def test_handle_registries_agree_with_winding():
     w = winding_number(h.eval, rect_path(*rect))
     assert len(zs) == 2
     assert w == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("pair, x1, per_side, periods", [
+    ((0, 0), 6.0, 64, 1),
+    ((0, 1), 6.0, 256, 3),
+    ((1, 0), 4.0, 64, 2),
+])
+def test_winding_follows_fast_turning_edges(pair, x1, per_side, periods):
+    # on the right edge the phase of exp(e^z) turns by up to e^x1 per unit
+    # of y, many full turns between samples; each period strip of the model
+    # holds 2n zeros and m poles, so the box counts periods * (2n - m)
+    m, n = pair
+    box = rect_path(-3.0, x1, 0.3, 2.0 * math.pi * periods - 0.3, per_side)
+    w = winding_number(lambda z: eval_model(PairIndex(m, n), z), box)
+    assert w == pytest.approx(periods * (2 * n - m), abs=1e-9)

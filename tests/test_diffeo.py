@@ -1,6 +1,9 @@
 """Conjugating diffeomorphism: shifts, phi asymptotics, psi maps, fixed points."""
 
 import math
+import os
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -248,3 +251,43 @@ def test_fixed_point_sandwich():
 def test_fixed_points_identity_tag():
     fp = find_fixed_points(DiffeoSpec(P00, P00))
     assert fp.tag == "identity" and fp.points == []
+
+
+# ---- sharing one solver ----------------------------------------------------------
+
+def test_concurrent_phi_solver_matches_serial():
+    # every value reads and rewrites the shared warm start, which the
+    # solver's own lock guards; a torn read would polish from another x
+    spec = DiffeoSpec(P00, P11)
+    xs = [float(x) for x in np.linspace(-30.0, 20.0, 41)]
+    serial = PhiSolver(spec)
+    want = {x: (serial.value(x), serial.deriv(x)) for x in xs}
+    shared = PhiSolver(spec)
+    n_threads = (os.cpu_count() or 1) + 3
+    barrier = threading.Barrier(n_threads)
+    results, errors = [None] * n_threads, []
+
+    def work(i):
+        try:
+            barrier.wait(timeout=60)
+            order = xs[::-1] if i % 2 else xs  # half sweep downwards
+            results[i] = {x: (shared.value(x), shared.deriv(x)) for x in order[i:] + order[:i]}
+        except BaseException as exc:  # surfaced by the asserts below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
+    for got in results:
+        for x in xs:
+            for a, b in zip(got[x], want[x]):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12), x
