@@ -2,16 +2,17 @@
 
 All bookkeeping lives on the 2*pi grid: a sequence assigns an integer slope
 to each interval [2pi(k-1), 2pi k], and profiles are the running integrals.
-Entries are materialized lazily because a profile queried at x needs about
-x / 2pi of them.
+Each sequence draws its entries on demand from a generator, because a
+profile queried at x needs about x / 2pi of them.
 """
 from __future__ import annotations
 
 import csv
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -20,12 +21,6 @@ TWO_PI = 2.0 * math.pi
 # hard ceiling on materialized entries; profiles above x ~ 1.2e7 are out of
 # desk range anyway
 MAX_ENTRIES = 2_000_000
-
-BINARY = "binary"          # 0/1 marks following a power (or squared-log) law
-GRADED = "graded"          # nondecreasing slopes with odd positive increments
-PAIRED = "paired"          # n_k completing m_k to a parity-matched N_k
-ONES = "ones"              # 0,0,0,1,1,1,...
-ZEROS = "zeros"
 
 
 def alpha_weight(x: float) -> float:
@@ -64,32 +59,31 @@ def _log_mark(i: int) -> int:
     return k
 
 
-@dataclass
 class SlopeSequence:
-    """Integer slopes m_k (k >= 1), lazily extended, with memoized sums.
+    """Integer slopes m_k (k >= 1) drawn on demand from a generator, with memoized sums.
 
-    ``note`` carries construction caveats (tie-break rule, delayed marks)
-    into exported reports.
+    ``entries_list`` holds the entries drawn so far; ``ensure`` extends it
+    from the source under ``_lock``.  A source that raised is finished, so
+    every later request past the entries it gave raises too.
     """
 
-    kind: str
-    params: dict
-    _extend: Callable[["SlopeSequence", int], None] = field(repr=False)
-    entries_list: list = field(default_factory=list, repr=False)
-    note: str = ""
-    _cum: Optional[np.ndarray] = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self, source: Iterable[int]):
+        self._source: Iterator[int] = iter(source)
+        self.entries_list: list = []
+        self._cum = None
+        self._lock = threading.Lock()
 
     def ensure(self, kmax: int) -> None:
-        if kmax > MAX_ENTRIES:
-            raise ValueError(f"k = {kmax} beyond the {MAX_ENTRIES} entry ceiling")
+        if not 0 <= kmax <= MAX_ENTRIES:
+            raise ValueError(f"k = {kmax} outside [0, {MAX_ENTRIES}]")
         if len(self.entries_list) < kmax:
             with self._lock:
-                if len(self.entries_list) < kmax:
-                    # geometric headroom so k-by-k access stays amortized O(1)
-                    target = min(MAX_ENTRIES, max(kmax, 2 * len(self.entries_list), 64))
-                    self._extend(self, target)
-                    self._cum = None
+                have = len(self.entries_list)
+                if have < kmax:
+                    self.entries_list.extend(islice(self._source, kmax - have))
+                    if len(self.entries_list) < kmax:
+                        raise RuntimeError(
+                            f"the source of this sequence stopped after {len(self.entries_list)} entries")
 
     def entry(self, k: int) -> int:
         if k < 1:
@@ -104,9 +98,10 @@ class SlopeSequence:
     def cumulative(self, kmax: int) -> np.ndarray:
         """Partial sums S_1..S_kmax."""
         self.ensure(kmax)
-        if self._cum is None or len(self._cum) < kmax:
-            self._cum = np.cumsum(np.asarray(self.entries_list, dtype=np.int64))
-        return self._cum[:kmax]
+        cum = self._cum
+        if cum is None or len(cum) < kmax:
+            cum = self._cum = np.cumsum(np.asarray(self.entries_list, dtype=np.int64))
+        return cum[:kmax]
 
     def partial(self, k: int) -> int:
         if k == 0:
@@ -119,25 +114,15 @@ class SlopeSequence:
         return [int(k) for k in np.nonzero(e)[0] + 1]
 
 
-def _binary_extend_factory(lam: float) -> Callable[[SlopeSequence, int], None]:
+def _binary_slopes(lam: float) -> Iterator[int]:
     marker = _log_mark if lam == 0.0 else (lambda i: _power_mark(i, lam))
-
-    def extend(seq: SlopeSequence, kmax: int) -> None:
-        marks: list = seq.params.setdefault("_marks", [])
-        i = len(marks)
-        prev = marks[-1] if marks else 3
-        while not marks or marks[-1] <= kmax:
-            i += 1
-            k = max(marker(i), prev + 1, 4)
-            marks.append(k)
-            prev = k
-        arr = [0] * max(kmax, len(seq.entries_list))
-        for k in marks:
-            if k <= len(arr):
-                arr[k - 1] = 1
-        seq.entries_list = arr
-
-    return extend
+    yield from (0, 0, 0)
+    k = 3
+    for i in count(1):
+        mark = max(marker(i), k + 1)
+        yield from repeat(0, mark - k - 1)
+        yield 1
+        k = mark
 
 
 def build_binary_profile(lam: float) -> SlopeSequence:
@@ -149,46 +134,24 @@ def build_binary_profile(lam: float) -> SlopeSequence:
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"profile exponent must lie in [0, 1), got {lam}")
-    return SlopeSequence(
-        BINARY,
-        {"lambda": lam},
-        _binary_extend_factory(lam),
-        note="marks delayed past the zero prefix and deduplicated",
-    )
+    return SlopeSequence(_binary_slopes(lam))
 
 
-def _constant_tail(value: int, kind: str, params: dict) -> SlopeSequence:
-    def extend(seq: SlopeSequence, kmax: int) -> None:
-        seq.entries_list = [0, 0, 0] + [value] * max(0, kmax - 3)
-
-    return SlopeSequence(kind, params, extend)
+def _constant_tail(value: int) -> SlopeSequence:
+    return SlopeSequence(chain((0, 0, 0), repeat(value)))
 
 
-def _graded_extend_factory(gamma: float, delta: float) -> Callable[[SlopeSequence, int], None]:
-    dg = delta * gamma
-
-    def extend(seq: SlopeSequence, kmax: int) -> None:
-        arr = list(seq.entries_list)
-        k = len(arr)
-        run = seq.params.setdefault("_carry", {"sum_target": 0.0, "sum_actual": 0})
-        while k < kmax:
-            k += 1
-            if k <= 3:
-                arr.append(0)
-                continue
-            target = dg * alpha_weight(float(k)) * (TWO_PI * k) ** (dg - 1.0)
-            run["sum_target"] += target
-            prev = arr[-1]
-            want = run["sum_target"] - (run["sum_actual"] - prev)
-            cand = math.floor(want)
-            if cand > prev and (cand - prev) % 2 == 0:
-                cand -= 1  # largest admissible value: increments must be odd
-            mk = max(prev, cand)
-            arr.append(mk)
-            run["sum_actual"] += mk
-        seq.entries_list = arr
-
-    return extend
+def _graded_slopes(dg: float) -> Iterator[int]:
+    yield from (0, 0, 0)
+    sum_target, sum_actual, prev = 0.0, 0, 0
+    for k in count(4):
+        sum_target += dg * alpha_weight(float(k)) * (TWO_PI * k) ** (dg - 1.0)
+        cand = math.floor(sum_target - (sum_actual - prev))
+        if cand > prev and (cand - prev) % 2 == 0:
+            cand -= 1  # largest admissible value: increments must be odd
+        prev = max(prev, cand)
+        sum_actual += prev
+        yield prev
 
 
 def build_graded_slopes(gamma: float, delta: float) -> SlopeSequence:
@@ -206,49 +169,26 @@ def build_graded_slopes(gamma: float, delta: float) -> SlopeSequence:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     dg = delta * gamma
     if dg == 0.0:
-        return _constant_tail(0, ZEROS, {"gamma": gamma, "delta": delta})
+        return _constant_tail(0)
     if dg == 1.0:
-        return _constant_tail(1, ONES, {"gamma": gamma, "delta": delta})
+        return _constant_tail(1)
     if dg < 1.0:
-        seq = build_binary_profile(dg)
-        seq.params.update({"gamma": gamma, "delta": delta})
-        return seq
-    return SlopeSequence(
-        GRADED,
-        {"gamma": gamma, "delta": delta},
-        _graded_extend_factory(gamma, delta),
-        note="odd-increment rounding is floor-to-parity with remainder carry",
-    )
+        return build_binary_profile(dg)
+    return SlopeSequence(_graded_slopes(dg))
 
 
-def _paired_extend_factory(
-    gamma: float, m_seq: SlopeSequence
-) -> Callable[[SlopeSequence, int], None]:
-    def extend(seq: SlopeSequence, kmax: int) -> None:
-        arr = list(seq.entries_list)
-        k = len(arr)
-        run = seq.params.setdefault("_carry", {"sum_actual": 0})
-        m_seq.ensure(kmax)
-        while k < kmax:
-            k += 1
-            if k <= 3:
-                arr.append(0)
-                run["sum_actual"] += m_seq.entry(k) + 1
-                continue
-            mk = m_seq.entry(k)
+def _paired_slopes(gamma: float, m_seq: SlopeSequence) -> Iterator[int]:
+    sum_actual = 0
+    for k in count(1):
+        mk = m_seq.entry(k)
+        Nk = mk + 1  # N_k = m_k + 2 n_k + 1 with n_k >= 0
+        if k > 3:
             # cumulative target (2 pi k)^gamma for 2 pi * sum N_j
-            want = (TWO_PI * k) ** gamma / TWO_PI - run["sum_actual"]
-            lo = mk + 1  # N_k = m_k + 2 n_k + 1 with n_k >= 0
-            Nk = max(lo, math.floor(want))
-            if (Nk - mk) % 2 == 0:
-                Nk -= 1
-            if Nk < lo:
-                Nk = lo
-            arr.append((Nk - mk - 1) // 2)
-            run["sum_actual"] += Nk
-        seq.entries_list = arr
-
-    return extend
+            want = math.floor((TWO_PI * k) ** gamma / TWO_PI - sum_actual)
+            if want > Nk:
+                Nk = want if (want - mk) % 2 else want - 1
+        sum_actual += Nk
+        yield (Nk - mk - 1) // 2
 
 
 def build_paired_slopes(gamma: float, m_seq: SlopeSequence) -> SlopeSequence:
@@ -260,12 +200,7 @@ def build_paired_slopes(gamma: float, m_seq: SlopeSequence) -> SlopeSequence:
     """
     if gamma <= 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
-    return SlopeSequence(
-        PAIRED,
-        {"gamma": gamma},
-        _paired_extend_factory(gamma, m_seq),
-        note="parity rounding carries the cumulative remainder forward",
-    )
+    return SlopeSequence(_paired_slopes(gamma, m_seq))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +314,10 @@ def select_case(lam1: float, lam2: float) -> CaseSelection:
         raise ValueError(f"need 0 <= lam1 <= lam2 <= 1, got ({lam1}, {lam2})")
     if lam2 < 1.0:
         return CaseSelection("I", 1, build_binary_profile(lam1), build_binary_profile(lam2))
-    ones = _constant_tail(1, ONES, {"lambda": 1.0})
+    ones = _constant_tail(1)
     if lam1 < 1.0:
         return CaseSelection("II", 3, build_binary_profile(lam1), ones)
-    return CaseSelection("III", 4, _constant_tail(1, ONES, {"lambda": 1.0}), ones)
+    return CaseSelection("III", 4, _constant_tail(1), ones)
 
 
 def export_csv(

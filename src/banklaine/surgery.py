@@ -43,7 +43,7 @@ import numpy as np
 
 from .diffeo import LEFT, RIGHT, DiffeoSpec, PhiSolver, PsiMap, solve_shift
 from .scaledcx import ScaledComplex, wrap_phase
-from .sequences import ProfileBundle, build_graded_slopes, build_paired_slopes, select_case
+from .sequences import build_graded_slopes, build_paired_slopes, select_case
 from .specfun import HALF, PLAIN, PairIndex, eval_model, eval_model_turns
 
 TWO_PI = 2.0 * math.pi
@@ -136,16 +136,8 @@ class SpiralCharts:
 
     kappa: float
     mu: complex
-
-    @property
-    def beta0(self) -> float:
-        """log(kappa)/(2 pi); the imaginary part of 1/mu."""
-        return math.log(self.kappa) / TWO_PI
-
-    @property
-    def order(self) -> float:
-        """1/Re(mu) = 1 + log^2(kappa)/(4 pi^2), the growth order scale."""
-        return 1.0 + self.beta0 * self.beta0
+    beta0: float  # log(kappa)/(2 pi); the imaginary part of 1/mu
+    order: float  # 1/Re(mu) = 1 + log^2(kappa)/(4 pi^2), the growth order scale
 
     def p(self, z: complex) -> complex:
         """z^mu with the principal branch (cut along the negative reals)."""
@@ -204,7 +196,8 @@ def spiral_charts(kappa: float) -> SpiralCharts:
     lk = math.log(kappa)
     den = TWO_PI * TWO_PI + lk * lk
     mu = complex(TWO_PI * TWO_PI / den, -TWO_PI * lk / den)
-    return SpiralCharts(kappa=kappa, mu=mu)
+    beta0 = lk / TWO_PI
+    return SpiralCharts(kappa=kappa, mu=mu, beta0=beta0, order=1.0 + beta0 * beta0)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1113,9 @@ class _PowerEngine(_Engine):
     The right wedge evaluates U(Q(z^rho)) on unit-height strips, the left
     wedge V(-(-z)^sigma) on strips of height 2 pi N_k; the piecewise map Q
     pre-distorts the imaginary axis so that both wedges meet the rays
-    arg z = +-pi/(2 rho) with the same values V(+-i r^sigma).
+    arg z = +-pi/(2 rho) with the same values V(+-i r^sigma).  On the axis
+    Q is the map g, which reads the V strip records: U(i g(y)) and
+    V(i y^gamma) land in strip k at the same normalized height.
     """
 
     flavor = POWER
@@ -1144,8 +1139,6 @@ class _PowerEngine(_Engine):
         self.delta = float(delta)
         self.m_seq = build_graded_slopes(self.gamma, self.delta)
         self.n_seq = build_paired_slopes(self.gamma, self.m_seq)
-        self.bundle = ProfileBundle(self.m_seq, self.n_seq, target_exponent=self.gamma)
-        self._g_cache: tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
 
         def upper_rule(k: int) -> str:
             return HALF if k >= 3 else PLAIN
@@ -1161,33 +1154,18 @@ class _PowerEngine(_Engine):
         self.ray = math.pi / (2.0 * self.rho)
 
     # -- the radial interpolation Q --------------------------------------
-    def _g_table(self, target: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (cumulative heights, slopes) for the piecewise inverse.
-
-        ``bundle.g`` rebuilds its slope table on every call, which is fine
-        for vectorised work but dominates the cost of scalar quadrature
-        loops.  Grow the cache geometrically and reuse it.
-        """
-        cum, slopes = self._g_cache
-        if cum is None or cum[-1] < target:
-            kmax = 64
-            while True:
-                slopes = self.bundle.slopes_N(kmax).astype(float)
-                cum = np.concatenate([[0.0], TWO_PI * np.cumsum(slopes)])
-                if cum[-1] >= target or kmax >= 1 << 22:
-                    break
-                kmax *= 2
-            self._g_cache = (cum, slopes)
-        return self._g_cache
-
     def _g(self, y: float) -> tuple[float, float]:
-        """(g(y), g'(y)); g is piecewise linear in y^gamma with slope 1/N_k."""
+        """(g(y), g'(y)); g is piecewise linear in y^gamma with slope 1/N_k.
+
+        g carries V strip k, which spans [lo, hi) with hi - lo = 2 pi N_k,
+        onto U strip k = [2 pi (k-1), 2 pi k), so it reads the V strip
+        record that holds t = y^gamma (both V systems share their heights).
+        """
         if y < 0.0:
             raise ValueError("g is defined on [0, infinity)")
         t = y**self.gamma
-        cum, slopes = self._g_table(t)
-        i = min(max(int(np.searchsorted(cum, t, side="right")) - 1, 0), len(slopes) - 1)
-        return TWO_PI * i + (t - cum[i]) / slopes[i], self.gamma * y ** (self.gamma - 1.0) / slopes[i]
+        s, _ = self.V["up"].locate(t)
+        return TWO_PI * (s.k - 1) + (t - s.lo) / s.y_div, self.gamma * y ** (self.gamma - 1.0) / s.y_div
 
     def g_axis(self, y: float) -> float:
         return self._g(y)[0]

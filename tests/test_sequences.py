@@ -1,4 +1,5 @@
 """Slope-sequence builders and the piecewise-linear profile family."""
+import hashlib
 import io
 import math
 import threading
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from banklaine.sequences import (
+    MAX_ENTRIES,
     TWO_PI,
     ProfileBundle,
     SlopeSequence,
@@ -329,3 +331,70 @@ def test_paired_parity_property(gamma, delta):
     assert np.all((N - mk) % 2 == 1)
     assert np.all(N >= 1)
     assert list(N[:3]) == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# recorded entries
+# ---------------------------------------------------------------------------
+
+def _digest(entries) -> str:
+    return hashlib.sha256(np.asarray(entries, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+def _graded_pair(gamma, delta):
+    m = build_graded_slopes(gamma, delta)
+    return m, build_paired_slopes(gamma, m)
+
+
+# (builder, sha256 prefix of entries 1..2000 as little-endian int64, their
+# sum, entry 2000), recorded from the builders before they became generators
+RECORDED = [
+    ("binary 0.0", lambda: build_binary_profile(0.0), "72f4576bd2a650d8", 14, 0),
+    ("binary 0.5", lambda: build_binary_profile(0.5), "0e3f3d0cd604abf5", 17, 0),
+    ("binary 0.9", lambda: build_binary_profile(0.9), "9593fe0efdacd3bb", 778, 1),
+    ("graded 1.5 1.0", lambda: _graded_pair(1.5, 1.0)[0], "72230c68d8a461c9", 1996, 1),
+    ("graded 2.0 1.0", lambda: _graded_pair(2.0, 1.0)[0], "ef26c4e38703020b", 73116, 58),
+    ("graded 3.0 0.7", lambda: _graded_pair(3.0, 0.7)[0], "fd2782150acf9f2e", 185019, 152),
+    ("paired 1.5 1.0", lambda: _graded_pair(1.5, 1.0)[1], "bffc013ad7f2ce7d", 110101, 83),
+    ("paired 2.0 1.0", lambda: _graded_pair(2.0, 1.0)[1], "02993dde18d6e2cd", 12528812, 12534),
+    ("paired 3.0 0.7", lambda: _graded_pair(3.0, 0.7)[1], "ac7fb5c0ff962e9f", 157913576907, 236752013),
+    ("paired 1.5 0.0", lambda: _graded_pair(1.5, 0.0)[1], "3e606b7609e3a516", 111099, 83),
+    ("paired 2.0 0.5", lambda: _graded_pair(2.0, 0.5)[1], "36247095abf03402", 12564372, 12563),
+]
+
+
+@pytest.mark.parametrize("name, build, digest, total, last", RECORDED, ids=[r[0] for r in RECORDED])
+def test_first_entries_match_the_record(name, build, digest, total, last):
+    bulk = build().prefix(2000)
+    assert (_digest(bulk), int(bulk.sum()), int(bulk[-1])) == (digest, total, last)
+    step = build()
+    assert [step.entry(k) for k in range(1, 2001)] == bulk.tolist()
+
+
+@pytest.mark.parametrize("make, value", [(lambda: build_graded_slopes(2.0, 0.0), 0),
+                                         (lambda: build_graded_slopes(2.0, 0.5), 1),
+                                         (lambda: select_case(1.0, 1.0).m_seq, 1)],
+                         ids=["zeros", "ones", "case III"])
+def test_constant_tails_match_the_record(make, value):
+    assert make().prefix(2000).tolist() == [0, 0, 0] + [value] * 1997
+    step = make()
+    assert [step.entry(k) for k in range(1, 2001)] == [0, 0, 0] + [value] * 1997
+
+
+def test_failed_source_keeps_failing():
+    """(2 pi k)^499 overflows at k = 4; later reads must not return short data."""
+    m, n = _graded_pair(500.0, 1.0)
+    for seq in (m, n):
+        for _ in range(3):
+            with pytest.raises((OverflowError, RuntimeError)):
+                seq.entry(5)
+            with pytest.raises((OverflowError, RuntimeError)):
+                seq.prefix(10)
+
+
+@pytest.mark.parametrize("call", ["ensure", "prefix", "cumulative", "partial", "marked"])
+@pytest.mark.parametrize("k", [-1, -3, MAX_ENTRIES + 1])
+def test_lengths_outside_the_range_are_rejected(call, k):
+    seq = build_binary_profile(0.5)
+    with pytest.raises(ValueError):
+        getattr(seq, call)(k)

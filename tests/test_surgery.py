@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from banklaine.diffeo import DiffeoSpec, closed_form_c, solve_shift
+from banklaine.sequences import ProfileBundle
 from banklaine.specfun import PLAIN, PairIndex
 from banklaine.surgery import (
     GluedMap,
@@ -244,6 +245,19 @@ def test_power_map_reaches_large_n_strips():
     # gap tail c_N = 1/(binom(m+2n, m) N!) underflows a double unless scaled
     gm = assemble("power", rho=0.75, delta=0.5)
     assert gm.classify(600 * cmath.exp(1j)).k == 14
+
+
+def test_power_axis_map_inverts_the_height_profile():
+    """g read from the V strips agrees with the vectorised inverse H(g(y)) = y^gamma."""
+    eng = assemble("power", rho=0.75, delta=0.5)._impl
+    bundle = ProfileBundle(eng.m_seq, eng.n_seq, target_exponent=eng.gamma)
+    ys = np.linspace(0.0, 60.0, 601)
+    h = 1e-6
+    for y, want, lo, hi in zip(ys, bundle.g(ys), bundle.g(np.maximum(ys - h, 0.0)), bundle.g(ys + h)):
+        gv, gp = eng._g(float(y))
+        assert gv == pytest.approx(want, rel=1e-14, abs=1e-12)
+        if y > 0 and lo // TWO_PI == hi // TWO_PI:  # both sides in one strip
+            assert gp == pytest.approx((hi - lo) / (2 * h), rel=1e-6)
 
 
 # ---- Beltrami coefficients -----------------------------------------------------
