@@ -150,6 +150,13 @@ class SpiralCharts:
         # the argument of h(w); also the branch-adjusted phase of w
         return wrap_phase(math.atan2(w.imag, w.real) + self.beta0 * math.log(abs(w)))
 
+    def xi_logr(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(``_xi(w)``, log|w|) over an array of nonzero points, bit for bit."""
+        logr = np.fromiter(map(math.log, np.hypot(w.real, w.imag).tolist()), float, len(w))
+        theta = np.fromiter(map(math.atan2, w.imag.tolist(), w.real.tolist()), float, len(w))
+        t = np.fmod(theta + self.beta0 * logr, TWO_PI)  # then wrap_phase's two corrections
+        return np.where(t <= -math.pi, t + TWO_PI, np.where(t > math.pi, t - TWO_PI, t)), logr
+
     def h(self, w: complex) -> complex:
         """The inverse chart, branch fixed so arg h(w) lands in (-pi, pi].
 
@@ -595,7 +602,7 @@ class _Engine:
 
     Each engine decides where a point lands (chart, sheet, strip system,
     strip record, height t, conjugation) in one private ``_locate`` step,
-    which ``classify``, ``cell_state`` and ``mu_parts`` read.
+    which ``classify`` and ``mu_parts`` read.
 
     - :class:`GluedMap` calls ``eval(z)``, ``classify(z)``,
       ``piece_labels()``, ``piece_value(label, z)``,
@@ -603,14 +610,21 @@ class _Engine:
     - :func:`beltrami_at` calls ``classify(z)``, whose ``seam_distance`` is
       a z-plane distance in every flavor, and ``mu_parts(z)``.
     - :func:`dilatation_integral` calls ``fine_size(r_max)``,
-      ``theta_windows(r0, r1)`` and ``straddle_tester(r_max)``;
-      ``cell_state(z)`` for every cell; and ``mu_quad(z)`` for every cell it
-      does not skip.  The default ``straddle_tester`` looks for a sign
-      change of the functions ``seam_functions_upto(r_max)`` lists; the
-      strips engine overrides it with a bisection on the seam heights.
+      ``theta_windows(r0, r1)`` and ``straddle_mask(r_max)``, then per
+      radial shell the array hooks, and ``mu_quad(z)`` on each cell that is
+      straddled or not conformal.  ``straddle_mask`` returns
+      ``test(z0, z1, zc)``, which says whether a seam separates corners of
+      cell j: z0[j], z0[j+1] on the inner circle, z1[j], z1[j+1] on the outer
+      (zc are the midpoints).  ``cell_states(zc)`` is ``(labels, conformal,
+      uninterpolated)``, the cheap ``classify``: labels key ``strip_sums``,
+      and ``conformal`` promises mu == 0.  The defaults loop over the scalar
+      ``cell_state(z)`` and the sign changes of ``seam_functions_upto``.
 
-    The hot paths run once per quadrature cell: ``cell_state``, ``mu_quad``
-    and the test that ``straddle_tester`` returns.
+    Array code must match the scalar code bit for bit, since grid nodes sit
+    exactly on seams.  np.sin, np.cos, np.fmod and np.hypot agree with
+    ``math`` and complex abs; np.log, np.arctan2, np.exp and complex np.abs
+    can differ in the last bit (AVX-512 builds), so those go through
+    ``math`` over ``tolist()``.
 
     ``mu_parts(z, quad)`` is the one Beltrami computation.  It returns
     ``(mu, mu_band, a, b, psi', psi(x) - x)``: mu of the whole glued map,
@@ -619,10 +633,6 @@ class _Engine:
     ``quad=False`` solves the conjugacy exactly, the reference;
     ``quad=True`` reads the :class:`_PsiCache` Hermite tables, to
     quadrature accuracy only.
-
-    ``cell_state(z)`` is ``(label, conformal, uninterpolated)``, the cheap
-    form of ``classify(z)``: the label keys ``DilatationReport.strip_sums``,
-    and ``conformal`` promises mu(z) == 0.
     """
 
     def mu(self, z: complex) -> complex:
@@ -633,24 +643,23 @@ class _Engine:
         """Beltrami coefficient at z to quadrature accuracy (Hermite tables)."""
         return self.mu_parts(z, quad=True)[0]
 
-    def straddle_tester(self, r_max: float):
-        """Corner test: does any gated seam function change sign over the corners?"""
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        states = [self.cell_state(z) for z in zc.tolist()]
+        labels, conformal, uninterpolated = zip(*states) if states else ((), (), ())
+        return np.array(labels, dtype=object), np.array(conformal, bool), np.array(uninterpolated, bool)
+
+    def straddle_mask(self, r_max: float):
         seam_fns = self.seam_functions_upto(r_max)
 
-        def test(corners, zc) -> bool:
-            for f, gate, _label in seam_fns:
-                if gate is not None and not gate(zc):
-                    continue
-                signs = set()
-                for c in corners:
-                    v = f(c)
-                    if v > 0:
-                        signs.add(1)
-                    elif v < 0:
-                        signs.add(-1)
-                if len(signs) == 2:
-                    return True
-            return False
+        def crosses(f, corners) -> bool:
+            vals = [f(c) for c in corners]
+            return any(v > 0 for v in vals) and any(v < 0 for v in vals)
+
+        def test(z0, z1, zc) -> np.ndarray:
+            c0, c1 = z0.tolist(), z1.tolist()
+            return np.array([any(crosses(f, (c0[j], c0[j + 1], c1[j], c1[j + 1]))
+                                 for f, gate, _label in seam_fns if gate is None or gate(z))
+                             for j, z in enumerate(zc.tolist())], bool)
 
         return test
 
@@ -723,9 +732,19 @@ class _StripsEngine(_Engine):
             seam_distance=sys.seam_distance(s, x, abs(y)),
         )
 
-    def cell_state(self, z: complex) -> tuple[str, bool, bool]:
-        sys, s, _ = self._locate(z)
-        return f"{sys.tag}{s.k}", not s.active, False
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x, y = zc.real, zc.imag
+        labels, active = np.empty(len(zc), dtype=object), np.empty(len(zc), bool)
+        for table, half in ((self.up, y >= 0), (self.lo, ~(y >= 0))):
+            for side, sel in ((RIGHT, half & (x >= 0)), (LEFT, half & ~(x >= 0))):
+                sys, ay = table[side], np.abs(y[sel])
+                if len(ay) and sys._tops[-1] <= ay.max():
+                    sys.locate(float(ay.max()))  # grows the system past the highest cell
+                k = np.searchsorted(sys._tops, ay, side="right")  # as locate bisects
+                recs = sys._strips[:int(k.max(initial=0))]
+                labels[sel] = np.array([f"{sys.tag}{s.k}" for s in recs], dtype=object)[k - 1]
+                active[sel] = np.array([s.active for s in recs], bool)[k - 1]
+        return labels, ~active, np.zeros(len(zc), bool)
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("right", "left")
@@ -770,33 +789,18 @@ class _StripsEngine(_Engine):
                 out.append(w)
         return out
 
-    def seam_functions_upto(self, r_max: float):
-        fns = [(lambda z, yv=yv: abs(z.imag) - yv, None, f"|y|={yv:.6g}")
-               for yv in _seam_heights(self._systems(), r_max)]
-        wins = self._all_windows(r_max)
+    def straddle_mask(self, r_max: float):
+        """Corner test: |y| seam crossings, and axis crossings inside the active windows."""
+        seams = np.array(_seam_heights(self._systems(), r_max) + [math.inf])
+        win_lo, win_hi = np.array(self._all_windows(r_max) + [(math.inf, math.inf)]).T
 
-        def axis_gate(z, wins=wins):
-            ay = abs(z.imag)
-            return any(lo <= ay <= hi for lo, hi in wins)
-
-        fns.append((lambda z: z.real, axis_gate, "axis"))
-        return fns
-
-    def straddle_tester(self, r_max: float):
-        """Fast corner test: |y| seam crossings and gated axis crossings."""
-        seam_list = _seam_heights(self._systems(), r_max)
-        wins = self._all_windows(r_max)
-
-        def test(corners, _zc) -> bool:
-            ys = [abs(c.imag) for c in corners]
-            lo, hi = min(ys), max(ys)
-            i = bisect_right(seam_list, lo)
-            if i < len(seam_list) and seam_list[i] < hi:
-                return True
-            xs = [c.real for c in corners]
-            if min(xs) < 0.0 < max(xs):
-                return any(lo <= wh and hi >= wl for wl, wh in wins)
-            return False
+        def test(z0, z1, _zc) -> np.ndarray:
+            lo, hi = _cell_range(np.abs(z0.imag), np.abs(z1.imag))
+            x_lo, x_hi = _cell_range(z0.real, z1.real)
+            # the merged windows are disjoint and sorted: the first one that
+            # ends above lo is the one that can start below hi
+            axis = (x_lo < 0.0) & (0.0 < x_hi) & (win_lo[np.searchsorted(win_hi, lo)] <= hi)
+            return (seams[np.searchsorted(seams, lo, side="right")] < hi) | axis
 
         return test
 
@@ -923,12 +927,13 @@ class _SectorEngine(_Engine):
             seam_distance=info.seam_distance / max(1e-300, self.n * abs(z) ** (self.n - 1)),
         )
 
-    def cell_state(self, z: complex) -> tuple[str, bool, bool]:
-        j, w, uninterpolated = self._locate(z)
-        if uninterpolated:
-            return f"sector{j}:uninterpolated", False, True
-        label, conf, _ = self.base.cell_state(w)
-        return f"sector{j}:{label}", conf, False
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        js, ws, uninterp = zip(*map(self._locate, zc.tolist())) if len(zc) else ((), (), ())
+        base_labels, conformal, _ = self.base.cell_states(np.array(ws, complex))
+        labels = [f"sector{j}:{'uninterpolated' if u else label}"
+                  for j, label, u in zip(js, base_labels.tolist(), uninterp)]
+        uninterp = np.array(uninterp, bool)
+        return np.array(labels, dtype=object), conformal & ~uninterp, uninterp
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("base", "flipped")
@@ -948,15 +953,18 @@ class _SectorEngine(_Engine):
         return [(-math.pi, math.pi)]  # refine everywhere; sector tests stay small
 
     def seam_functions_upto(self, r_max: float):
-        inner = self.base.seam_functions_upto(r_max ** self.n)
-        out = []
-        for f, gate, label in inner:
-            out.append((
-                lambda z, f=f: f(z ** self.n),
-                (lambda z, g=gate: g(z ** self.n)) if gate is not None else None,
-                f"pullback:{label}",
-            ))
-        return out
+        """The base seams |Im w| = Y_k and, gated to the active windows, Re w = 0; w = z^n."""
+        n, top = self.n, r_max ** self.n
+        fns = [(lambda z, yv=yv: abs((z ** n).imag) - yv, None, f"pullback:|y|={yv:.6g}")
+               for yv in _seam_heights(self.base._systems(), top)]
+        wins = self.base._all_windows(top)
+
+        def axis_gate(z):
+            ay = abs((z ** n).imag)
+            return any(lo <= ay <= hi for lo, hi in wins)
+
+        fns.append((lambda z: (z ** n).real, axis_gate, "pullback:axis"))
+        return fns
 
     def seam_residuals(self, samples: int = 64, strips: int = 6) -> list[SeamCheck]:
         checks = self.base.seam_residuals(samples, strips)
@@ -1040,10 +1048,15 @@ class _SpiralEngine(_Engine):
             seam_distance=abs(h.imag) / abs(self.charts.h_prime(w)),
         )
 
-    def cell_state(self, w: complex) -> tuple[str, bool, bool]:
-        if self._locate(complex(w))[1]:
-            return "cut-band", False, False
-        return "regular", True, False
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # _locate's band test -1 < Im h < 0, with Im h = exp(lm) sin(xi) as cmath.exp forms it
+        xi, logr = self.charts.xi_logr(zc)
+        below = np.flatnonzero(xi < 0.0)
+        lm = self.charts.order * logr[below] - self.charts.beta0 * xi[below]
+        h_im = np.fromiter(map(math.exp, lm.tolist()), float, len(below)) * np.sin(xi[below])
+        band = np.zeros(len(zc), bool)
+        band[below] = (-1.0 < h_im) & (h_im < 0.0)
+        return np.where(band, "cut-band", "regular"), ~band, np.zeros(len(zc), bool)
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("upper", "lower")
@@ -1061,12 +1074,10 @@ class _SpiralEngine(_Engine):
 
     def theta_windows(self, r0: float, _r1: float) -> list[tuple[float, float]]:
         q = self.charts.beta0 * math.log(max(r0, 1e-12))
-        hi_edge = r0 ** self.charts.order * math.exp(abs(self.charts.beta0) * math.pi)
         lo_edge = r0 ** self.charts.order / math.exp(abs(self.charts.beta0) * math.pi)
-        du_cut = min(0.5 * math.pi, 2.5 / max(1.0, lo_edge))
-        du_ray = min(0.5 * math.pi, 2.5 / max(1.0, lo_edge))
+        du = min(0.5 * math.pi, 2.5 / max(1.0, lo_edge))
         wins = []
-        for xi_lo, xi_hi in ((-math.pi - du_cut, -math.pi + du_cut), (-du_ray, du_ray)):
+        for xi_lo, xi_hi in ((-math.pi - du, -math.pi + du), (-du, du)):
             a, b = xi_lo - q, xi_hi - q
             # wrap the window into (-pi, pi], splitting at the branch point
             a = math.remainder(a, TWO_PI)
@@ -1078,8 +1089,13 @@ class _SpiralEngine(_Engine):
                 wins.append((a, b))
         return wins
 
-    def seam_functions_upto(self, _r_max: float):
-        return [(lambda z: math.sin(self.charts._xi(z)) if z != 0 else 0.0, None, "cut")]
+    def straddle_mask(self, _r_max: float):
+        """Corner test: the cut xi = 0 separates corners; on (-pi, pi] sin xi has the sign of xi."""
+        def test(z0, z1, _zc) -> np.ndarray:
+            lo, hi = _cell_range(self.charts.xi_logr(z0)[0], self.charts.xi_logr(z1)[0])
+            return (lo < 0.0) & (0.0 < hi)
+
+        return test
 
     def seam_residuals(self, samples: int = 64, strips: int = 0) -> list[SeamCheck]:
         del strips
@@ -1593,6 +1609,13 @@ class DilatationReport:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _cell_range(v0: np.ndarray, v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest of each cell's four corner values, from node values on both circles."""
+    lo = np.minimum(np.minimum(v0[:-1], v0[1:]), np.minimum(v1[:-1], v1[1:]))
+    hi = np.maximum(np.maximum(v0[:-1], v0[1:]), np.maximum(v1[:-1], v1[1:]))
+    return lo, hi
+
+
 def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
     spans = sorted((max(lo, -math.pi), min(hi, math.pi)) for lo, hi in spans if hi > lo)
     out: list[tuple[float, float]] = []
@@ -1613,6 +1636,9 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     inside the active windows and a coarser arc outside them.  Grids whose
     seam-straddling cells exceed 20% of the annulus area raise
     :class:`ResolutionError`.
+
+    Cells are classified as numpy arrays, one radial shell at a time; mu is
+    evaluated only on cells that are not skipped and straddle or are not conformal.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
@@ -1624,7 +1650,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     edges = np.linspace(r_min, r_max, n_r + 1)
     coarse_arc = max(8.0 * fine, (r_max - r_min) / 48.0)
 
-    straddle_fn = eng.straddle_tester(r_max)
+    straddle_fn = eng.straddle_mask(r_max)
     annulus_area = math.pi * (r_max * r_max - r_min * r_min)
     straddle_area = 0.0
     straddled = evaluated = conformal = skipped = 0
@@ -1633,40 +1659,39 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     for i in range(n_r):
         r0, r1 = float(edges[i]), float(edges[i + 1])
         rc = 0.5 * (r0 + r1)
-        pieces = []  # (theta_lo, theta_hi, arc length of one cell)
+        # one node array for all pieces (coarse gaps, fine windows); area 0 marks
+        # the pair of nodes that joins two pieces, which bounds no cell
+        nodes, areas = [], []
         cursor = -math.pi
         for lo, hi in _merge_intervals(eng.theta_windows(r0, r1)) + [(math.pi, math.pi)]:
-            if lo > cursor:
-                pieces.append((cursor, lo, coarse_arc))
-            if hi > lo:
-                pieces.append((lo, hi, fine))
+            for a, b, target in ((cursor, lo, coarse_arc), (lo, hi, fine)):
+                if b > a:
+                    m = max(1, int(math.ceil((b - a) * rc / target)))
+                    dth = (b - a) / m
+                    nodes.append(a + np.arange(m + 1) * dth)
+                    areas.append(np.full(m + 1, 0.5 * (r1 * r1 - r0 * r0) * dth))
+                    areas[-1][-1] = 0.0
             cursor = max(cursor, hi)
-        for a, b, target in pieces:
-            m = max(1, int(math.ceil((b - a) * rc / target)))
-            dth = (b - a) / m
-            for j in range(m):
-                t0, t1 = a + j * dth, a + (j + 1) * dth
-                tc = 0.5 * (t0 + t1)
-                zc = rc * complex(math.cos(tc), math.sin(tc))
-                area = 0.5 * (r1 * r1 - r0 * r0) * dth
-                e0, e1 = complex(math.cos(t0), math.sin(t0)), complex(math.cos(t1), math.sin(t1))
-                corners = [r0 * e0, r0 * e1, r1 * e0, r1 * e1]
-                is_straddle = straddle_fn(corners, zc)
-                if is_straddle:
-                    straddled += 1
-                    straddle_area += area
-                label, conf, uninterp = eng.cell_state(zc)
-                if uninterp:
-                    skipped += 1
-                    continue
-                if conf and not is_straddle:
-                    conformal += 1
-                    continue
-                km1 = _k_of_mu(abs(eng.mu_quad(zc))) - 1.0
-                if not math.isfinite(km1):
-                    km1 = 0.0  # degenerate midpoint; the straddle flag records it
-                evaluated += 1
-                contribs.setdefault((i, label), []).append(km1 / (rc * rc) * area)
+        th, area = np.concatenate(nodes), np.concatenate(areas)[:-1]
+        cell = area > 0.0
+        cos_t, sin_t = np.cos(th), np.sin(th)
+        tc = 0.5 * (th[:-1] + th[1:])
+        zc = rc * np.cos(tc) + 1j * (rc * np.sin(tc))  # both parts exact, as in complex()
+        is_straddle = straddle_fn(r0 * cos_t + 1j * (r0 * sin_t), r1 * cos_t + 1j * (r1 * sin_t), zc)[cell]
+        zc, area = zc[cell], area[cell]
+        labels, conf, uninterp = eng.cell_states(zc)
+        straddled += int(is_straddle.sum())
+        for a in area[is_straddle].tolist():
+            straddle_area += a  # one cell at a time, in cell order: the same rounding
+        todo = ~uninterp & (is_straddle | ~conf)
+        skipped += int(uninterp.sum())
+        conformal += len(zc) - int(todo.sum()) - int(uninterp.sum())
+        for z, label, a in zip(zc[todo].tolist(), labels[todo].tolist(), area[todo].tolist()):
+            km1 = _k_of_mu(abs(eng.mu_quad(z))) - 1.0
+            if not math.isfinite(km1):
+                km1 = 0.0  # degenerate midpoint; the straddle flag records it
+            evaluated += 1
+            contribs.setdefault((i, label), []).append(km1 / (rc * rc) * a)
 
     straddle_fraction = straddle_area / annulus_area
     if straddle_fraction > 0.20:

@@ -479,3 +479,22 @@ def test_bank_laine_derivative_at_zeros_and_poles(pair):
             z0 = cmath.log(r)
             d = (E(z0 + h).to_complex() - E(z0 - h).to_complex()) / (2 * h)
             assert abs(d - sign) < 1e-8
+
+
+@given(m=st.integers(0, 7), n=st.integers(0, 5), at_pole=st.booleans(),
+       k=st.integers(-40, 40), data=st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_bank_laine_derivative_over_pairs(m, n, at_pole, k, data):
+    # E' = +1 at a zero of g and -1 at a pole, as a property over pairs, a
+    # drawn root and a drawn period 2 pi i k; the five-point difference
+    # leaves about 1e-11 of truncation and rounding on this range
+    pair = PairIndex(m, n)
+    roots = denom_roots(pair) if at_pole else numer_roots(pair)
+    assume(roots)
+    r = roots[data.draw(st.integers(0, len(roots) - 1), label="root index")]
+    z0 = cmath.log(r) + 2j * math.pi * k
+    E = bank_laine_E(pair)
+    h = 1e-4
+    d = (E(z0 - 2 * h).to_complex() - 8 * E(z0 - h).to_complex()
+         + 8 * E(z0 + h).to_complex() - E(z0 + 2 * h).to_complex()) / (12 * h)
+    assert abs(d - (-1.0 if at_pole else 1.0)) < 1e-9

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from banklaine.surgery import (
 
 P00, P11 = PairIndex(0, 0), PairIndex(1, 1)
 TWO_PI = 2.0 * math.pi
+# report figures and cell-state labels recorded from the scalar per-cell quadrature
+PINS = json.loads((Path(__file__).parent / "dilatation_pins.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -639,10 +643,11 @@ def test_quadrature_tables_do_not_depend_on_reading_order():
 
 
 def test_cell_state_agrees_with_classify_and_mu(strips_map, spiral_map, power_map, sectors_map):
-    # the quadrature's cheap cell state must place a point where classify
+    # the quadrature's cheap cell states must place a point where classify
     # and mu do: a cell marked conformal carries no dilatation.  The sector
     # points sit in sectors 1 and 2n, where the flipped sheet reads the base
-    # strips half a turn away from z^n.
+    # strips half a turn away from z^n.  The labels must be the ones the
+    # scalar cell state gave (PINS holds a sha256 prefix of each sequence).
     rng = random.Random(13)
     mixed_map = assemble("mixed", lam1=0.5, lam2=1.0)
     for name, gm, r_lo, r_hi, th_max, count in (("strips", strips_map, 1.0, 60.0, math.pi, 200),
@@ -651,14 +656,28 @@ def test_cell_state_agrees_with_classify_and_mu(strips_map, spiral_map, power_ma
                                                 ("power", power_map, 0.5, 8.0, math.pi, 200),
                                                 ("sectors", sectors_map, 2.0, 5.0, math.pi / 3, 800)):
         eng = gm._impl
-        for _ in range(count):
-            z = cmath.rect(rng.uniform(r_lo, r_hi), rng.uniform(-th_max, th_max))
-            _label, conformal, uninterpolated = eng.cell_state(z)
+        zs = [cmath.rect(rng.uniform(r_lo, r_hi), rng.uniform(-th_max, th_max)) for _ in range(count)]
+        labels, conformal, uninterpolated = eng.cell_states(np.array(zs))
+        digest = hashlib.sha256("\n".join(labels.tolist()).encode()).hexdigest()[:16]
+        assert digest == PINS["cell_state_labels"][name], name
+        for z, conf, uninterp in zip(zs, conformal.tolist(), uninterpolated.tolist()):
             info = gm.classify(z)
-            assert info.conformal == conformal, (name, z)
-            assert info.uninterpolated == uninterpolated, (name, z)
-            if conformal:
+            assert info.conformal == conf, (name, z)
+            assert info.uninterpolated == uninterp, (name, z)
+            if conf:
                 assert eng.mu(z) == eng.mu_quad(z) == 0, (name, z)
+
+
+@pytest.mark.parametrize("name", sorted(PINS["reports"]))
+def test_dilatation_reports_are_bit_identical(name):
+    # the grid puts nodes exactly on seams (the spiral's xi = 0 among them),
+    # so a last-bit change in a corner or midpoint can flip a straddle flag
+    case = PINS["reports"][name]
+    rep = dilatation_integral(assemble(case["flavor"], **case["params"]), case["r_min"], case["r_max"])
+    assert rep.total.hex() == case["total"]
+    assert rep.straddle_fraction.hex() == case["straddle_fraction"]
+    assert {key: getattr(rep, key) for key in case["cells"]} == case["cells"]
+    assert {key: v.hex() for key, v in rep.strip_sums.items()} == case["strip_sums"]
 
 
 def test_map_serialization(spiral_map):
