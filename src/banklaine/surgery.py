@@ -455,10 +455,9 @@ class _StripSystem:
             s = self.strip(k)
             if s.psi is not None:
                 above = self.strip(k + 1)
-                gaps = [_log_gap(self.value(s, float(x), 1.0), self.value(above, float(x), 0.0))
-                        for x in xs]
-                i = int(np.argmax(gaps))
-                checks.append(SeamCheck(name(k), len(xs), float(gaps[i]), complex(xs[i], s.hi)))
+                checks.append(_sweep(name(k), [complex(x, s.hi) for x in xs],
+                                     lambda p: _log_gap(self.value(s, p.real, 1.0),
+                                                        self.value(above, p.real, 0.0))))
             k += 1
         return checks
 
@@ -571,6 +570,13 @@ class SeamCheck:
     argmax: complex
 
 
+def _sweep(name: str, points, gap: Callable[[complex], float]) -> SeamCheck:
+    """The largest ``gap(p)`` over ``points``, and the point where it occurs."""
+    gaps = [gap(p) for p in points]
+    i = int(np.argmax(gaps))
+    return SeamCheck(name, len(gaps), float(gaps[i]), points[i])
+
+
 @dataclass(frozen=True)
 class BeltramiSample:
     """Closed-form Beltrami data of the glued map at one point.
@@ -611,14 +617,16 @@ class _Engine:
       a z-plane distance in every flavor, and ``mu_parts(z)``.
     - :func:`dilatation_integral` calls ``fine_size(r_max)``,
       ``theta_windows(r0, r1)`` and ``straddle_mask(r_max)``, then per
-      radial shell the array hooks, and ``mu_quad(z)`` on each cell that is
-      straddled or not conformal.  ``straddle_mask`` returns
-      ``test(z0, z1, zc)``, which says whether a seam separates corners of
-      cell j: z0[j], z0[j+1] on the inner circle, z1[j], z1[j+1] on the outer
-      (zc are the midpoints).  ``cell_states(zc)`` is ``(labels, conformal,
-      uninterpolated)``, the cheap ``classify``: labels key ``strip_sums``,
-      and ``conformal`` promises mu == 0.  The defaults loop over the scalar
-      ``cell_state(z)`` and the sign changes of ``seam_functions_upto``.
+      radial shell the two array hooks, and ``mu_quad(z)`` on each cell that
+      is straddled or not conformal.  Every engine implements both array
+      hooks as the array form of its own ``_locate``; there are no defaults.
+
+      - ``straddle_mask(r_max)`` returns ``test(z0, z1)``, a bool per cell
+        saying whether a seam separates the corners of cell j: z0[j],
+        z0[j+1] on the inner circle and z1[j], z1[j+1] on the outer.
+      - ``cell_states(zc)`` is ``(labels, conformal, uninterpolated)`` at the
+        midpoints zc, the cheap ``classify``: labels key ``strip_sums``, and
+        ``conformal`` promises mu == 0.
 
     Array code must match the scalar code bit for bit, since grid nodes sit
     exactly on seams.  np.sin, np.cos, np.fmod and np.hypot agree with
@@ -642,26 +650,6 @@ class _Engine:
     def mu_quad(self, z: complex) -> complex:
         """Beltrami coefficient at z to quadrature accuracy (Hermite tables)."""
         return self.mu_parts(z, quad=True)[0]
-
-    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        states = [self.cell_state(z) for z in zc.tolist()]
-        labels, conformal, uninterpolated = zip(*states) if states else ((), (), ())
-        return np.array(labels, dtype=object), np.array(conformal, bool), np.array(uninterpolated, bool)
-
-    def straddle_mask(self, r_max: float):
-        seam_fns = self.seam_functions_upto(r_max)
-
-        def crosses(f, corners) -> bool:
-            vals = [f(c) for c in corners]
-            return any(v > 0 for v in vals) and any(v < 0 for v in vals)
-
-        def test(z0, z1, zc) -> np.ndarray:
-            c0, c1 = z0.tolist(), z1.tolist()
-            return np.array([any(crosses(f, (c0[j], c0[j + 1], c1[j], c1[j + 1]))
-                                 for f, gate, _label in seam_fns if gate is None or gate(z))
-                             for j, z in enumerate(zc.tolist())], bool)
-
-        return test
 
 
 class _StripsEngine(_Engine):
@@ -794,7 +782,7 @@ class _StripsEngine(_Engine):
         seams = np.array(_seam_heights(self._systems(), r_max) + [math.inf])
         win_lo, win_hi = np.array(self._all_windows(r_max) + [(math.inf, math.inf)]).T
 
-        def test(z0, z1, _zc) -> np.ndarray:
+        def test(z0, z1) -> np.ndarray:
             lo, hi = _cell_range(np.abs(z0.imag), np.abs(z1.imag))
             x_lo, x_hi = _cell_range(z0.real, z1.real)
             # the merged windows are disjoint and sorted: the first one that
@@ -814,20 +802,14 @@ class _StripsEngine(_Engine):
                 checks += sys.seam_checks(xs, strips, 400,
                                           lambda k, tag=sys.tag: f"{hemi}:{tag}{k}|{tag}{k+1}")
         # the imaginary axis: both sides reduce to the same turn evaluation
-        gaps = []
-        pts = []
-        for k in range(1, strips + 1):
-            s = self.up[RIGHT].strip(k)
-            y = 0.5 * (s.lo + s.hi)
-            gaps.append(_log_gap(self.up[RIGHT].eval_xy(0.0, y), self.up[LEFT].eval_xy(0.0, y)))
-            pts.append(complex(0.0, y))
-        i = int(np.argmax(gaps))
-        checks.append(SeamCheck("axis", len(gaps), float(gaps[i]), pts[i]))
+        mids = [complex(0.0, 0.5 * (s.lo + s.hi)) for s in map(self.up[RIGHT].strip, range(1, strips + 1))]
+        checks.append(_sweep("axis", mids,
+                             lambda p: _log_gap(self.up[RIGHT].eval_xy(0.0, p.imag),
+                                                self.up[LEFT].eval_xy(0.0, p.imag))))
         if self.mixed:
-            xs = np.linspace(-8.0, 8.0, samples)
-            gaps = [_log_gap(self.eval(complex(x, 0.0)), self.lo[RIGHT if x >= 0 else LEFT].eval_xy(float(x), 0.0)) for x in xs]
-            i = int(np.argmax(gaps))
-            checks.append(SeamCheck("real-axis", samples, float(gaps[i]), complex(xs[i], 0.0)))
+            checks.append(_sweep("real-axis", [complex(x, 0.0) for x in np.linspace(-8.0, 8.0, samples)],
+                                 lambda p: _log_gap(self.eval(p), self.lo[RIGHT if p.real >= 0 else LEFT]
+                                                    .eval_xy(p.real, 0.0))))
         return checks
 
     def to_dict(self) -> dict:
@@ -927,9 +909,14 @@ class _SectorEngine(_Engine):
             seam_distance=info.seam_distance / max(1e-300, self.n * abs(z) ** (self.n - 1)),
         )
 
+    def _located(self, zs: np.ndarray) -> tuple[tuple, np.ndarray, tuple]:
+        """``_locate`` over an array: sectors, base-engine points (an array), uninterpolated flags."""
+        js, ws, uninterp = zip(*map(self._locate, zs.tolist())) if len(zs) else ((), (), ())
+        return js, np.array(ws, complex), uninterp
+
     def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        js, ws, uninterp = zip(*map(self._locate, zc.tolist())) if len(zc) else ((), (), ())
-        base_labels, conformal, _ = self.base.cell_states(np.array(ws, complex))
+        js, ws, uninterp = self._located(zc)
+        base_labels, conformal, _ = self.base.cell_states(ws)
         labels = [f"sector{j}:{'uninterpolated' if u else label}"
                   for j, label, u in zip(js, base_labels.tolist(), uninterp)]
         uninterp = np.array(uninterp, bool)
@@ -952,32 +939,24 @@ class _SectorEngine(_Engine):
     def theta_windows(self, _r0: float, _r1: float) -> list[tuple[float, float]]:
         return [(-math.pi, math.pi)]  # refine everywhere; sector tests stay small
 
-    def seam_functions_upto(self, r_max: float):
-        """The base seams |Im w| = Y_k and, gated to the active windows, Re w = 0; w = z^n."""
-        n, top = self.n, r_max ** self.n
-        fns = [(lambda z, yv=yv: abs((z ** n).imag) - yv, None, f"pullback:|y|={yv:.6g}")
-               for yv in _seam_heights(self.base._systems(), top)]
-        wins = self.base._all_windows(top)
+    def straddle_mask(self, r_max: float):
+        """The base engine's strip test at the base-engine points of the nodes."""
+        base_test = self.base.straddle_mask(r_max ** self.n)
 
-        def axis_gate(z):
-            ay = abs((z ** n).imag)
-            return any(lo <= ay <= hi for lo, hi in wins)
+        def test(z0, z1) -> np.ndarray:
+            return base_test(self._located(z0)[1], self._located(z1)[1])
 
-        fns.append((lambda z: (z ** n).real, axis_gate, "pullback:axis"))
-        return fns
+        return test
 
     def seam_residuals(self, samples: int = 64, strips: int = 6) -> list[SeamCheck]:
         checks = self.base.seam_residuals(samples, strips)
         # the two sheets are reciprocal on the base strip 0 <= Im w <= 2 pi
-        gaps = []
-        pts = []
-        for x in np.linspace(-6.0, 6.0, samples):
-            w = complex(float(x), 1.0 + 0.007 * float(x))
+        def gap(w: complex) -> float:
             prod = self.base_value(w).mul(self.flipped_value(w))
-            gaps.append(max(abs(prod.log_modulus), abs(wrap_phase(prod.phase))))
-            pts.append(w)
-        i = int(np.argmax(gaps))
-        checks.append(SeamCheck("sheet-inverse", samples, float(gaps[i]), pts[i]))
+            return max(abs(prod.log_modulus), abs(wrap_phase(prod.phase)))
+
+        checks.append(_sweep("sheet-inverse", [complex(x, 1.0 + 0.007 * x)
+                                               for x in np.linspace(-6.0, 6.0, samples).tolist()], gap))
         return checks
 
     def to_dict(self) -> dict:
@@ -1091,7 +1070,7 @@ class _SpiralEngine(_Engine):
 
     def straddle_mask(self, _r_max: float):
         """Corner test: the cut xi = 0 separates corners; on (-pi, pi] sin xi has the sign of xi."""
-        def test(z0, z1, _zc) -> np.ndarray:
+        def test(z0, z1) -> np.ndarray:
             lo, hi = _cell_range(self.charts.xi_logr(z0)[0], self.charts.xi_logr(z1)[0])
             return (lo < 0.0) & (0.0 < hi)
 
@@ -1104,13 +1083,10 @@ class _SpiralEngine(_Engine):
         # spiral cut: the two h-edges x and kappa x
         for name, xs, scale in (("positive-ray", np.linspace(0.5, 6.0, samples), 1.0),
                                 ("spiral-cut", np.linspace(-40.0, -0.5, samples), self.charts.kappa)):
-            gaps = [
-                _log_gap(eval_model(self.upper, complex(float(x), 0.0)),
-                         eval_model(self.lower, self.homeo(complex(scale * float(x), 0.0))))
-                for x in xs
-            ]
-            i = int(np.argmax(gaps))
-            checks.append(SeamCheck(name, samples, float(gaps[i]), complex(xs[i], 0)))
+            checks.append(_sweep(name, [complex(x, 0.0) for x in xs],
+                                 lambda p: _log_gap(
+                                     eval_model(self.upper, p),
+                                     eval_model(self.lower, self.homeo(complex(scale * p.real, 0.0))))))
         return checks
 
     def to_dict(self) -> dict:
@@ -1300,13 +1276,11 @@ class _PowerEngine(_Engine):
             seam_distance=self._seam_distance(z, loc),
         )
 
-    def cell_state(self, z: complex) -> tuple[str, bool, bool]:
-        # quadrature hot path: skip PieceInfo/seam-distance construction
-        z = complex(z)
-        if z == 0:
-            return "q-disk", False, False
-        w, qlab, _, _, s, _ = self._locate(z)
-        return (f"V{s.k}" if w is None else qlab), self._conformal(qlab, s), False
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        locs = [self._locate(z) for z in zc.tolist()]  # the midpoints are nonzero
+        labels = [f"V{s.k}" if w is None else qlab for w, qlab, _, _, s, _ in locs]
+        conformal = [self._conformal(qlab, s) for _, qlab, _, _, s, _ in locs]
+        return np.array(labels, dtype=object), np.array(conformal, bool), np.zeros(len(zc), bool)
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("wedge", "left-wedge")
@@ -1326,22 +1300,28 @@ class _PowerEngine(_Engine):
     def theta_windows(self, _r0: float, _r1: float) -> list[tuple[float, float]]:
         return [(-math.pi, math.pi)]
 
-    def seam_functions_upto(self, r_max: float):
-        fns = [
-            (lambda z: math.atan2(z.imag, z.real) - self.ray, None, "ray+"),
-            (lambda z: math.atan2(z.imag, z.real) + self.ray, None, "ray-"),
-        ]
-        if r_max > 1.0:
-            fns.append((lambda z: abs(z) - 1.0, self._right, "q-circle"))
+    def straddle_mask(self, r_max: float):
+        """Corner test: the rays, the circle |z| = 1 in the right wedge, and the
+        strip seams at the height |Im q| of the point q that the system reads."""
+        top = r_max ** self.rho  # |w| <= top, so |Im Q(w)| <= max(top, g(top))
+        seams_u = np.array(_seam_heights(self.U.values(), max(top, self.g_axis(top))) + [math.inf])
+        seams_v = np.array(_seam_heights(self.V.values(), r_max ** self.sigma) + [math.inf])
 
-        def left_gate(z):
-            return not self._right(z)
+        def nodes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            locs = [self._locate(zn) for zn in z.tolist()]
+            return (np.array([w is not None for w, *_ in locs], bool),
+                    np.array([abs(q.imag) for _, _, q, *_ in locs]))
 
-        for table, top, chart, gate, tag in ((self.U, r_max ** self.rho, self._w, self._right, "U"),
-                                             (self.V, r_max ** self.sigma, self._v, left_gate, "V")):
-            for yk in _seam_heights(table.values(), top):
-                fns.append((lambda z, yk=yk, chart=chart: abs(chart(z).imag) - yk, gate, f"{tag}|y|={yk:.6g}"))
-        return fns
+        def test(z0, z1) -> np.ndarray:
+            (right0, hq0), (right1, hq1) = nodes(z0), nodes(z1)
+            right, any_right = _cell_range(right0, right1)
+            lo, hi = _cell_range(hq0, hq1)
+            next_seam = np.where(right, seams_u[np.searchsorted(seams_u, lo, side="right")],
+                                 seams_v[np.searchsorted(seams_v, lo, side="right")])
+            r_lo, r_hi = _cell_range(np.hypot(z0.real, z0.imag), np.hypot(z1.real, z1.imag))
+            return (right != any_right) | (right & (r_lo < 1.0) & (1.0 < r_hi)) | (next_seam < hi)
+
+        return test
 
     def _seam_distance(self, z: complex, loc: tuple) -> float:
         w, qlab, q, sys, s, _ = loc
@@ -1358,26 +1338,15 @@ class _PowerEngine(_Engine):
     def seam_residuals(self, samples: int = 64, strips: int = 4) -> list[SeamCheck]:
         checks = []
         # imaginary-axis identity U(i g(y)) = V(i y^gamma)
-        ys = np.linspace(0.37, 9.11, 32)
-        gaps = []
-        for y in ys:
-            u = self._sys_value(self.U, complex(0.0, self.g_axis(float(y))))
-            v = self._sys_value(self.V, complex(0.0, float(y) ** self.gamma))
-            gaps.append(_log_gap(u, v))
-        i = int(np.argmax(gaps))
-        checks.append(SeamCheck("axis-identity", len(ys), float(gaps[i]), complex(0, ys[i])))
+        checks.append(_sweep("axis-identity", [complex(0.0, y) for y in np.linspace(0.37, 9.11, 32)],
+                             lambda p: _log_gap(self._sys_value(self.U, complex(0.0, self.g_axis(p.imag))),
+                                                self._sys_value(self.V, complex(0.0, p.imag ** self.gamma)))))
         # the glued rays
         for sgn, name in ((1.0, "ray+"), (-1.0, "ray-")):
-            rs = np.linspace(1.1, 7.3, samples)
-            gaps = []
-            pts = []
-            for r in rs:
-                zr = float(r) * cmath.exp(1j * sgn * self.ray)
-                gaps.append(_log_gap(self.piece_value("wedge", zr),
-                                     self.piece_value("left-wedge", zr)))
-                pts.append(zr)
-            i = int(np.argmax(gaps))
-            checks.append(SeamCheck(name, samples, float(gaps[i]), pts[i]))
+            checks.append(_sweep(name, [r * cmath.exp(1j * sgn * self.ray)
+                                        for r in np.linspace(1.1, 7.3, samples).tolist()],
+                                 lambda zr: _log_gap(self.piece_value("wedge", zr),
+                                                     self.piece_value("left-wedge", zr))))
         # strip seams of both wedge systems
         xs_r = np.linspace(0.5, 6.0, samples)
         xs_l = np.linspace(-40.0, -0.5, samples)
@@ -1677,7 +1646,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         cos_t, sin_t = np.cos(th), np.sin(th)
         tc = 0.5 * (th[:-1] + th[1:])
         zc = rc * np.cos(tc) + 1j * (rc * np.sin(tc))  # both parts exact, as in complex()
-        is_straddle = straddle_fn(r0 * cos_t + 1j * (r0 * sin_t), r1 * cos_t + 1j * (r1 * sin_t), zc)[cell]
+        is_straddle = straddle_fn(r0 * cos_t + 1j * (r0 * sin_t), r1 * cos_t + 1j * (r1 * sin_t))[cell]
         zc, area = zc[cell], area[cell]
         labels, conf, uninterp = eng.cell_states(zc)
         straddled += int(is_straddle.sum())

@@ -33,7 +33,8 @@ from banklaine.surgery import (
 
 P00, P11 = PairIndex(0, 0), PairIndex(1, 1)
 TWO_PI = 2.0 * math.pi
-# report figures and cell-state labels recorded from the scalar per-cell quadrature
+# report figures and cell-state labels recorded from the scalar per-cell quadrature,
+# except the power and sectors cell counts, which come from straddle tests that read _locate
 PINS = json.loads((Path(__file__).parent / "dilatation_pins.json").read_text())
 
 
@@ -678,6 +679,26 @@ def test_dilatation_reports_are_bit_identical(name):
     assert rep.straddle_fraction.hex() == case["straddle_fraction"]
     assert {key: getattr(rep, key) for key in case["cells"]} == case["cells"]
     assert {key: v.hex() for key, v in rep.strip_sums.items()} == case["strip_sums"]
+
+
+SECTOR_SEAM = 12.0 * math.pi  # the first seam height of the sectors map's base strips
+
+
+@pytest.mark.parametrize("name, z, flagged", [
+    # sectors 1 and 2n read the base map half a turn away from z^3
+    ("sectors", complex(3.0, SECTOR_SEAM + math.pi) ** (1 / 3), True),
+    ("sectors", complex(3.0, SECTOR_SEAM) ** (1 / 3), False),
+    # in the q-band the U strips read q = Q(z^rho): Im Q(0.5 + 6.09284i) = 4 pi, the first U seam
+    ("power", complex(0.5, 6.09284) ** (1 / 0.75), True),
+    ("power", complex(0.5, 4.0 * math.pi) ** (1 / 0.75), False),
+], ids=["sectors-seam", "sectors-off-seam", "power-seam", "power-off-seam"])
+def test_straddle_mask_tests_the_point_the_map_reads(name, z, flagged, sectors_map, power_map):
+    # one tiny polar cell around z: a seam crosses it exactly when it is flagged
+    eng = {"sectors": sectors_map, "power": power_map}[name]._impl
+    r, h = abs(z), 1e-4
+    th = cmath.phase(z) + np.array([-h, h])
+    z0, z1 = ((r + d) * np.cos(th) + 1j * ((r + d) * np.sin(th)) for d in (-h, h))
+    assert eng.straddle_mask(2.0 * r)(z0, z1).tolist() == [flagged]
 
 
 def test_map_serialization(spiral_map):
