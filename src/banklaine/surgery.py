@@ -36,7 +36,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from .diffeo import LEFT, RIGHT, DiffeoSpec, PhiSolver, PsiMap, solve_shift
 from .scaledcx import ScaledComplex, wrap_phase
 from .sequences import build_graded_slopes, build_paired_slopes, select_case
-from .specfun import HALF, PLAIN, PairIndex, eval_model, eval_model_turns
+from .specfun import HALF, PAIR_CAP, PLAIN, PairIndex, eval_model, eval_model_turns
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +65,10 @@ class UninterpolatedRegion(ValueError):
 
 class ResolutionError(ValueError):
     """Quadrature grid too coarse: seam-straddling cells exceed 20% of area."""
+
+
+class PairCapError(ValueError):
+    """A strip's model pair exceeds ``PAIR_CAP``: its strip system stops below that strip."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +100,22 @@ def _compose_affine(x_div: float, y_div: float, a: float, b: float) -> complex:
     if den == 0:
         return complex("nan")
     return num / den
+
+
+def _affine_mu_abs(x_div: np.ndarray, y_div: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """abs(_compose_affine(x_div, y_div, 0.0, b)) over arrays, bit for bit.
+
+    It divides by Smith's method as CPython does (``_Py_c_quot``) and takes
+    hypot; complex numpy division and np.abs round differently.
+    """
+    alpha, beta = 0.5 * (1.0 / x_div + 1.0 / y_div), 0.5 * (1.0 / x_div - 1.0 / y_div)
+    fb = (alpha + beta) * b
+    by_re = alpha >= np.abs(fb)  # alpha > 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch np.where drops
+        ratio = np.where(by_re, -fb / alpha, alpha / -fb)
+        denom = np.where(by_re, alpha + -fb * ratio, alpha * ratio + -fb)
+        return np.hypot(np.where(by_re, beta + fb * ratio, beta * ratio + fb) / denom,
+                        np.where(by_re, fb - beta * ratio, fb * ratio - beta) / denom)
 
 
 def _band_mu(a: float, b: float) -> complex:
@@ -325,11 +344,16 @@ class _StripSystem:
         self._lock = threading.Lock()
         self._strips: list[_Strip] = []
         self._tops: list[float] = [0.0]
+        self._cols: tuple[int, dict] = (-1, {})  # (strips laid out, columns)
 
     # -- strip records -----------------------------------------------------
     def _model(self, k: int) -> tuple[PairIndex, str, float, float]:
         """(pair, variant, x_div, shift) of strip k."""
-        pair = PairIndex(self._m.entry(k), self._n.entry(k))
+        m, n = self._m.entry(k), self._n.entry(k)
+        if max(m, n) > PAIR_CAP:
+            raise PairCapError(f"strip system {self.tag} stops at local height {self._tops[-1]!r}: "
+                               f"strip {self.tag}{k} needs the pair ({m}, {n}), past PAIR_CAP = {PAIR_CAP}")
+        pair = PairIndex(m, n)
         variant = self.variant_rule(k)
         x_div = float(self.l) if self.side == RIGHT else float(pair.N)
         return pair, variant, x_div, _shift_value(pair, variant)
@@ -373,11 +397,28 @@ class _StripSystem:
         s = self._strips[bisect_right(self._tops, y) - 1]
         return s, (y - s.lo) / (TWO_PI * s.y_div)
 
+    def columns(self) -> dict:
+        """The strips grown so far as arrays indexed by k - 1, rebuilt after growth.
+
+        Past x_hi, or at x <= -SPAN, a strip reads its frozen psi tail x + c_hi
+        (x + c_lo); without psi x_hi = -inf and c = 0.  c is NaN until the table is built.
+        """
+        n = len(self._tops) - 1  # _grow appends each record before its top
+        if self._cols[0] != n:
+            recs = self._strips[:n]
+            cols = {a: np.array([getattr(s, a) for s in recs]) for a in ("x_div", "y_div", "active")}
+            cols["tops"] = np.array(self._tops[:n + 1])
+            cols["label"] = np.array([f"{self.tag}{s.k}" for s in recs], object)
+            cols["x_hi"], cols["c_lo"], cols["c_hi"] = np.array(  # a built _table is (c_lo, nodes, c_hi)
+                [(-math.inf, 0.0, 0.0) if s.psi is None
+                 else (s.psi_table.xs[-1], *(s.psi_table._table or (math.nan,) * 3)[::2])
+                 for s in recs]).reshape(n, 3).T
+            self._cols = n, cols
+        return self._cols[1]
+
     # -- evaluation ------------------------------------------------------
     def value(self, s: _Strip, x: float, t: float) -> ScaledComplex:
-        xt = x
-        if s.psi is not None:
-            xt = x + t * (s.psi(x) - x)
+        xt = x if s.psi is None else x + t * (s.psi(x) - x)
         return eval_model_turns(s.pair, xt / s.x_div + s.shift, t, s.variant)
 
     def eval_xy(self, x: float, y: float) -> ScaledComplex:
@@ -387,29 +428,20 @@ class _StripSystem:
         return v if y >= 0 else v.conj()
 
     # -- dilatation ------------------------------------------------------
-    def ab(self, s: _Strip, x: float, t: float, quad: bool = False) -> tuple[float, float, float, float]:
-        """(a, b, psi', psi(x)-x) of the band chart in strip s.
-
-        ``quad`` reads psi through the Hermite table (quadrature accuracy
-        only) instead of solving the conjugacy.
-        """
-        pm = s.psi
-        if pm is None:
-            return 0.0, 0.0, 1.0, 0.0
-        px, dp = s.psi_table.eval(x) if quad else (pm(x), pm.deriv(x))
-        a = 0.5 * t * (dp - 1.0)
-        b = (px - x) / (2.0 * TWO_PI * s.y_div)
-        return a, b, dp, px - x
-
     def mu_parts(self, s: _Strip, x: float, t: float, quad: bool, conj: bool) -> tuple:
         """(mu, mu_band, a, b, psi', psi(x)-x) of chi o q and of q alone in strip s.
 
-        ``conj`` conjugates both coefficients, for a point of the lower
-        half-plane that this system reads through its mirror image.
+        The band chart has a = t (psi' - 1)/2 and b = (psi(x) - x)/(4 pi y_div).
+        ``quad`` reads psi through the Hermite table (quadrature accuracy
+        only) instead of solving the conjugacy.  ``conj`` conjugates both
+        coefficients, for a point of the lower half-plane that this system
+        reads through its mirror image.
         """
-        a, b, dp, gap = self.ab(s, x, t, quad)
-        mu = _compose_affine(s.x_div, s.y_div, a, b)
-        mu_band = _band_mu(a, b)
+        a, b, dp, gap = 0.0, 0.0, 1.0, 0.0
+        if s.psi is not None:
+            px, dp = s.psi_table.eval(x) if quad else (s.psi(x), s.psi.deriv(x))
+            a, b, gap = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * s.y_div), px - x
+        mu, mu_band = _compose_affine(s.x_div, s.y_div, a, b), _band_mu(a, b)
         if conj:
             mu, mu_band = mu.conjugate(), mu_band.conjugate()
         return mu, mu_band, a, b, dp, gap
@@ -425,27 +457,20 @@ class _StripSystem:
             d = min(d, abs(x))  # the imaginary axis separates the two sides
         return d
 
-    def active_windows(self, y_max: float) -> list[tuple[float, float, int]]:
-        """(y_lo, y_hi, k) of strips with dilatation, up to height y_max."""
-        out = []
-        k, hi = 0, 0.0
-        while hi < y_max:
-            k += 1
-            s = self.strip(k)
-            if s.active:
-                out.append((s.lo, s.hi, k))
-            hi = s.hi
-        return out
+    def active_windows(self, y_max: float) -> list[tuple[float, float]]:
+        """(y_lo, y_hi) of the strips with dilatation, up to the first strip that reaches y_max."""
+        while self._tops[-1] < y_max:
+            self.strip(len(self._strips) + 1)
+        cols = self.columns()
+        k = int(np.searchsorted(cols["tops"], y_max))  # Y_k is the first top >= y_max
+        on = cols["active"][:k]
+        return list(zip(cols["tops"][:k][on].tolist(), cols["tops"][1:k + 1][on].tolist()))
 
     def seam_ys(self, y_max: float) -> list[float]:
         """Heights Y_k <= y_max of the seams."""
-        out = []
-        k = 1
-        while (s := self.strip(k)).hi <= y_max:
-            if s.psi is not None:
-                out.append(s.hi)
-            k += 1
-        return out
+        self.locate(y_max)  # grows the system past y_max
+        cols = self.columns()
+        return cols["tops"][1:][(cols["x_hi"] > -math.inf) & (cols["tops"][1:] <= y_max)].tolist()
 
     def seam_checks(self, xs, strips: int, k_cap: int, name: Callable[[int], str]) -> list[SeamCheck]:
         """Log-space gaps across the first ``strips`` seams below strip k_cap, sampled at xs."""
@@ -477,15 +502,16 @@ class _PsiCache:
     Outside |x| <= SPAN the map is affine to well below quadrature accuracy
     (the conjugacy approaches kappa x + c double-exponentially), so the two
     tails are frozen constants.  Value/derivative pairs at the nodes make
-    the interpolant C^1 with error far under the midpoint-rule floor.
+    the interpolant C^1 with error far under the midpoint-rule floor.  The
+    strips engine reads the tails x + c_lo, x + c_hi as arrays from ``_table``.
 
-    The first ``eval`` solves the whole table in one sweep of ascending x
-    (left tail constant, nodes, right tail constant) under ``_lock`` and
-    stores one immutable tuple, which later reads take without a lock.  A
-    quadrature reads nearly every node of the tables it reads (1,106 of
-    1,116 on strips 1..450, 185 of 193 on the spiral 1..200), and one sweep
-    keeps the nodes independent of the order cells reach them.  A table
-    that no quadrature reads costs no solve.
+    The first ``eval`` (or ``_build``) solves the whole table in one sweep
+    of ascending x (left tail constant, nodes, right tail constant) under
+    ``_lock`` and stores one immutable tuple, which later reads take without
+    a lock.  A quadrature reads nearly every node of the tables it reads
+    (1,106 of 1,116 on strips 1..450, 185 of 193 on the spiral 1..200), and
+    one sweep keeps the nodes independent of the order cells reach them.  A
+    table that no quadrature reads costs no solve.
 
     Tables that start at x = 0 (right-side seams pin psi(0) = 0) fall back
     to exact solves on (0, 2): psi turns over there within a few multiples
@@ -616,10 +642,10 @@ class _Engine:
     - :func:`beltrami_at` calls ``classify(z)``, whose ``seam_distance`` is
       a z-plane distance in every flavor, and ``mu_parts(z)``.
     - :func:`dilatation_integral` calls ``fine_size(r_max)``,
-      ``theta_windows(r0, r1)`` and ``straddle_mask(r_max)``, then per
-      radial shell the two array hooks, and ``mu_quad(z)`` on each cell that
-      is straddled or not conformal.  Every engine implements both array
-      hooks as the array form of its own ``_locate``; there are no defaults.
+      ``theta_windows(r0, r1)`` and ``straddle_mask(r_max)``, then once per
+      radial shell ``cell_states`` and ``mu_abs_quad``.  Every engine
+      implements the two classifying hooks as the array form of its own
+      ``_locate``; there are no defaults.
 
       - ``straddle_mask(r_max)`` returns ``test(z0, z1)``, a bool per cell
         saying whether a seam separates the corners of cell j: z0[j],
@@ -627,6 +653,9 @@ class _Engine:
       - ``cell_states(zc)`` is ``(labels, conformal, uninterpolated)`` at the
         midpoints zc, the cheap ``classify``: labels key ``strip_sums``, and
         ``conformal`` promises mu == 0.
+      - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
+        cells that straddle or are not conformal.  The default loops over
+        ``mu_quad``; the strips engine reads frozen or absent psi as arrays.
 
     Array code must match the scalar code bit for bit, since grid nodes sit
     exactly on seams.  np.sin, np.cos, np.fmod and np.hypot agree with
@@ -650,6 +679,10 @@ class _Engine:
     def mu_quad(self, z: complex) -> complex:
         """Beltrami coefficient at z to quadrature accuracy (Hermite tables)."""
         return self.mu_parts(z, quad=True)[0]
+
+    def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
+        """|mu_quad| at each point of zc."""
+        return np.array([abs(self.mu_quad(z)) for z in zc.tolist()], float)
 
 
 class _StripsEngine(_Engine):
@@ -676,17 +709,13 @@ class _StripsEngine(_Engine):
                 return HALF if n_seq.entry(k) == 1 else PLAIN
         else:
             upper_rule = _plain_rule
-        self.up = {
-            RIGHT: _StripSystem(self.m_seq, self.n_seq, RIGHT, self.l, "slope", upper_rule, "R"),
-            LEFT: _StripSystem(self.m_seq, self.n_seq, LEFT, self.l, "slope", upper_rule, "L"),
-        }
-        if mixed:
-            self.lo = {
-                RIGHT: _StripSystem(self.m_seq, self.n_seq, RIGHT, self.l, "slope", _plain_rule, "R"),
-                LEFT: _StripSystem(self.m_seq, self.n_seq, LEFT, self.l, "slope", _plain_rule, "L"),
-            }
-        else:
-            self.lo = self.up
+
+        def systems(rule: Callable[[int], str]) -> dict:
+            return {side: _StripSystem(self.m_seq, self.n_seq, side, self.l, "slope", rule, tag)
+                    for side, tag in ((RIGHT, "R"), (LEFT, "L"))}
+
+        self.up = systems(upper_rule)
+        self.lo = systems(_plain_rule) if mixed else self.up
 
     def _systems(self) -> list[_StripSystem]:
         tables = (self.up, self.lo) if self.mixed else (self.up,)
@@ -697,6 +726,17 @@ class _StripsEngine(_Engine):
         x, y = z.real, z.imag
         sys = (self.up if y >= 0 else self.lo)[RIGHT if x >= 0 else LEFT]
         return (sys, *sys.locate(abs(y)))
+
+    def _located(self, zc: np.ndarray):
+        """``_locate`` over an array: (system, columns, cell mask, strip indices k - 1) per system."""
+        x, y = zc.real, zc.imag
+        for table, half in ((self.up, y >= 0), (self.lo, ~(y >= 0))):
+            for side, sel in ((RIGHT, half & (x >= 0)), (LEFT, half & ~(x >= 0))):
+                sys, ay = table[side], np.abs(y[sel])
+                if len(ay) and sys._tops[-1] <= ay.max():
+                    sys.locate(float(ay.max()))  # grows the system past the highest cell
+                cols = sys.columns()
+                yield sys, cols, sel, np.searchsorted(cols["tops"], ay, side="right") - 1  # as locate bisects
 
     def eval(self, z: complex) -> ScaledComplex:
         sys, s, t = self._locate(z)
@@ -721,18 +761,25 @@ class _StripsEngine(_Engine):
         )
 
     def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x, y = zc.real, zc.imag
         labels, active = np.empty(len(zc), dtype=object), np.empty(len(zc), bool)
-        for table, half in ((self.up, y >= 0), (self.lo, ~(y >= 0))):
-            for side, sel in ((RIGHT, half & (x >= 0)), (LEFT, half & ~(x >= 0))):
-                sys, ay = table[side], np.abs(y[sel])
-                if len(ay) and sys._tops[-1] <= ay.max():
-                    sys.locate(float(ay.max()))  # grows the system past the highest cell
-                k = np.searchsorted(sys._tops, ay, side="right")  # as locate bisects
-                recs = sys._strips[:int(k.max(initial=0))]
-                labels[sel] = np.array([f"{sys.tag}{s.k}" for s in recs], dtype=object)[k - 1]
-                active[sel] = np.array([s.active for s in recs], bool)[k - 1]
+        for _, cols, sel, j in self._located(zc):
+            labels[sel], active[sel] = cols["label"][j], cols["active"][j]
         return labels, ~active, np.zeros(len(zc), bool)
+
+    def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
+        """Cells on a frozen psi tail x + c, or without psi (c = 0), as arrays; the rest by ``mu_quad``."""
+        # there mu_parts has a = 0 and b = ((x + c) - x)/(4 pi y_div)
+        out, tail = np.empty(len(zc)), np.zeros(len(zc), bool)
+        for sys, cols, sel, j in self._located(zc):
+            x = zc.real[sel]
+            hi = x >= cols["x_hi"][j]
+            tail[sel] = on = hi | (x <= -_PsiCache.SPAN)
+            for i in np.unique(j[on & np.isnan(cols["c_hi"][j])]).tolist():  # tables not built yet
+                cols["c_lo"][i], _, cols["c_hi"][i] = sys._strips[i].psi_table._build()
+            b = ((x + np.where(hi, cols["c_hi"][j], cols["c_lo"][j])) - x) / (2.0 * TWO_PI * cols["y_div"][j])
+            out[sel] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], b)  # kept where on
+        out[~tail] = super().mu_abs_quad(zc[~tail])
+        return out
 
     def piece_labels(self) -> tuple[str, ...]:
         return ("right", "left")
@@ -752,16 +799,9 @@ class _StripsEngine(_Engine):
         wins: list[tuple[float, float]] = []
         margin = 4.0 * self.fine_size(y_max)
         for sys in self._systems():
-            for lo, hi, _k in sys.active_windows(y_max):
+            for lo, hi in sys.active_windows(y_max):
                 wins.append((max(0.0, lo - margin), hi + margin))
-        wins.sort()
-        merged: list[tuple[float, float]] = []
-        for lo, hi in wins:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        return merged
+        return _merged(wins)
 
     def theta_windows(self, r0: float, r1: float) -> list[tuple[float, float]]:
         out: list[tuple[float, float]] = []
@@ -773,8 +813,7 @@ class _StripsEngine(_Engine):
             if s_lo >= s_hi and s_lo >= 1.0:
                 continue
             a, b = math.asin(s_lo), math.asin(s_hi)
-            for w in ((a, b), (math.pi - b, math.pi - a), (-b, -a), (-math.pi + a, -math.pi + b)):
-                out.append(w)
+            out += ((a, b), (math.pi - b, math.pi - a), (-b, -a), (-math.pi + a, -math.pi + b))
         return out
 
     def straddle_mask(self, r_max: float):
@@ -1135,14 +1174,11 @@ class _PowerEngine(_Engine):
         def upper_rule(k: int) -> str:
             return HALF if k >= 3 else PLAIN
 
-        self.U = {
-            "up": _StripSystem(self.m_seq, self.n_seq, RIGHT, 1, "unit", upper_rule, "U"),
-            "lo": _StripSystem(self.m_seq, self.n_seq, RIGHT, 1, "unit", _plain_rule, "U"),
-        }
-        self.V = {
-            "up": _StripSystem(self.m_seq, self.n_seq, LEFT, 1, "slope", upper_rule, "V"),
-            "lo": _StripSystem(self.m_seq, self.n_seq, LEFT, 1, "slope", _plain_rule, "V"),
-        }
+        def systems(side: str, heights: str, tag: str) -> dict:
+            return {"up": _StripSystem(self.m_seq, self.n_seq, side, 1, heights, upper_rule, tag),
+                    "lo": _StripSystem(self.m_seq, self.n_seq, side, 1, heights, _plain_rule, tag)}
+
+        self.U, self.V = systems(RIGHT, "unit", "U"), systems(LEFT, "slope", "V")
         self.ray = math.pi / (2.0 * self.rho)
 
     # -- the radial interpolation Q --------------------------------------
@@ -1585,14 +1621,19 @@ def _cell_range(v0: np.ndarray, v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
-def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    spans = sorted((max(lo, -math.pi), min(hi, math.pi)) for lo, hi in spans if hi > lo)
+def _merged(spans, tol: float = 0.0) -> list[tuple[float, float]]:
+    """The union of intervals, sorted; two that meet within ``tol`` join."""
     out: list[tuple[float, float]] = []
-    for lo, hi in spans:
-        if out and lo <= out[-1][1] + 1e-12:
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1] + tol:
             out[-1] = (out[-1][0], max(hi, out[-1][1]))
         else:
             out.append((lo, hi))
+    return out
+
+
+def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    out = _merged(((max(lo, -math.pi), min(hi, math.pi)) for lo, hi in spans if hi > lo), 1e-12)
     return [(lo, hi) for lo, hi in out if hi > lo]
 
 
@@ -1606,8 +1647,10 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     seam-straddling cells exceed 20% of the annulus area raise
     :class:`ResolutionError`.
 
-    Cells are classified as numpy arrays, one radial shell at a time; mu is
-    evaluated only on cells that are not skipped and straddle or are not conformal.
+    Cells are classified as numpy arrays, one radial shell at a time; |mu|
+    comes from one ``mu_abs_quad`` call per shell, on the cells that are not
+    skipped and straddle or are not conformal, and K - 1 and each (shell,
+    strip) contribution stay float64 arrays.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
@@ -1623,7 +1666,8 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     annulus_area = math.pi * (r_max * r_max - r_min * r_min)
     straddle_area = 0.0
     straddled = evaluated = conformal = skipped = 0
-    contribs: dict = {}  # (shell index, strip label) -> cell contributions
+    contribs: dict = {}  # (shell index, strip label) -> array of cell contributions
+    shell_sums = np.zeros(n_r)
 
     for i in range(n_r):
         r0, r1 = float(edges[i]), float(edges[i + 1])
@@ -1655,12 +1699,14 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         todo = ~uninterp & (is_straddle | ~conf)
         skipped += int(uninterp.sum())
         conformal += len(zc) - int(todo.sum()) - int(uninterp.sum())
-        for z, label, a in zip(zc[todo].tolist(), labels[todo].tolist(), area[todo].tolist()):
-            km1 = _k_of_mu(abs(eng.mu_quad(z))) - 1.0
-            if not math.isfinite(km1):
-                km1 = 0.0  # degenerate midpoint; the straddle flag records it
-            evaluated += 1
-            contribs.setdefault((i, label), []).append(km1 / (rc * rc) * a)
+        m = eng.mu_abs_quad(zc[todo])
+        km1 = np.divide(1.0 + m, 1.0 - m, out=np.ones_like(m), where=m < 1.0) - 1.0  # 0 where K = inf
+        contrib = km1 / (rc * rc) * area[todo]
+        evaluated += len(m)
+        shell_sums[i] = math.fsum(contrib.tolist())  # exactly rounded: any grouping gives these bits
+        labels = labels[todo]
+        for label in dict.fromkeys(labels.tolist()):
+            contribs[(i, label)] = contrib[labels == label]
 
     straddle_fraction = straddle_area / annulus_area
     if straddle_fraction > 0.20:
@@ -1668,23 +1714,17 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
             f"straddling cells cover {straddle_fraction:.1%} of the annulus; "
             "refine the grid (>20% is past the reliability cutoff)")
 
-    def fsum_by(part: int) -> dict:
-        # fsum is correctly rounded: any grouping of the cells gives the same bits
-        groups: dict = {}
-        for key, vals in contribs.items():
-            groups.setdefault(key[part], []).append(vals)
-        return {g: math.fsum(chain.from_iterable(vs)) for g, vs in groups.items()}
-
-    by_shell = fsum_by(0)
-    shell_sums = np.array([by_shell.get(i, 0.0) for i in range(n_r)])
+    by_strip: dict = {}
+    for (_, label), vals in contribs.items():
+        by_strip.setdefault(label, []).append(vals)
     return DilatationReport(
         flavor=gmap.flavor, r_min=r_min, r_max=r_max,
         total=math.fsum(shell_sums.tolist()),
-        strip_sums=fsum_by(1),
+        strip_sums={label: math.fsum(np.concatenate(vs).tolist()) for label, vs in by_strip.items()},
         shell_edges=edges, shell_sums=shell_sums,
         cumulative=np.cumsum(shell_sums),
         straddle_fraction=straddle_fraction,
         straddled_cells=straddled, evaluated_cells=evaluated,
         conformal_cells=conformal, skipped_cells=skipped,
-        shell_strip_sums={k: math.fsum(v) for k, v in contribs.items()},
+        shell_strip_sums={k: math.fsum(v.tolist()) for k, v in contribs.items()},
     )

@@ -211,7 +211,7 @@ def test_profile_omega_nonnegative_and_additive():
     xs = np.linspace(0.0, 2e4, 5000)
     om = b.omega(xs)
     assert np.all(om >= 0)
-    assert np.allclose(om, b.h1(xs) + b.h2(xs) + 0.0 * xs, atol=1e-8) or True
+    assert np.allclose(om, b.h1(xs) + b.h2(xs), atol=1e-8)
     assert np.allclose(b.H(xs), xs + om, atol=1e-8)
 
 

@@ -21,6 +21,7 @@ from banklaine.sequences import ProfileBundle
 from banklaine.specfun import PLAIN, PairIndex
 from banklaine.surgery import (
     GluedMap,
+    PairCapError,
     ResolutionError,
     UninterpolatedRegion,
     affine_beltrami,
@@ -30,6 +31,7 @@ from banklaine.surgery import (
     dilatation_integral,
     spiral_charts,
 )
+from banklaine.surgery import _affine_mu_abs, _compose_affine
 
 P00, P11 = PairIndex(0, 0), PairIndex(1, 1)
 TWO_PI = 2.0 * math.pi
@@ -541,6 +543,19 @@ def test_assemble_rejects_non_whole_numbers():
         assert assemble("spiral", lower=(0, 0), upper=upper).params_dict["upper"] == (1, 1)
 
 
+def test_pair_cap_fails_loudly_where_a_strip_system_stops():
+    # the graded slopes for rho = 0.6 jump from 0 to m_4 = 157,607, past
+    # PAIR_CAP: the map assembles and evaluates below that strip, and a
+    # point whose left-wedge system reaches it names the cap and the height
+    gm = assemble("power", rho=0.6, delta=1.0)
+    assert gm(1.0).kind == gm(2.0 * cmath.exp(2.8j)).kind == "finite"
+    for _ in range(2):  # the system stays where it stopped
+        with pytest.raises(PairCapError) as err:
+            gm(3.34 * cmath.exp(2.8j))
+        assert str(err.value) == ("strip system V stops at local height 12.566370614359172: "
+                                  "strip V4 needs the pair (157607, 719169), past PAIR_CAP = 10000")
+
+
 def test_concurrent_evaluation_matches_serial(strips_map):
     pts = [complex(x, y)
            for x in np.linspace(0.3, 5.7, 6)
@@ -679,6 +694,48 @@ def test_dilatation_reports_are_bit_identical(name):
     assert rep.straddle_fraction.hex() == case["straddle_fraction"]
     assert {key: getattr(rep, key) for key in case["cells"]} == case["cells"]
     assert {key: v.hex() for key, v in rep.strip_sums.items()} == case["strip_sums"]
+
+
+def test_affine_mu_abs_divides_as_python_does():
+    # Smith's division picks its formula by the larger part of the
+    # denominator; on these inputs the other formula differs in the last bit
+    # on about half the cells where |f b| > alpha, and complex numpy division
+    # on about half of all of them
+    rng = np.random.default_rng(3)
+    x_div, y_div = (rng.integers(1, 40, 20000).astype(float) for _ in range(2))
+    b = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-3.0, 2.0, 20000)
+    want = [abs(_compose_affine(xd, yd, 0.0, bv))
+            for xd, yd, bv in zip(x_div.tolist(), y_div.tolist(), b.tolist())]
+    assert _affine_mu_abs(x_div, y_div, b).tolist() == want
+
+
+@pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
+def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams):
+    # the array hook must give abs(mu_quad(z)) to the last bit on every path:
+    # frozen psi tails on both sides and strips without psi as arrays, Hermite
+    # and exact cells through mu_quad.  Right-side tables solve exactly on
+    # 0 <= x <= 2 from the warm start the previous solve left, so there the
+    # second pass may differ in the last bit
+    eng = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
+    rng = np.random.default_rng(11)
+    zc = rng.uniform(1.0, 450.0, 4000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))
+    got = eng.mu_abs_quad(zc)
+    want = [abs(eng.mu_quad(z)) for z in zc.tolist()]
+    paths = set()
+    for z, g, w in zip(zc.tolist(), got.tolist(), want):
+        _, s, _ = eng._locate(z)
+        if s.psi is None:
+            path = "psi-free"
+        elif z.real >= s.psi_table.xs[-1] or z.real <= -s.psi_table.SPAN:
+            path = "tail-high" if z.real > 0 else "tail-low"
+        else:
+            path = "exact" if 0.0 <= z.real <= 2.0 else "hermite"
+        paths.add(path)
+        if path == "exact":
+            assert abs(g - w) <= 2e-16, (z, g, w)
+        else:
+            assert g.hex() == w.hex(), (path, z)
+    assert paths == {"psi-free", "tail-high", "tail-low", "exact", "hermite"}
 
 
 SECTOR_SEAM = 12.0 * math.pi  # the first seam height of the sectors map's base strips
