@@ -21,10 +21,9 @@ from .specfun import (
     PLAIN,
     PairIndex,
     build_coefficients,
-    real_log_gap,
-    real_log_gap_deriv,
+    real_log_gap_slope,
     real_log_value,
-    real_log_value_deriv,
+    real_log_value_slope,
 )
 
 
@@ -85,44 +84,42 @@ class ShiftConstant:
 
 
 def _bisect_newton(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
+    fdf: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     bisect_width: float = 1e-3,
     tol: float = 1e-13,
     max_iter: int = 200,
 ) -> tuple[float, float, int]:
-    """Monotone-increasing root find: bracketed bisection then Newton polish.
+    """Monotone-increasing root find of f, fdf(x) = (f(x), f'(x)): bisection then Newton.
 
     Returns (root, |f(root)|, iterations).  Newton steps that escape the
     bracket fall back to bisection, so convergence is unconditional.
     """
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = fdf(lo)[0], fdf(hi)[0]
     it = 0
     while flo > 0 or fhi < 0:
         # expand the bracket; callers pass generous guesses so this is rare
         width = hi - lo
         if flo > 0:
             lo -= width
-            flo = f(lo)
+            flo = fdf(lo)[0]
         if fhi < 0:
             hi += width
-            fhi = f(hi)
+            fhi = fdf(hi)[0]
         it += 1
         if it > 120:
             raise RuntimeError("bracketing failure (should not happen for homeomorphisms)")
     while hi - lo > bisect_width and it < max_iter:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
+        if fdf(mid)[0] < 0:
             lo = mid
         else:
             hi = mid
         it += 1
     x = 0.5 * (lo + hi)
-    fx = f(x)
+    fx, d = fdf(x)
     while abs(fx) > tol and it < max_iter:
-        d = fprime(x)
         step = fx / d if d > 0 else math.copysign(bisect_width, fx)
         xn = x - step
         if not (lo <= xn <= hi):
@@ -133,7 +130,7 @@ def _bisect_newton(
                 hi = x
             xn = 0.5 * (lo + hi)
         x = xn
-        fx = f(x)
+        fx, d = fdf(x)
         it += 1
     return x, abs(fx), it
 
@@ -141,14 +138,12 @@ def _bisect_newton(
 def solve_shift(pair: PairIndex, variant: str = PLAIN) -> ShiftConstant:
     """The normalization shift s with g(s) = 2 (plain) or (g(s)+1)/2 = 2 (half)."""
 
-    def f(s: float) -> float:
-        return real_log_value(pair, s, variant) - LOG2
-
-    def fp(s: float) -> float:
-        return real_log_value_deriv(pair, s, variant)
+    def fdf(s: float) -> tuple[float, float]:
+        v, dv = real_log_value_slope(pair, s, variant)
+        return v - LOG2, dv
 
     guess = math.log(pair.N) - 1.0
-    s, res, it = _bisect_newton(f, fp, guess - 3.0, guess + 3.0)
+    s, res, it = _bisect_newton(fdf, guess - 3.0, guess + 3.0)
     return ShiftConstant(pair, variant, s, res, it)
 
 
@@ -172,11 +167,8 @@ class PhiSolver:
             # left asymptote intercept of F_src for cold-start guesses
             self._logc_src = -_log_intercept(spec.src, spec.variant_src)
 
-    def _f_src(self, u: float) -> float:
-        return real_log_gap(self.spec.src, u, self.spec.variant_src)
-
-    def _f_dst(self, x: float) -> float:
-        return real_log_gap(self.spec.dst, x, self.spec.variant_dst)
+    def _f_src(self, u: float) -> tuple[float, float]:
+        return real_log_gap_slope(self.spec.src, u, self.spec.variant_src)
 
     def _guess(self, v: float) -> float:
         # invert the two asymptotic regimes of F_src
@@ -184,18 +176,17 @@ class PhiSolver:
             return math.log(v)
         return (v - self._logc_src) / self.spec.src.N
 
-    def _polish(self, u: float, f, fp) -> float:
+    def _polish(self, u: float, fdf) -> float:
         # Newton with a step-size stop: |step| ~ |u - u_true|, which stays
         # meaningful even where F itself is ~1e17 and ulp-limited.  A running
         # bracket around the (unique, F increasing) root absorbs bad steps.
         lo, hi = -math.inf, math.inf
         for _ in range(30):
-            fu = f(u)
+            fu, d = fdf(u)
             if fu < 0:
                 lo = max(lo, u)
             else:
                 hi = min(hi, u)
-            d = fp(u)
             if d <= 0:
                 break
             step = fu / d
@@ -214,34 +205,41 @@ class PhiSolver:
         return u
 
     def value(self, x: float) -> float:
-        if self.spec.is_identity:
-            return x
-        if x > 64.0:
-            # phi(x) - x ~ x e^{-x} here, far below one ulp of x itself, and
+        if self.spec.is_identity or x > 64.0:
+            # phi(x) - x ~ x e^{-x} past 64, far below one ulp of x itself, and
             # the double-exponential F would overflow long before 709 anyway
             return x
-        v = self._f_dst(x)
-        f = lambda u: self._f_src(u) - v
-        fp = lambda u: real_log_gap_deriv(self.spec.src, u)
-        with self._lock:
-            if self._warm is not None and abs(self._warm[0] - x) < 0.5:
-                u = self._polish(self._warm[1], f, fp)
-                if abs(f(u)) < 1e-10 * max(1.0, abs(v)):  # warm start actually converged
-                    self._warm = (x, u)
-                    return u
-            g = self._guess(v)
-            u, _, _ = _bisect_newton(f, fp, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))
-            u = self._polish(u, f, fp)
-            self._warm = (x, u)
-            return u
+        return self._solve(x)[0]
 
     def deriv(self, x: float) -> float:
-        if self.spec.is_identity:
+        if self.spec.is_identity or x > 64.0:
             return 1.0
-        if x > 64.0:
-            return 1.0
-        p = self.value(x)
-        return real_log_gap_deriv(self.spec.dst, x) / real_log_gap_deriv(self.spec.src, p)
+        p, d_dst, d_src = self._solve(x)
+        return d_dst / (self._f_src(p)[1] if d_src is None else d_src)
+
+    def _solve(self, x: float) -> tuple[float, float, Optional[float]]:
+        """(phi(x), F_dst'(x), F_src'(phi(x)) where the solve evaluated it, else None)."""
+        v, d_dst = real_log_gap_slope(self.spec.dst, x, self.spec.variant_dst)
+        seen: dict = {}  # polish starts where bisection ended, and the check reads where polish stopped
+
+        def fdf(u: float) -> tuple[float, float]:
+            if u not in seen:
+                fu, du = self._f_src(u)
+                seen[u] = fu - v, du
+            return seen[u]
+
+        with self._lock:
+            if self._warm is not None and abs(self._warm[0] - x) < 0.5:
+                u = self._polish(self._warm[1], fdf)
+                fu, du = fdf(u)
+                if abs(fu) < 1e-10 * max(1.0, abs(v)):  # warm start actually converged
+                    self._warm = (x, u)
+                    return u, d_dst, du
+            g = self._guess(v)
+            u, _, _ = _bisect_newton(fdf, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))
+            u = self._polish(u, fdf)
+            self._warm = (x, u)
+            return u, d_dst, None
 
     def conjugacy_residual(self, x: float) -> float:
         """|log g_dst(x) - log g_src(phi(x))| / max(1, |log g_dst(x)|).

@@ -426,13 +426,18 @@ def _real_gap(pair: PairIndex, x: float) -> tuple[float, float]:
 
 def real_log_gap(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
     """F(x) = log(g(x) - 1), minus log 2 for the half variant."""
-    f, _ = _real_gap(pair, x)
-    return f - LOG2 if variant == HALF else f
+    return real_log_gap_slope(pair, x, variant)[0]
 
 
 def real_log_gap_deriv(pair: PairIndex, x: float) -> float:
     """F'(x) = g'(x)/(g(x) - 1) >= 2n + 1; identical for both variants."""
     return _real_gap(pair, x)[1]
+
+
+def real_log_gap_slope(pair: PairIndex, x: float, variant: str = PLAIN) -> tuple[float, float]:
+    """(``real_log_gap``, ``real_log_gap_deriv``) from one evaluation."""
+    f, df = _real_gap(pair, x)
+    return (f - LOG2 if variant == HALF else f), df
 
 
 def real_log_value(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
@@ -443,10 +448,14 @@ def real_log_value(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
 
 def real_log_value_deriv(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
     """d/dx of log g = F'/(1 + e^-F) (plain) or of log((g+1)/2) = F'/(1 + 2e^-F) (half)."""
-    f, df = _real_gap(pair, x)
-    if variant == HALF:
-        f -= LOG2
-    return df * math.exp(min(f, 0.0)) / (1.0 + math.exp(-abs(f)))
+    return real_log_value_slope(pair, x, variant)[1]
+
+
+def real_log_value_slope(pair: PairIndex, x: float, variant: str = PLAIN) -> tuple[float, float]:
+    """(``real_log_value``, ``real_log_value_deriv``) from one evaluation."""
+    f, df = real_log_gap_slope(pair, x, variant)
+    e = math.exp(-abs(f))
+    return max(f, 0.0) + math.log1p(e), df * math.exp(min(f, 0.0)) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,13 @@ from .specfun import HALF, PAIR_CAP, PLAIN, PairIndex, eval_model, eval_model_tu
 
 TWO_PI = 2.0 * math.pi
 
+# A seam decision taken from numpy values within this slack of its threshold is
+# retaken by the scalar code.  numpy's log, arctan2 and exp may differ from libm
+# by a few ulp.  |log r| < 745 and |beta0| < 1.7 (PAIR_CAP), so theta + beta0 log r
+# (< 1300) and xi move by ~1e-12, bar the jumps of fmod and wrap_phase at xi = 0,
+# +-pi; lm = order log r - beta0 xi (order < 4) by ~1e-11, and Im h by ~1e-11 |h|.
+DECISION_SLACK = 1e-9
+
 SPIRAL = "spiral"
 STRIPS = "strips"
 POWER = "power"
@@ -170,11 +177,15 @@ class SpiralCharts:
         return wrap_phase(math.atan2(w.imag, w.real) + self.beta0 * math.log(abs(w)))
 
     def xi_logr(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(``_xi(w)``, log|w|) over an array of nonzero points, bit for bit."""
-        logr = np.fromiter(map(math.log, np.hypot(w.real, w.imag).tolist()), float, len(w))
-        theta = np.fromiter(map(math.atan2, w.imag.tolist(), w.real.tolist()), float, len(w))
-        t = np.fmod(theta + self.beta0 * logr, TWO_PI)  # then wrap_phase's two corrections
-        return np.where(t <= -math.pi, t + TWO_PI, np.where(t > math.pi, t - TWO_PI, t)), logr
+        """(``_xi(w)``, log|w|) at nonzero points to ~1e-12; exact within DECISION_SLACK of xi = 0, +-pi."""
+        logr = np.log(np.hypot(w.real, w.imag))
+        t = np.fmod(np.arctan2(w.imag, w.real) + self.beta0 * logr, TWO_PI)  # then wrap_phase's corrections
+        xi = np.where(t <= -math.pi, t + TWO_PI, np.where(t > math.pi, t - TWO_PI, t))
+        a = np.abs(xi)
+        for j in np.flatnonzero((a < DECISION_SLACK) | (a > math.pi - DECISION_SLACK)).tolist():
+            z = complex(w[j])
+            xi[j], logr[j] = self._xi(z), math.log(abs(z))
+        return xi, logr
 
     def h(self, w: complex) -> complex:
         """The inverse chart, branch fixed so arg h(w) lands in (-pi, pi].
@@ -186,10 +197,8 @@ class SpiralCharts:
         w = complex(w)
         if w == 0:
             return 0j
-        logr = math.log(abs(w))
         xi = self._xi(w)
-        lm = (1.0 + self.beta0 * self.beta0) * logr - self.beta0 * xi
-        return cmath.exp(complex(lm, xi))
+        return cmath.exp(complex(self.order * math.log(abs(w)) - self.beta0 * xi, xi))
 
     def h_prime(self, w: complex) -> complex:
         """dh/dw = h(w)/(mu w) on the cut complement."""
@@ -657,11 +666,11 @@ class _Engine:
         cells that straddle or are not conformal.  The default loops over
         ``mu_quad``; the strips engine reads frozen or absent psi as arrays.
 
-    Array code must match the scalar code bit for bit, since grid nodes sit
-    exactly on seams.  np.sin, np.cos, np.fmod and np.hypot agree with
-    ``math`` and complex abs; np.log, np.arctan2, np.exp and complex np.abs
-    can differ in the last bit (AVX-512 builds), so those go through
-    ``math`` over ``tolist()``.
+    Array code must take the scalar code's decisions, since grid nodes sit on
+    seams, and give |mu| bit for bit.  np.sin, np.cos, np.fmod and np.hypot agree
+    with ``math`` and complex abs; np.log, np.arctan2, np.exp and complex np.abs
+    may differ in the last bit (AVX-512 builds).  Decisions, not values, are exact:
+    one within ``DECISION_SLACK`` = 1e-9 of its threshold is retaken by scalar code.
 
     ``mu_parts(z, quad)`` is the one Beltrami computation.  It returns
     ``(mu, mu_band, a, b, psi', psi(x) - x)``: mu of the whole glued map,
@@ -1032,9 +1041,7 @@ class _SpiralEngine(_Engine):
 
     def eval(self, w: complex) -> ScaledComplex:
         h, _ = self._locate(complex(w))
-        if h.imag >= 0:
-            return eval_model(self.upper, h)
-        return eval_model(self.lower, self.homeo(h))
+        return eval_model(self.upper, h) if h.imag >= 0 else eval_model(self.lower, self.homeo(h))
 
     def mu_parts(self, w: complex, quad: bool = False):
         w = complex(w)
@@ -1067,13 +1074,13 @@ class _SpiralEngine(_Engine):
         )
 
     def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # _locate's band test -1 < Im h < 0, with Im h = exp(lm) sin(xi) as cmath.exp forms it
+        # _locate's band test -1 < Im h < 0, retaken where Im h is within DECISION_SLACK (1 + |h|) of one end
         xi, logr = self.charts.xi_logr(zc)
-        below = np.flatnonzero(xi < 0.0)
-        lm = self.charts.order * logr[below] - self.charts.beta0 * xi[below]
-        h_im = np.fromiter(map(math.exp, lm.tolist()), float, len(below)) * np.sin(xi[below])
-        band = np.zeros(len(zc), bool)
-        band[below] = (-1.0 < h_im) & (h_im < 0.0)
+        mod = np.exp(self.charts.order * logr - self.charts.beta0 * xi)
+        h_im = mod * np.sin(xi)
+        band = (-1.0 < h_im) & (h_im < 0.0)
+        for j in np.flatnonzero(np.minimum(np.abs(h_im + 1.0), np.abs(h_im)) < DECISION_SLACK * (1.0 + mod)):
+            band[j] = self._locate(complex(zc[j]))[1]
         return np.where(band, "cut-band", "regular"), ~band, np.zeros(len(zc), bool)
 
     def piece_labels(self) -> tuple[str, ...]:
@@ -1096,15 +1103,10 @@ class _SpiralEngine(_Engine):
         du = min(0.5 * math.pi, 2.5 / max(1.0, lo_edge))
         wins = []
         for xi_lo, xi_hi in ((-math.pi - du, -math.pi + du), (-du, du)):
-            a, b = xi_lo - q, xi_hi - q
             # wrap the window into (-pi, pi], splitting at the branch point
-            a = math.remainder(a, TWO_PI)
+            a = math.remainder(xi_lo - q, TWO_PI)
             b = a + (xi_hi - xi_lo)
-            if b > math.pi:
-                wins.append((a, math.pi))
-                wins.append((-math.pi, b - TWO_PI))
-            else:
-                wins.append((a, b))
+            wins += [(a, math.pi), (-math.pi, b - TWO_PI)] if b > math.pi else [(a, b)]
         return wins
 
     def straddle_mask(self, _r_max: float):
@@ -1117,16 +1119,13 @@ class _SpiralEngine(_Engine):
 
     def seam_residuals(self, samples: int = 64, strips: int = 0) -> list[SeamCheck]:
         del strips
-        checks = []
         # positive ray: upper g2(x) against lower g1(psi(x));
         # spiral cut: the two h-edges x and kappa x
-        for name, xs, scale in (("positive-ray", np.linspace(0.5, 6.0, samples), 1.0),
-                                ("spiral-cut", np.linspace(-40.0, -0.5, samples), self.charts.kappa)):
-            checks.append(_sweep(name, [complex(x, 0.0) for x in xs],
-                                 lambda p: _log_gap(
-                                     eval_model(self.upper, p),
-                                     eval_model(self.lower, self.homeo(complex(scale * p.real, 0.0))))))
-        return checks
+        return [_sweep(name, [complex(x, 0.0) for x in xs],
+                       lambda p: _log_gap(eval_model(self.upper, p),
+                                          eval_model(self.lower, self.homeo(complex(scale * p.real, 0.0)))))
+                for name, xs, scale in (("positive-ray", np.linspace(0.5, 6.0, samples), 1.0),
+                                        ("spiral-cut", np.linspace(-40.0, -0.5, samples), self.charts.kappa))]
 
     def to_dict(self) -> dict:
         return {"lower": (self.lower.m, self.lower.n),

@@ -13,6 +13,7 @@ from banklaine.diffeo import (
     LEFT,
     RIGHT,
     DiffeoSpec,
+    _bisect_newton,
     PhiSolver,
     asymptotic_report,
     build_psi,
@@ -22,7 +23,7 @@ from banklaine.diffeo import (
     solve_phi,
     solve_shift,
 )
-from banklaine.specfun import HALF, PLAIN, PairIndex, build_coefficients
+from banklaine.specfun import HALF, PLAIN, PairIndex, build_coefficients, real_log_gap_deriv
 
 P00, P10, P11 = PairIndex(0, 0), PairIndex(1, 0), PairIndex(1, 1)
 
@@ -251,6 +252,40 @@ def test_fixed_point_sandwich():
 def test_fixed_points_identity_tag():
     fp = find_fixed_points(DiffeoSpec(P00, P00))
     assert fp.tag == "identity" and fp.points == []
+
+
+# ---- one evaluation per iterate ---------------------------------------------------
+
+def test_root_finders_evaluate_once_per_iterate():
+    # each iterate of the bisection, Newton and polish loops asks for
+    # (f, f') once: no point is evaluated twice
+    calls = []
+
+    def fdf(u):
+        calls.append(u)
+        return u ** 3 + u - 1.0, 3.0 * u * u + 1.0
+
+    root, res, it = _bisect_newton(fdf, -3.0, 3.0)
+    assert res <= 1e-13 and abs(root ** 3 + root - 1.0) <= 1e-13
+    assert len(calls) == it + 3 == len(set(calls))  # the two bracket ends, then one per iterate
+    calls.clear()
+    u = PhiSolver(DiffeoSpec(P00, P11))._polish(2.0, fdf)
+    assert u == pytest.approx(root, abs=1e-15)
+    assert 3 <= len(calls) == len(set(calls))
+
+
+def test_phi_deriv_is_the_ratio_of_gap_slopes():
+    # deriv(x) re-solves phi(x) from the warm start value(x) left, as
+    # value(x) on a twin solver does, and divides F_dst'(x) by F_src'(phi)
+    spec = DiffeoSpec(P10, PairIndex(2, 3), PLAIN, HALF)
+    solver, twin = PhiSolver(spec), PhiSolver(spec)
+    for x in (-12.0, -11.8, 3.0, 0.5, 0.7, 9.0, -2.0):
+        assert solver.value(x) == twin.value(x)
+        want = real_log_gap_deriv(spec.dst, x) / real_log_gap_deriv(spec.src, twin.value(x))
+        assert solver.deriv(x) == want
+    for x in (20.0, -6.0, -5.9):  # cold: no value(x) before
+        want = real_log_gap_deriv(spec.dst, x) / real_log_gap_deriv(spec.src, twin.value(x))
+        assert solver.deriv(x) == want
 
 
 # ---- sharing one solver ----------------------------------------------------------

@@ -31,7 +31,8 @@ from banklaine.surgery import (
     dilatation_integral,
     spiral_charts,
 )
-from banklaine.surgery import _affine_mu_abs, _compose_affine
+from banklaine.scaledcx import wrap_phase
+from banklaine.surgery import SpiralCharts, _affine_mu_abs, _cell_range, _compose_affine, _SpiralEngine
 
 P00, P11 = PairIndex(0, 0), PairIndex(1, 1)
 TWO_PI = 2.0 * math.pi
@@ -694,6 +695,74 @@ def test_dilatation_reports_are_bit_identical(name):
     assert rep.straddle_fraction.hex() == case["straddle_fraction"]
     assert {key: getattr(rep, key) for key in case["cells"]} == case["cells"]
     assert {key: v.hex() for key, v in rep.strip_sums.items()} == case["strip_sums"]
+
+
+def _spiral_decision_points(eng):
+    """Nodes where the spiral's seam decisions are closest to their thresholds."""
+    ch = eng.charts
+    rng = np.random.default_rng(5)
+    pts = [rng.uniform(1.0, 200.0, 2000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2000))]
+    for r0 in (1.0, 7.25, 60.0, 199.875):  # the quadrature's window nodes, some on xi = 0
+        for lo, hi in eng.theta_windows(r0, r0 + 0.125):
+            th = lo + np.arange(41) * ((hi - lo) / 40)
+            pts.append(r0 * np.cos(th) + 1j * (r0 * np.sin(th)))
+    r = np.geomspace(1.0, 200.0, 300)
+    for turn in (0.0, math.pi):  # xi = 0 and xi = pi in exact arithmetic
+        th = np.array([wrap_phase(turn - ch.beta0 * math.log(x)) for x in r.tolist()])
+        pts.append(r * np.cos(th) + 1j * (r * np.sin(th)))
+    edge = []  # Im h within a few ulp of -1: p(x - i), nudged one ulp at a time
+    for x in np.linspace(-40.0, 40.0, 41).tolist():
+        w = ch.p(complex(x, -1.0))
+        for k in range(-12, 13):
+            for j in range(-12, 13):
+                z = complex(w.real + k * math.ulp(w.real), w.imag + j * math.ulp(w.imag))
+                if abs(eng._locate(z)[0].imag + 1.0) <= 4 * math.ulp(1.0):
+                    edge.append(z)
+    return np.concatenate(pts + [np.array(edge)]), np.array(edge)
+
+
+@pytest.mark.parametrize("ulps", [0, -4, 4])
+def test_spiral_seam_decisions_match_the_scalar_path(ulps, spiral_map, monkeypatch):
+    # xi_logr and cell_states compute xi and Im h with numpy, whose log,
+    # arctan2 and exp may round differently from libm; every decision must
+    # still be the one _xi and _locate take.  ulps != 0 moves each numpy
+    # result that many ulp, as another libm or SIMD build might
+    eng = spiral_map._impl
+    pts, edge = _spiral_decision_points(eng)
+    xi_want = np.array([eng.charts._xi(z) for z in pts.tolist()])
+    band_want = np.array([eng._locate(z)[1] for z in pts.tolist()])
+    edge_im = np.array([eng._locate(z)[0].imag for z in edge.tolist()])
+    assert (edge_im > -1.0).sum() >= 50 and (edge_im <= -1.0).sum() >= 50  # both sides of -1
+    assert (xi_want == 0.0).sum() >= 100 and (np.abs(xi_want) > math.pi - 1e-14).sum() >= 100
+
+    def nudged(fn):
+        def moved(*args):
+            out = fn(*args)
+            for _ in range(abs(ulps)):
+                out = np.nextafter(out, math.copysign(math.inf, ulps))
+            return out
+        return moved
+
+    for name in ("log", "arctan2", "exp"):
+        monkeypatch.setattr(np, name, nudged(getattr(np, name)))
+    scalar = {"xi": 0, "locate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            scalar[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(SpiralCharts, "_xi", counted("xi", SpiralCharts._xi))
+    monkeypatch.setattr(_SpiralEngine, "_locate", counted("locate", _SpiralEngine._locate))
+    got = eng.straddle_mask(200.0)(pts, np.roll(pts, 1))
+    lo, hi = _cell_range(xi_want, np.roll(xi_want, 1))
+    assert got.tolist() == ((lo < 0.0) & (0.0 < hi)).tolist()
+    assert np.sign(eng.charts.xi_logr(pts)[0]).tolist() == np.sign(xi_want).tolist()
+    labels, conformal, uninterp = eng.cell_states(pts)
+    assert conformal.tolist() == (~band_want).tolist() and not uninterp.any()
+    assert labels.tolist() == np.where(band_want, "cut-band", "regular").tolist()
+    assert scalar["xi"] > 0 and scalar["locate"] > 0  # the scalar branches ran
 
 
 def test_affine_mu_abs_divides_as_python_does():
