@@ -155,20 +155,29 @@ class PhiSolver:
     residual |log g_dst(x) - log g_src(phi(x))| is never larger than the
     F-space one.
 
-    ``_lock`` guards the warm start ``_warm``, the solver's one mutable
-    state, from its read to its update, so threads may share one solver.
+    ``_lock`` guards the warm start ``_warm`` from its read to its update, so
+    threads may share one solver; ``_last`` keeps each model's last pure (F, F').
     """
 
     def __init__(self, spec: DiffeoSpec):
         self.spec = spec
         self._warm: Optional[tuple[float, float]] = None  # (x, phi)
         self._lock = threading.Lock()
+        self._last = {"src": (math.nan, None), "dst": (math.nan, None)}  # (u, (F(u), F'(u))) per model
         if not spec.is_identity:
             # left asymptote intercept of F_src for cold-start guesses
             self._logc_src = -_log_intercept(spec.src, spec.variant_src)
 
+    def _slope(self, side: str, u: float) -> tuple[float, float]:
+        """(F, F') of the ``side`` ("src" or "dst") model at u."""
+        point, fdf = self._last[side]
+        if u != point:
+            fdf = real_log_gap_slope(getattr(self.spec, side), u, getattr(self.spec, "variant_" + side))
+            self._last[side] = (u, fdf)
+        return fdf
+
     def _f_src(self, u: float) -> tuple[float, float]:
-        return real_log_gap_slope(self.spec.src, u, self.spec.variant_src)
+        return self._slope("src", u)
 
     def _guess(self, v: float) -> float:
         # invert the two asymptotic regimes of F_src
@@ -219,14 +228,11 @@ class PhiSolver:
 
     def _solve(self, x: float) -> tuple[float, float, Optional[float]]:
         """(phi(x), F_dst'(x), F_src'(phi(x)) where the solve evaluated it, else None)."""
-        v, d_dst = real_log_gap_slope(self.spec.dst, x, self.spec.variant_dst)
-        seen: dict = {}  # polish starts where bisection ended, and the check reads where polish stopped
+        v, d_dst = self._slope("dst", x)
 
         def fdf(u: float) -> tuple[float, float]:
-            if u not in seen:
-                fu, du = self._f_src(u)
-                seen[u] = fu - v, du
-            return seen[u]
+            fu, du = self._f_src(u)  # _last repeats bisection's last point for polish, and polish's for the check
+            return fu - v, du
 
         with self._lock:
             if self._warm is not None and abs(self._warm[0] - x) < 0.5:

@@ -208,6 +208,14 @@ def _poly_logsum(
     return logT, ratio, tiny
 
 
+@lru_cache(maxsize=64)
+def _mp_coefficients(pair: PairIndex, numer: bool, dps: int) -> tuple:
+    """The exact coefficients of P (numer) or Q as mpf, each rounded at dps digits."""
+    table = build_coefficients(pair)
+    with mp.workdps(dps):
+        return tuple(mp.mpf(c.numerator) / c.denominator for c in (table.numer if numer else table.denom))
+
+
 def _poly_logsum_mp(
     table: CoefficientTable, numer: bool, x: float, yr: float, lost_digits: float
 ) -> tuple[complex, complex, float]:
@@ -227,8 +235,8 @@ def _poly_logsum_mp(
         D = mp.mpc(0)
         scale = mp.mpf(0)
         wk = mp.mpc(1)
-        for k, c in enumerate(table.numer if numer else table.denom):
-            term = mp.mpf(c.numerator) / c.denominator * wk
+        for k, c in enumerate(_mp_coefficients(table.pair, numer, dps)):
+            term = c * wk
             T += term
             D += k * term
             scale = max(scale, abs(term))

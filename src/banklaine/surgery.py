@@ -652,7 +652,7 @@ class _Engine:
       a z-plane distance in every flavor, and ``mu_parts(z)``.
     - :func:`dilatation_integral` calls ``fine_size(r_max)``,
       ``theta_windows(r0, r1)`` and ``straddle_mask(r_max)``, then once per
-      radial shell ``cell_states`` and ``mu_abs_quad``.  Every engine
+      block of radial shells ``cell_states`` and ``mu_abs_quad``.  Every engine
       implements the two classifying hooks as the array form of its own
       ``_locate``; there are no defaults.
 
@@ -1636,6 +1636,10 @@ def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, floa
     return [(lo, hi) for lo, hi in out if hi > lo]
 
 
+# nodes per engine call: 8192 adds under 3% to peak RSS, 32,768 adds 18% (7 MiB on spiral 1..200)
+BLOCK_CELLS = 8192
+
+
 def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
                         resolution: Optional[float] = None) -> DilatationReport:
     """Midpoint quadrature of (K_G - 1)/|z|^2 over r_min < |z| < r_max.
@@ -1646,10 +1650,10 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     seam-straddling cells exceed 20% of the annulus area raise
     :class:`ResolutionError`.
 
-    Cells are classified as numpy arrays, one radial shell at a time; |mu|
-    comes from one ``mu_abs_quad`` call per shell, on the cells that are not
-    skipped and straddle or are not conformal, and K - 1 and each (shell,
-    strip) contribution stay float64 arrays.
+    Consecutive radial shells form blocks of at most ``BLOCK_CELLS`` nodes,
+    each classified as numpy arrays by one straddle test and one ``cell_states``
+    call; one ``mu_abs_quad`` call gives |mu| on its cells that are not skipped
+    and straddle or are not conformal.  Cells keep their order, shell by shell.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
@@ -1668,29 +1672,40 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     contribs: dict = {}  # (shell index, strip label) -> array of cell contributions
     shell_sums = np.zeros(n_r)
 
-    for i in range(n_r):
-        r0, r1 = float(edges[i]), float(edges[i + 1])
-        rc = 0.5 * (r0 + r1)
-        # one node array for all pieces (coarse gaps, fine windows); area 0 marks
-        # the pair of nodes that joins two pieces, which bounds no cell
-        nodes, areas = [], []
-        cursor = -math.pi
-        for lo, hi in _merge_intervals(eng.theta_windows(r0, r1)) + [(math.pi, math.pi)]:
-            for a, b, target in ((cursor, lo, coarse_arc), (lo, hi, fine)):
-                if b > a:
-                    m = max(1, int(math.ceil((b - a) * rc / target)))
-                    dth = (b - a) / m
-                    nodes.append(a + np.arange(m + 1) * dth)
-                    areas.append(np.full(m + 1, 0.5 * (r1 * r1 - r0 * r0) * dth))
-                    areas[-1][-1] = 0.0
-            cursor = max(cursor, hi)
-        th, area = np.concatenate(nodes), np.concatenate(areas)[:-1]
+    def blocks():
+        """Consecutive shells' arc pieces (shell, start, step, nodes, cell area), coarse gaps and fine windows."""
+        block: list = []
+        for i in range(n_r):
+            r0, r1 = float(edges[i]), float(edges[i + 1])
+            rc, cursor, pieces = 0.5 * (r0 + r1), -math.pi, []
+            for lo, hi in _merge_intervals(eng.theta_windows(r0, r1)) + [(math.pi, math.pi)]:
+                for a, b, target in ((cursor, lo, coarse_arc), (lo, hi, fine)):
+                    if b > a:
+                        m = max(1, int(math.ceil((b - a) * rc / target)))
+                        dth = (b - a) / m
+                        pieces.append((i, a, dth, m + 1, 0.5 * (r1 * r1 - r0 * r0) * dth))
+                cursor = max(cursor, hi)
+            if block and sum(p[3] for p in block + pieces) > BLOCK_CELLS:
+                yield block
+                block = []
+            block += pieces
+        yield block
+
+    for block in blocks():
+        shell, start, step, count, area = (np.array(v) for v in zip(*block))
+        # one node array, a + j dth on each piece; area 0 marks the node pair joining two pieces or shells
+        first = np.cumsum(count) - count
+        th = np.repeat(start, count) + (np.arange(count.sum()) - np.repeat(first, count)) * np.repeat(step, count)
+        area, shell = np.repeat(area, count), np.repeat(shell, count)
+        area[first + count - 1] = 0.0
+        r0, r1 = edges[shell], edges[shell + 1]
+        area, rc, shell = area[:-1], 0.5 * (r0 + r1)[:-1], shell[:-1]
         cell = area > 0.0
         cos_t, sin_t = np.cos(th), np.sin(th)
         tc = 0.5 * (th[:-1] + th[1:])
         zc = rc * np.cos(tc) + 1j * (rc * np.sin(tc))  # both parts exact, as in complex()
         is_straddle = straddle_fn(r0 * cos_t + 1j * (r0 * sin_t), r1 * cos_t + 1j * (r1 * sin_t))[cell]
-        zc, area = zc[cell], area[cell]
+        zc, area, rc, shell = zc[cell], area[cell], rc[cell], shell[cell]
         labels, conf, uninterp = eng.cell_states(zc)
         straddled += int(is_straddle.sum())
         for a in area[is_straddle].tolist():
@@ -1700,12 +1715,13 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         conformal += len(zc) - int(todo.sum()) - int(uninterp.sum())
         m = eng.mu_abs_quad(zc[todo])
         km1 = np.divide(1.0 + m, 1.0 - m, out=np.ones_like(m), where=m < 1.0) - 1.0  # 0 where K = inf
-        contrib = km1 / (rc * rc) * area[todo]
+        contrib = km1 / (rc[todo] * rc[todo]) * area[todo]
         evaluated += len(m)
-        shell_sums[i] = math.fsum(contrib.tolist())  # exactly rounded: any grouping gives these bits
-        labels = labels[todo]
-        for label in dict.fromkeys(labels.tolist()):
-            contribs[(i, label)] = contrib[labels == label]
+        ids, at = np.unique(shell[todo], return_index=True)  # a shell's cells are consecutive
+        for i, c, lab in zip(ids.tolist(), np.split(contrib, at[1:]), np.split(labels[todo], at[1:])):
+            shell_sums[i] = math.fsum(c.tolist())  # exactly rounded: any grouping gives these bits
+            for label in dict.fromkeys(lab.tolist()):
+                contribs[(i, label)] = c[lab == label]
 
     straddle_fraction = straddle_area / annulus_area
     if straddle_fraction > 0.20:

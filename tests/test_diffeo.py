@@ -1,5 +1,6 @@
 """Conjugating diffeomorphism: shifts, phi asymptotics, psi maps, fixed points."""
 
+import dataclasses
 import math
 import os
 import sys
@@ -286,6 +287,42 @@ def test_phi_deriv_is_the_ratio_of_gap_slopes():
     for x in (20.0, -6.0, -5.9):  # cold: no value(x) before
         want = real_log_gap_deriv(spec.dst, x) / real_log_gap_deriv(spec.src, twin.value(x))
         assert solver.deriv(x) == want
+
+
+def test_phi_solver_memo_keeps_the_bits(monkeypatch):
+    # deriv(x) after value(x) re-solves x from the warm start value(x) left;
+    # the solver's last (F, F') of each model spares F_dst(x) and F_src at
+    # the phi that value(x) checked.  F is pure, so a psi table swept as
+    # _PsiCache sweeps it has the bits of a twin whose memo is reset before
+    # every call
+    from banklaine import diffeo
+    from banklaine.surgery import _PsiCache
+
+    calls = [0]
+    gap_slope = diffeo.real_log_gap_slope
+
+    def counted(*args):
+        calls[0] += 1
+        return gap_slope(*args)
+
+    monkeypatch.setattr(diffeo, "real_log_gap_slope", counted)
+    chain = [(P11, PLAIN), (PairIndex(1, 3), HALF), (PairIndex(2, 5), PLAIN)]
+    for side, lo, hi in ((RIGHT, 0.0, _PsiCache.SPAN), (LEFT, -_PsiCache.SPAN, 0.0)):
+        for pm in build_psi(chain, side, l=2):
+            xs = _PsiCache(pm, pm.deriv, lo, hi).xs.tolist()
+            sweeps = []
+            for reset in (False, True):
+                psi, out = dataclasses.replace(pm, solver=None), []  # a fresh solver
+                calls[0] = 0
+                for x in xs:
+                    for f in (psi, psi.deriv):
+                        if reset:
+                            psi.solver._last = dict.fromkeys(psi.solver._last, (math.nan, None))
+                        out.append(f(x).hex())
+                sweeps.append((out, calls[0]))
+            (got, n_memo), (want, n_reset) = sweeps
+            assert got == want, side
+            assert n_memo < 0.9 * n_reset, (side, n_memo, n_reset)
 
 
 # ---- sharing one solver ----------------------------------------------------------

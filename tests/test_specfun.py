@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from banklaine.specfun import (
     EvalDomainError,
+    _poly_logsum,
     _poly_logsum_mp,
     _series_end,
     HALF,
@@ -424,6 +425,52 @@ def test_mp_fallback_recovers_the_digits_it_lost_off_axis(m, n, x):
     got = eval_model_turns(pair, x, turns)
     assert got.log_modulus == pytest.approx(float(mp.log(abs(ref))), rel=1e-13)
     assert got.phase == pytest.approx(float(mp.arg(ref)), abs=1e-12)
+
+
+def _poly_logsum_mp_uncached(table, numer, x, yr, lost_digits):
+    """The fallback sum with every coefficient converted in the loop: the reference."""
+    dps = 30 + int(lost_digits)
+    with mp.workdps(dps):
+        w = mp.exp(mp.mpc(x, yr))
+        T, D, scale, wk = mp.mpc(0), mp.mpc(0), mp.mpf(0), mp.mpc(1)
+        for k, c in enumerate(table.numer if numer else table.denom):
+            term = mp.mpf(c.numerator) / c.denominator * wk
+            T += term
+            D += k * term
+            scale = max(scale, abs(term))
+            wk *= w
+        if T == 0:
+            return complex(-math.inf, 0.0), 0j, 0.0
+        loss = float(mp.log10(scale / abs(T)))
+        if dps - loss >= 20:
+            return complex(mp.log(T)), complex(D / (T * w)), float(abs(T) / scale)
+    return _poly_logsum_mp_uncached(table, numer, x, yr, loss)
+
+
+def test_mp_fallback_coefficient_cache_keeps_the_bits():
+    # the fallback reads its coefficients from a cache per (pair, P or Q,
+    # digits); sums that reach it cold, warm and through the retry at more
+    # digits give the bits of the sum that converts them in place.  The
+    # first points are where power-seams falls back, the others sum P where
+    # its alternating terms cancel
+    rng = np.random.default_rng(8)
+    points = [(PairIndex(1, 47), numer, 3.3605105160065034, 0.009103728793501631) for numer in (True, False)]
+    for _ in range(24):
+        pair = PairIndex(int(rng.integers(0, 4)), int(rng.integers(20, 121)))
+        points.append((pair, True, float(rng.uniform(3.0, 5.0)),
+                       float(rng.choice([0.0, 1.0])) * float(rng.uniform(0.0, 0.7))))
+    deep = 0
+    for pair, numer, x, yr in points:
+        table = build_coefficients(pair)
+        logc = table.log_abs_numer if numer else table.log_abs_denom
+        tiny = _poly_logsum(logc, numer, x, yr)[2]
+        lost = (-math.log10(tiny) if tiny > 0 else 60.0) + 10  # as _poly_eval asks
+        deep += tiny < 1e-10
+        for digits in (lost, 0.0):  # 0 digits retries at loss + 30
+            want = _poly_logsum_mp_uncached(table, numer, x, yr, digits)
+            assert _poly_logsum_mp(table, numer, x, yr, digits) == want, (pair, numer, x, yr)
+            assert _poly_logsum_mp(table, numer, x, yr, digits) == want, (pair, numer, x, yr)
+    assert deep >= 12
 
 
 def test_mp_fallback_cap_fails_loudly():

@@ -32,6 +32,7 @@ from banklaine.surgery import (
     spiral_charts,
 )
 from banklaine.scaledcx import wrap_phase
+from banklaine import surgery
 from banklaine.surgery import SpiralCharts, _affine_mu_abs, _cell_range, _compose_affine, _SpiralEngine
 
 P00, P11 = PairIndex(0, 0), PairIndex(1, 1)
@@ -695,6 +696,40 @@ def test_dilatation_reports_are_bit_identical(name):
     assert rep.straddle_fraction.hex() == case["straddle_fraction"]
     assert {key: getattr(rep, key) for key in case["cells"]} == case["cells"]
     assert {key: v.hex() for key, v in rep.strip_sums.items()} == case["strip_sums"]
+
+
+@pytest.mark.parametrize("name", sorted(PINS["reports"]))
+def test_dilatation_blocks_do_not_change_the_report(name, monkeypatch):
+    # consecutive shells share one engine call per block of BLOCK_CELLS
+    # nodes; one shell per block, and the whole annulus as one block, give
+    # every figure of the report to the last bit
+    case = PINS["reports"][name]
+
+    def report(block_cells):
+        monkeypatch.setattr(surgery, "BLOCK_CELLS", block_cells)
+        gm, calls = assemble(case["flavor"], **case["params"]), [0]
+        cell_states = gm._impl.cell_states
+
+        def counted(zc):
+            calls[0] += 1
+            return cell_states(zc)
+
+        monkeypatch.setattr(gm._impl, "cell_states", counted)
+        rep = dilatation_integral(gm, case["r_min"], case["r_max"])
+        sums = {key: [v.hex() for v in getattr(rep, key).tolist()] for key in ("shell_sums", "cumulative")}
+        sums.update(strip_sums={k: v.hex() for k, v in rep.strip_sums.items()},
+                    shell_strip_sums={k: v.hex() for k, v in rep.shell_strip_sums.items()})
+        return (rep.total.hex(), rep.straddle_fraction.hex(),
+                {key: getattr(rep, key) for key in case["cells"]}, sums), calls[0], len(rep.shell_sums)
+
+    want, blocks, shells = report(surgery.BLOCK_CELLS)
+    assert want[0] == case["total"]
+    for block_cells in (1, 10 ** 9):
+        got, calls, _ = report(block_cells)
+        assert got == want, block_cells
+        assert calls == (shells if block_cells == 1 else 1)
+    if name == "strips":
+        assert 2 <= blocks < shells  # blocks meet inside the annulus, and a block joins several shells
 
 
 def _spiral_decision_points(eng):
