@@ -29,32 +29,18 @@ def alpha_weight(x: float) -> float:
 
 
 def _power_mark(i: int, lam: float) -> int:
-    """Smallest k with (2 pi k)^lam >= 2 pi i, by formula plus float-safe nudge."""
-    log_v = math.log(TWO_PI * i) / lam - math.log(TWO_PI)
+    """Smallest k with v(2 pi k) >= 2 pi i, v(x) = x^lam or, at lam = 0, (log x)^2, by formula plus float-safe nudge."""
+    v = (lambda x: math.log(x) ** 2) if lam == 0.0 else (lambda x: x ** lam)
+    log_v = (math.sqrt(TWO_PI * i) if lam == 0.0 else math.log(TWO_PI * i) / lam) - math.log(TWO_PI)
     if log_v > math.log(MAX_ENTRIES + 1):
         return MAX_ENTRIES + 1  # beyond any materializable range
     k = max(1, math.floor(math.exp(log_v)))
     if k > MAX_ENTRIES:
         return MAX_ENTRIES + 1
     # the formula is exact up to rounding, so these nudges take O(1) steps
-    while (TWO_PI * k) ** lam < TWO_PI * i:
+    while v(TWO_PI * k) < TWO_PI * i:
         k += 1
-    while k > 1 and (TWO_PI * (k - 1)) ** lam >= TWO_PI * i:
-        k -= 1
-    return k
-
-
-def _log_mark(i: int) -> int:
-    """Smallest k with [log(2 pi k)]^2 >= 2 pi i."""
-    log_v = math.sqrt(TWO_PI * i) - math.log(TWO_PI)
-    if log_v > math.log(MAX_ENTRIES + 1):
-        return MAX_ENTRIES + 1
-    k = max(1, math.floor(math.exp(log_v)))
-    if k > MAX_ENTRIES:
-        return MAX_ENTRIES + 1
-    while math.log(TWO_PI * k) ** 2 < TWO_PI * i:
-        k += 1
-    while k > 1 and math.log(TWO_PI * (k - 1)) ** 2 >= TWO_PI * i:
+    while k > 1 and v(TWO_PI * (k - 1)) >= TWO_PI * i:
         k -= 1
     return k
 
@@ -115,11 +101,10 @@ class SlopeSequence:
 
 
 def _binary_slopes(lam: float) -> Iterator[int]:
-    marker = _log_mark if lam == 0.0 else (lambda i: _power_mark(i, lam))
     yield from (0, 0, 0)
     k = 3
     for i in count(1):
-        mark = max(marker(i), k + 1)
+        mark = max(_power_mark(i, lam), k + 1)
         yield from repeat(0, mark - k - 1)
         yield 1
         k = mark

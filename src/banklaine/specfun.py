@@ -623,3 +623,14 @@ def apply_B(handle: FunctionHandle, z: complex, radius: float = 0.25) -> complex
     if winding != 0:
         raise ValueError(f"disk of radius {radius} at {z} contains a zero/pole (winding {winding})")
     return -2.0 * e2 / e0 + (e1 / e0) ** 2 - 1.0 / (e0 * e0)
+
+
+def model_schwarzian(pair: PairIndex, z: complex) -> complex:
+    """Schwarzian derivative S(g) = -e^{2z}/2 + (m - 2n) e^z - N^2/2 of the plain model g, in closed form."""
+    ez = cmath.exp(z)
+    return -ez * ez / 2 + (pair.m - 2 * pair.n) * ez - pair.N ** 2 / 2
+
+
+def bank_laine_A(pair: PairIndex, z: complex) -> complex:
+    """A = S(g)/2: E = g/g' is the product of two solutions of w'' + A w = 0, so 4A = ``apply_B`` of E."""
+    return model_schwarzian(pair, z) / 2

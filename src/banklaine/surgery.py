@@ -109,20 +109,21 @@ def _compose_affine(x_div: float, y_div: float, a: float, b: float) -> complex:
     return num / den
 
 
-def _affine_mu_abs(x_div: np.ndarray, y_div: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """abs(_compose_affine(x_div, y_div, 0.0, b)) over arrays, bit for bit.
+def _affine_mu_abs(x_div: np.ndarray, y_div: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """abs(_compose_affine(x_div, y_div, a, b)) over arrays, bit for bit, NaN (0/0) where den == 0.
 
-    It divides by Smith's method as CPython does (``_Py_c_quot``) and takes
-    hypot; complex numpy division and np.abs round differently.
+    num = (beta + f a, f b) over den = (alpha + f a, -f b), f = alpha + beta, by Smith's method as CPython
+    divides (``_Py_c_quot``), then hypot; complex numpy division and np.abs round differently.
     """
     alpha, beta = 0.5 * (1.0 / x_div + 1.0 / y_div), 0.5 * (1.0 / x_div - 1.0 / y_div)
-    fb = (alpha + beta) * b
-    by_re = alpha >= np.abs(fb)  # alpha > 0
+    fa, fb = (alpha + beta) * a, (alpha + beta) * b
+    nr, dr, di = beta + fa, alpha + fa, -fb
+    by_re = np.abs(dr) >= np.abs(di)
     with np.errstate(divide="ignore", invalid="ignore"):  # in the branch np.where drops
-        ratio = np.where(by_re, -fb / alpha, alpha / -fb)
-        denom = np.where(by_re, alpha + -fb * ratio, alpha * ratio + -fb)
-        return np.hypot(np.where(by_re, beta + fb * ratio, beta * ratio + fb) / denom,
-                        np.where(by_re, fb - beta * ratio, fb * ratio - beta) / denom)
+        ratio = np.where(by_re, di / dr, dr / di)
+        denom = np.where(by_re, dr + di * ratio, dr * ratio + di)
+        return np.hypot(np.where(by_re, nr + fb * ratio, nr * ratio + fb) / denom,
+                        np.where(by_re, fb - nr * ratio, fb * ratio - nr) / denom)
 
 
 def _band_mu(a: float, b: float) -> complex:
@@ -353,7 +354,10 @@ class _StripSystem:
         self._lock = threading.Lock()
         self._strips: list[_Strip] = []
         self._tops: list[float] = [0.0]
-        self._cols: tuple[int, dict] = (-1, {})  # (strips laid out, columns)
+        self._builds = 0  # psi tables solved through ``build``
+        self._cols: tuple[tuple, dict] = ((-1, 0), {})  # ((strips laid out, builds), columns)
+        self._span = (0.0, _PsiCache.SPAN) if side == RIGHT else (-_PsiCache.SPAN, 0.0)
+        self.grid = _PsiCache(None, None, *self._span)  # the node grid of every psi table here
 
     # -- strip records -----------------------------------------------------
     def _model(self, k: int) -> tuple[PairIndex, str, float, float]:
@@ -378,9 +382,7 @@ class _StripSystem:
         if pm.exact_identity:
             pm = None
         else:
-            span = _PsiCache.SPAN
-            x_lo, x_hi = (0.0, span) if self.side == RIGHT else (-span, 0.0)
-            table = _PsiCache(pm, pm.deriv, x_lo, x_hi)
+            table = _PsiCache(pm, pm.deriv, *self._span)
         lo = self._tops[-1]
         hi = lo + TWO_PI * y_div
         self._strips.append(_Strip(k, pair, variant, x_div, y_div, shift, lo, hi, pm, table,
@@ -407,23 +409,33 @@ class _StripSystem:
         return s, (y - s.lo) / (TWO_PI * s.y_div)
 
     def columns(self) -> dict:
-        """The strips grown so far as arrays indexed by k - 1, rebuilt after growth.
+        """The strips grown so far as arrays indexed by k - 1, rebuilt after growth and ``build``.
 
-        Past x_hi, or at x <= -SPAN, a strip reads its frozen psi tail x + c_hi
-        (x + c_lo); without psi x_hi = -inf and c = 0.  c is NaN until the table is built.
+        Past x_hi, or at x <= -SPAN, a strip reads its frozen psi tail x + c_hi (x + c_lo); without
+        psi x_hi = -inf and c = 0.  psi and dpsi are (strips x nodes of ``grid``).  c, psi and dpsi
+        are NaN until the table is built.
         """
         n = len(self._tops) - 1  # _grow appends each record before its top
-        if self._cols[0] != n:
+        key = (n, self._builds)  # read first: a build during the rebuild leaves a stale key
+        if self._cols[0] != key:
             recs = self._strips[:n]
             cols = {a: np.array([getattr(s, a) for s in recs]) for a in ("x_div", "y_div", "active")}
             cols["tops"] = np.array(self._tops[:n + 1])
             cols["label"] = np.array([f"{self.tag}{s.k}" for s in recs], object)
-            cols["x_hi"], cols["c_lo"], cols["c_hi"] = np.array(  # a built _table is (c_lo, nodes, c_hi)
-                [(-math.inf, 0.0, 0.0) if s.psi is None
-                 else (s.psi_table.xs[-1], *(s.psi_table._table or (math.nan,) * 3)[::2])
-                 for s in recs]).reshape(n, 3).T
-            self._cols = n, cols
+            cols["x_hi"] = np.array([-math.inf if s.psi is None else self.grid.xs[-1] for s in recs])
+            nan = np.full(len(self.grid.xs), math.nan)
+            tables = [(0.0, nan, nan, 0.0) if s.psi is None else s.psi_table._table or (math.nan, nan, nan, math.nan)
+                      for s in recs]
+            cols["c_lo"], cols["c_hi"] = (np.array([t[k] for t in tables], float) for k in (0, 3))
+            cols["psi"], cols["dpsi"] = (np.array([t[k] for t in tables]).reshape(n, len(nan)) for k in (1, 2))
+            self._cols = key, cols
         return self._cols[1]
+
+    def build(self, i: int) -> None:
+        """Solve the psi table of strip i + 1; ``columns()`` reads it from then on."""
+        self._strips[i].psi_table._build()
+        with self._lock:
+            self._builds += 1
 
     # -- evaluation ------------------------------------------------------
     def value(self, s: _Strip, x: float, t: float) -> ScaledComplex:
@@ -505,38 +517,56 @@ def _plain_rule(_k: int) -> str:
     return PLAIN
 
 
+def _hermite(x, x0, h, v0, d0, v1, d1) -> tuple:
+    """Cubic Hermite (value, slope) at x in [x0, x0 + h] from end values v, slopes d; floats or arrays.
+
+    (1 - s)^2 is Python's float ** (libm pow) on both: numpy's square and power round it otherwise."""
+    s = (x - x0) / h
+    om2 = (1 - s) ** 2 if isinstance(s, float) else np.array([u ** 2 for u in (1 - s).tolist()])
+    s2 = s * s
+    val = (1 + 2 * s) * om2 * v0 + h * s * om2 * d0 + s2 * (3 - 2 * s) * v1 + h * s2 * (s - 1) * d1
+    der = (v0 * (6 * s2 - 6 * s) + h * d0 * (3 * s2 - 4 * s + 1)
+           + v1 * (6 * s - 6 * s2) + h * d1 * (3 * s2 - 2 * s)) / h
+    return val, der
+
+
 class _PsiCache:
     """Cubic-Hermite table of a psi (value ``f``, derivative ``df``), for quadrature.
 
     Outside |x| <= SPAN the map is affine to well below quadrature accuracy
     (the conjugacy approaches kappa x + c double-exponentially), so the two
     tails are frozen constants.  Value/derivative pairs at the nodes make
-    the interpolant C^1 with error far under the midpoint-rule floor.  The
-    strips engine reads the tails x + c_lo, x + c_hi as arrays from ``_table``.
+    the interpolant C^1 with error far under the midpoint-rule floor.
 
     The first ``eval`` (or ``_build``) solves the whole table in one sweep
     of ascending x (left tail constant, nodes, right tail constant) under
-    ``_lock`` and stores one immutable tuple, which later reads take without
-    a lock.  A quadrature reads nearly every node of the tables it reads
-    (1,106 of 1,116 on strips 1..450, 185 of 193 on the spiral 1..200), and
-    one sweep keeps the nodes independent of the order cells reach them.  A
-    table that no quadrature reads costs no solve.
+    ``_lock`` and stores one immutable tuple (c_lo, psi and psi' as node
+    arrays, c_hi), which later reads take without a lock.  A quadrature reads
+    nearly every node of the tables it reads (1,106 of 1,116 on strips 1..450,
+    185 of 193 on the spiral 1..200), and one sweep keeps the nodes independent
+    of the order cells reach them.  A table that no quadrature reads costs no solve.
+
+    ``read`` is ``eval`` over an array, bit for bit: tails and Hermite cells as
+    numpy arrays, NaN where ``eval`` solves exactly.  Every table of one strip
+    system shares the node grid xs, so ``read`` also takes the tables of a whole
+    system stacked by row (``_StripSystem.columns``), one row per point.
 
     Tables that start at x = 0 (right-side seams pin psi(0) = 0) fall back
-    to exact solves on (0, 2): psi turns over there within a few multiples
+    to exact solves on 0 <= x <= 2: psi turns over there within a few multiples
     of 1/N, and no fixed grid keeps the *derivative* honest at the knee.
     """
 
     SPAN = 24.0
     STEP = 0.25
 
-    def __init__(self, f: Callable[[float], float], df: Callable[[float], float],
+    def __init__(self, f: Optional[Callable[[float], float]], df: Optional[Callable[[float], float]],
                  lo: float, hi: float):
         self.f, self.df = f, df
         step = self.STEP
         self._exact_below = 2.0 if lo == 0.0 else -math.inf
         self.xs = np.arange(max(lo, self._exact_below), hi + step / 2.0, step)
-        self._table: Optional[tuple] = None  # (c_lo, ((psi, psi') per node), c_hi)
+        self._xl = self.xs.tolist()
+        self._table: Optional[tuple] = None  # (c_lo, psi at xs, psi' at xs, c_hi)
         self._lock = threading.Lock()
 
     def _build(self) -> tuple:
@@ -544,30 +574,48 @@ class _PsiCache:
             if self._table is None:
                 tail = self.SPAN + 2.0
                 c_lo = self.f(-tail) + tail
-                nodes = tuple((self.f(x), self.df(x)) for x in self.xs.tolist())
-                self._table = (c_lo, nodes, self.f(tail) - tail)
+                vs, ds = np.array([(self.f(x), self.df(x)) for x in self._xl]).T
+                self._table = (c_lo, vs, ds, self.f(tail) - tail)
             return self._table
 
     def eval(self, x: float) -> tuple[float, float]:
         """(psi(x), psi'(x)) to interpolation accuracy."""
-        c_lo, nodes, c_hi = self._table or self._build()
-        xs = self.xs
-        if x >= xs[-1]:
+        c_lo, vs, ds, c_hi = self._table or self._build()
+        xl = self._xl
+        if x >= xl[-1]:
             return x + c_hi, 1.0
-        if x <= xs[0] or x < self._exact_below:
+        if x <= xl[0] or x < self._exact_below:
             if x <= -self.SPAN:
                 return x + c_lo, 1.0
             return self.f(x), self.df(x)
-        i = int(np.searchsorted(xs, x, side="right")) - 1
-        (v0, d0), (v1, d1) = nodes[i], nodes[i + 1]
-        h = float(xs[i + 1] - xs[i])
-        s = (x - float(xs[i])) / h
-        s2 = s * s
-        val = ((1 + 2 * s) * (1 - s) ** 2 * v0 + h * s * (1 - s) ** 2 * d0
-               + s2 * (3 - 2 * s) * v1 + h * s2 * (s - 1) * d1)
-        der = (v0 * (6 * s2 - 6 * s) + h * d0 * (3 * s2 - 4 * s + 1)
-               + v1 * (6 * s - 6 * s2) + h * d1 * (3 * s2 - 2 * s)) / h
+        i = bisect_right(xl, x) - 1
+        val, der = _hermite(x, xl[i], xl[i + 1] - xl[i], vs.item(i), ds.item(i), vs.item(i + 1), ds.item(i + 1))
         return float(val), float(der)
+
+    def regions(self, x: np.ndarray, x_hi) -> tuple[np.ndarray, np.ndarray]:
+        """(tail, Hermite) masks of x as ``eval`` reads it, with x_hi in place of xs[-1]; it solves the rest."""
+        tail = (x >= x_hi) | (x <= -self.SPAN)
+        return tail, ~tail & (x > self.xs[0]) & (x >= self._exact_below)
+
+    def read(self, x: np.ndarray, rows: Optional[np.ndarray] = None,
+             cols: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+        """``eval`` at each point of x, NaN where it solves exactly; point j reads table rows[j] of ``cols``.
+
+        ``cols`` stacks tables on this grid by row: x_hi, c_lo, c_hi, and psi and dpsi at the nodes;
+        a row with x_hi = -inf reads x + c_hi everywhere.  By default the one row is this table.
+        """
+        if cols is None:
+            c_lo, vs, ds, c_hi = self._table or self._build()
+            rows, cols = np.zeros(len(x), int), dict(x_hi=self.xs[-1:], c_lo=np.array([c_lo]),
+                                                     c_hi=np.array([c_hi]), psi=vs[None], dpsi=ds[None])
+        x_hi, vs, ds = cols["x_hi"][rows], cols["psi"], cols["dpsi"]
+        tail, herm = self.regions(x, x_hi)
+        px = np.where(tail, x + np.where(x >= x_hi, cols["c_hi"][rows], cols["c_lo"][rows]), np.nan)
+        dp = np.where(tail, 1.0, np.nan)
+        xh, r, i = x[herm], rows[herm], np.searchsorted(self.xs, x[herm], side="right") - 1
+        px[herm], dp[herm] = _hermite(xh, self.xs[i], self.xs[i + 1] - self.xs[i],
+                                      vs[r, i], ds[r, i], vs[r, i + 1], ds[r, i + 1])
+        return px, dp
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +712,9 @@ class _Engine:
         ``conformal`` promises mu == 0.
       - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
         cells that straddle or are not conformal.  The default loops over
-        ``mu_quad``; the strips engine reads frozen or absent psi as arrays.
+        ``mu_quad``.  The strips engine reads psi (frozen tails, Hermite
+        tables, or none) as arrays through ``_PsiCache.read`` and loops only
+        over the exact band of its right tables.
 
     Array code must take the scalar code's decisions, since grid nodes sit on
     seams, and give |mu| bit for bit.  np.sin, np.cos, np.fmod and np.hypot agree
@@ -776,18 +826,29 @@ class _StripsEngine(_Engine):
         return labels, ~active, np.zeros(len(zc), bool)
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
-        """Cells on a frozen psi tail x + c, or without psi (c = 0), as arrays; the rest by ``mu_quad``."""
-        # there mu_parts has a = 0 and b = ((x + c) - x)/(4 pi y_div)
-        out, tail = np.empty(len(zc)), np.zeros(len(zc), bool)
-        for sys, cols, sel, j in self._located(zc):
-            x = zc.real[sel]
-            hi = x >= cols["x_hi"][j]
-            tail[sel] = on = hi | (x <= -_PsiCache.SPAN)
-            for i in np.unique(j[on & np.isnan(cols["c_hi"][j])]).tolist():  # tables not built yet
-                cols["c_lo"][i], _, cols["c_hi"][i] = sys._strips[i].psi_table._build()
-            b = ((x + np.where(hi, cols["c_hi"][j], cols["c_lo"][j])) - x) / (2.0 * TWO_PI * cols["y_div"][j])
-            out[sel] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], b)  # kept where on
-        out[~tail] = super().mu_abs_quad(zc[~tail])
+        """|mu_quad| at zc as arrays from ``_PsiCache.read``, bar the exact band: right tables at x <= 2."""
+        out, exact, builds = np.empty(len(zc)), np.zeros(len(zc), bool), []
+        located = list(self._located(zc))
+        # tables build in mu_quad's order: those with tail reads first (cell -1), the rest at their
+        # first Hermite read, between the exact solves, which start from the warm start a build leaves
+        for sys, cols, sel, j in located:
+            tail, herm = sys.grid.regions(zc.real[sel], cols["x_hi"][j])
+            exact[sel], unbuilt = ~tail & ~herm, np.isnan(cols["c_hi"][j])
+            for cell, reads in ((np.full(len(j), -1), tail & unbuilt), (np.flatnonzero(sel), herm & unbuilt)):
+                rows, at = np.unique(j[reads], return_index=True)
+                builds += [(c, sys, i) for c, i in zip(cell[reads][at].tolist(), rows.tolist())]
+        cells, done = np.flatnonzero(exact), 0
+        for c, sys, i in sorted(builds, key=lambda b: b[0]):
+            k = int(np.searchsorted(cells, c))
+            out[cells[done:k]], done = super().mu_abs_quad(zc[cells[done:k]]), k
+            sys.build(i)
+        out[cells[done:]] = super().mu_abs_quad(zc[cells[done:]])
+        for sys, _, sel, j in located:  # as mu_parts: a = t (psi' - 1)/2, b = (psi(x) - x)/(4 pi y_div)
+            cols, x, keep = sys.columns(), zc.real[sel], ~exact[sel]
+            px, dp = sys.grid.read(x, j, cols)
+            t = (np.abs(zc.imag[sel]) - cols["tops"][j]) / (TWO_PI * cols["y_div"][j])
+            a, b = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * cols["y_div"][j])
+            out[np.flatnonzero(sel)[keep]] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], a, b)[keep]
         return out
 
     def piece_labels(self) -> tuple[str, ...]:
@@ -1718,10 +1779,18 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         contrib = km1 / (rc[todo] * rc[todo]) * area[todo]
         evaluated += len(m)
         ids, at = np.unique(shell[todo], return_index=True)  # a shell's cells are consecutive
-        for i, c, lab in zip(ids.tolist(), np.split(contrib, at[1:]), np.split(labels[todo], at[1:])):
+        for i, c in zip(ids.tolist(), np.split(contrib, at[1:])):
             shell_sums[i] = math.fsum(c.tolist())  # exactly rounded: any grouping gives these bits
-            for label in dict.fromkeys(lab.tolist()):
-                contribs[(i, label)] = c[lab == label]
+        # (shell, label) groups by one stable sort of an integer key, keys in first-appearance order
+        index: dict = {}
+        code = np.array([index.setdefault(lab, len(index)) for lab in labels[todo].tolist()], int)
+        key = shell[todo] * len(index) + code
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        groups, heads, names = np.split(contrib[order], starts[1:]), order[starts], list(index)
+        for g in np.argsort(heads).tolist():
+            i, lab = divmod(int(key[heads[g]]), len(names))
+            contribs[(i, names[lab])] = groups[g]
 
     straddle_fraction = straddle_area / annulus_area
     if straddle_fraction > 0.20:

@@ -25,12 +25,14 @@ from banklaine.specfun import (
     FunctionHandle,
     PairIndex,
     apply_B,
+    bank_laine_A,
     build_coefficients,
     denom_roots,
     eval_model,
     eval_model_derivative,
     eval_model_turns,
     log_derivative,
+    model_schwarzian,
     numer_roots,
     real_log_gap,
     real_log_gap_deriv,
@@ -490,13 +492,12 @@ def bank_laine_E(pair: PairIndex):
 
 @pytest.mark.parametrize("pair", BL_PAIRS)
 def test_bank_laine_coefficient_is_twice_the_schwarzian(pair):
-    # E'' + A E = 0 with 4A = apply_B(E) = 2 S(g), and for the model
-    # S(g) = -e^{2z}/2 + (m-2n) e^z - N^2/2 in closed form
+    # E'' + A E = 0 with 4A = apply_B(E) = 2 S(g): the contour functional
+    # against the closed forms S(g) = -e^{2z}/2 + (m-2n) e^z - N^2/2 and A = S/2
     handle = FunctionHandle(eval=bank_laine_E(pair))
     for z in (0.3 + 0.5j, -0.4 + 2.0j, 0.9 - 1.2j, -1.5 - 0.3j):
-        ez = cmath.exp(z)
-        S = -ez * ez / 2 + (pair.m - 2 * pair.n) * ez - pair.N ** 2 / 2
-        assert abs(apply_B(handle, z) - 2 * S) <= 1e-12 * max(1.0, abs(S))
+        S, A = model_schwarzian(pair, z), bank_laine_A(pair, z)
+        assert abs(apply_B(handle, z) - 4 * A) <= 1e-12 * max(1.0, abs(S))
 
 
 @given(m=st.integers(0, 7), n=st.integers(0, 5),
@@ -511,8 +512,7 @@ def test_bank_laine_identity_over_pairs(m, n, x, y):
     except ValueError as exc:
         assume("zero/pole" not in str(exc))
         raise
-    ez = cmath.exp(z)
-    S = -ez * ez / 2 + (m - 2 * n) * ez - pair.N ** 2 / 2
+    S = model_schwarzian(pair, z)
     assert abs(B - 2 * S) <= 1e-12 * max(1.0, abs(S))
 
 

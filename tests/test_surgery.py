@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banklaine.diffeo import DiffeoSpec, closed_form_c, solve_shift
+from banklaine.diffeo import LEFT, RIGHT, DiffeoSpec, closed_form_c, solve_shift
 from banklaine.sequences import ProfileBundle
 from banklaine.specfun import PLAIN, PairIndex
 from banklaine.surgery import (
@@ -804,28 +804,88 @@ def test_affine_mu_abs_divides_as_python_does():
     # Smith's division picks its formula by the larger part of the
     # denominator; on these inputs the other formula differs in the last bit
     # on about half the cells where |f b| > alpha, and complex numpy division
-    # on about half of all of them
+    # on about half of all of them.  a is 0 exactly on a quarter of the cells.
+    # x_div = 1 makes f = alpha + beta = 1, so den = (alpha + a, -b) exactly:
+    # there b = +-(alpha + a) ties the two parts of den, and a = -alpha, b = 0
+    # makes den == 0, where both sides give NaN
     rng = np.random.default_rng(3)
-    x_div, y_div = (rng.integers(1, 40, 20000).astype(float) for _ in range(2))
-    b = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-3.0, 2.0, 20000)
-    want = [abs(_compose_affine(xd, yd, 0.0, bv))
-            for xd, yd, bv in zip(x_div.tolist(), y_div.tolist(), b.tolist())]
-    assert _affine_mu_abs(x_div, y_div, b).tolist() == want
+    n = 20000
+    x_div, y_div = (rng.integers(1, 40, n).astype(float) for _ in range(2))
+    b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 2.0, n)
+    a = np.where(rng.random(n) < 0.25, 0.0, rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 1.0, n))
+    tie, zero = rng.random(n) < 0.1, rng.random(n) < 0.02
+    x_div[tie | zero] = 1.0
+    alpha = 0.5 * (1.0 / x_div + 1.0 / y_div)
+    b[tie] = rng.choice([-1.0, 1.0], int(tie.sum())) * (alpha + a)[tie]
+    a[zero], b[zero] = -alpha[zero], 0.0
+    assert (np.abs(alpha + a) == np.abs(b))[tie].all() and ((alpha + a) == 0.0)[zero].all()
+    want = [abs(_compose_affine(xd, yd, av, bv))
+            for xd, yd, av, bv in zip(x_div.tolist(), y_div.tolist(), a.tolist(), b.tolist())]
+    got = _affine_mu_abs(x_div, y_div, a, b).tolist()
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert all(math.isnan(g) for g in np.array(got)[zero]) and (a == 0.0).sum() > 4000
+
+
+def _hermite_test_points(table, rng) -> np.ndarray:
+    """Every node, both neighbours of the grid ends, of 2 and of -24, and points where pow(1 - s, 2) != (1 - s)^2."""
+    xs = table.xs
+    ends = np.array([xs[0], xs[-1], 2.0, -24.0])
+    x = rng.uniform(xs[0], xs[-1], 1_500_000)
+    i = np.searchsorted(xs, x, side="right") - 1
+    u = 1 - (x - xs[i]) / (xs[i + 1] - xs[i])  # as the Hermite read forms it
+    pow_differs = np.array([math.pow(v, 2) for v in u.tolist()]) != u * u
+    assert pow_differs.sum() >= 1000
+    return np.concatenate([xs, ends, np.nextafter(ends, -math.inf), np.nextafter(ends, math.inf), x[pow_differs]])
+
+
+def test_psi_cache_hermite_array_reads_match_eval(spiral_map):
+    # _PsiCache.read gives eval's bits wherever eval does not solve exactly,
+    # and NaN where it does: on right tables at -24 < x <= 2.  The strip
+    # tables are also read stacked, as the strips engine reads a system's
+    # tables: through its grid and columns() at the strip's row
+    rng = np.random.default_rng(17)
+    eng = assemble("strips", lam1=0.5, lam2=0.5)._impl
+    tables = [(None, None, spiral_map._impl._qcache)]
+    for side in (RIGHT, LEFT):
+        sys_ = eng.up[side]
+        s = next(sys_.strip(k) for k in range(1, 20) if sys_.strip(k).psi is not None)
+        tables.append((sys_, s.k - 1, s.psi_table))
+    for sys_, row, table in tables:
+        x = _hermite_test_points(table, rng)
+        reads = [table.read(x)]
+        if sys_ is not None:
+            sys_.build(row)
+            reads.append(sys_.grid.read(x, np.full(len(x), row), sys_.columns()))
+        exact = (x < table.xs[-1]) & (x > -24.0) & ((x <= table.xs[0]) | (x < table._exact_below))
+        assert exact.any() == (table.xs[0] == 2.0)
+        want = [table.eval(v) for v in x[~exact].tolist()]
+        for px, dp in reads:
+            assert np.isnan(px[exact]).all() and np.isnan(dp[exact]).all()
+            assert [(p.hex(), d.hex()) for p, d in zip(px[~exact].tolist(), dp[~exact].tolist())] == \
+                [(p.hex(), d.hex()) for p, d in want]
 
 
 @pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
-def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams):
+def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
     # the array hook must give abs(mu_quad(z)) to the last bit on every path:
-    # frozen psi tails on both sides and strips without psi as arrays, Hermite
-    # and exact cells through mu_quad.  Right-side tables solve exactly on
-    # 0 <= x <= 2 from the warm start the previous solve left, so there the
-    # second pass may differ in the last bit
+    # frozen psi tails on both sides, strips without psi and Hermite cells as
+    # arrays, and only exact cells, in cell order, through the scalar
+    # _Engine.mu_abs_quad.  Right-side tables solve exactly on 0 <= x <= 2
+    # from the warm start the previous solve left, so there the second pass
+    # may differ in the last bit
     eng = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
     rng = np.random.default_rng(11)
     zc = rng.uniform(1.0, 450.0, 4000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))
+    scalar, reached = surgery._Engine.mu_abs_quad, []
+
+    def counted(self, zs):
+        reached.extend(zs.tolist())
+        return scalar(self, zs)
+
+    monkeypatch.setattr(surgery._Engine, "mu_abs_quad", counted)
     got = eng.mu_abs_quad(zc)
     want = [abs(eng.mu_quad(z)) for z in zc.tolist()]
-    paths = set()
+    paths, exact = set(), []
     for z, g, w in zip(zc.tolist(), got.tolist(), want):
         _, s, _ = eng._locate(z)
         if s.psi is None:
@@ -836,10 +896,12 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams):
             path = "exact" if 0.0 <= z.real <= 2.0 else "hermite"
         paths.add(path)
         if path == "exact":
+            exact.append(z)
             assert abs(g - w) <= 2e-16, (z, g, w)
         else:
             assert g.hex() == w.hex(), (path, z)
     assert paths == {"psi-free", "tail-high", "tail-low", "exact", "hermite"}
+    assert reached == exact
 
 
 SECTOR_SEAM = 12.0 * math.pi  # the first seam height of the sectors map's base strips
