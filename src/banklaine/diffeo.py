@@ -9,7 +9,6 @@ stay well-scaled.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -155,14 +154,15 @@ class PhiSolver:
     residual |log g_dst(x) - log g_src(phi(x))| is never larger than the
     F-space one.
 
-    ``_lock`` guards the warm start ``_warm`` from its read to its update, so
-    threads may share one solver; ``_last`` keeps each model's last pure (F, F').
+    Threads may share one solver without a lock.  The warm start ``_warm`` is
+    one immutable (x, phi) pair, read once per solve, and only a seed: one
+    that does not converge falls back to the bracketed cold solve.  ``_last``
+    keeps each model's last pure (F, F') as immutable pairs too.
     """
 
     def __init__(self, spec: DiffeoSpec):
         self.spec = spec
         self._warm: Optional[tuple[float, float]] = None  # (x, phi)
-        self._lock = threading.Lock()
         self._last = {"src": (math.nan, None), "dst": (math.nan, None)}  # (u, (F(u), F'(u))) per model
         if not spec.is_identity:
             # left asymptote intercept of F_src for cold-start guesses
@@ -234,18 +234,18 @@ class PhiSolver:
             fu, du = self._f_src(u)  # _last repeats bisection's last point for polish, and polish's for the check
             return fu - v, du
 
-        with self._lock:
-            if self._warm is not None and abs(self._warm[0] - x) < 0.5:
-                u = self._polish(self._warm[1], fdf)
-                fu, du = fdf(u)
-                if abs(fu) < 1e-10 * max(1.0, abs(v)):  # warm start actually converged
-                    self._warm = (x, u)
-                    return u, d_dst, du
-            g = self._guess(v)
-            u, _, _ = _bisect_newton(fdf, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))
-            u = self._polish(u, fdf)
-            self._warm = (x, u)
-            return u, d_dst, None
+        warm = self._warm
+        if warm is not None and abs(warm[0] - x) < 0.5:
+            u = self._polish(warm[1], fdf)
+            fu, du = fdf(u)
+            if abs(fu) < 1e-10 * max(1.0, abs(v)):  # warm start actually converged
+                self._warm = (x, u)
+                return u, d_dst, du
+        g = self._guess(v)
+        u, _, _ = _bisect_newton(fdf, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))
+        u = self._polish(u, fdf)
+        self._warm = (x, u)
+        return u, d_dst, None
 
     def conjugacy_residual(self, x: float) -> float:
         """|log g_dst(x) - log g_src(phi(x))| / max(1, |log g_dst(x)|).

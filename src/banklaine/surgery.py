@@ -339,6 +339,11 @@ class _StripSystem:
     Y_0 = 0, Y_1, ... that ``locate`` bisects.  ``_lock`` guards growth
     only: ``_grow`` appends each record before its top, so a reader that
     finds y below ``_tops[-1]`` without the lock also finds its record.
+
+    The system owns its strips' psi tables, all on one node grid, and
+    ``psi_read`` reads them stacked.  Each strip's psi owns its solver and
+    ``_PsiCache.eval`` builds before it solves, so building every table read
+    before any exact solve leaves each solver the solves ``eval`` gives it.
     """
 
     def __init__(self, m_seq, n_seq, side: str, l: int, heights: str,
@@ -354,10 +359,9 @@ class _StripSystem:
         self._lock = threading.Lock()
         self._strips: list[_Strip] = []
         self._tops: list[float] = [0.0]
-        self._builds = 0  # psi tables solved through ``build``
-        self._cols: tuple[tuple, dict] = ((-1, 0), {})  # ((strips laid out, builds), columns)
+        self._cols: tuple[int, dict] = (-1, {})  # (strips laid out, columns)
         self._span = (0.0, _PsiCache.SPAN) if side == RIGHT else (-_PsiCache.SPAN, 0.0)
-        self.grid = _PsiCache(None, None, *self._span)  # the node grid of every psi table here
+        self._xs = _PsiCache.nodes(*self._span)  # the node grid of every psi table here
 
     # -- strip records -----------------------------------------------------
     def _model(self, k: int) -> tuple[PairIndex, str, float, float]:
@@ -409,33 +413,35 @@ class _StripSystem:
         return s, (y - s.lo) / (TWO_PI * s.y_div)
 
     def columns(self) -> dict:
-        """The strips grown so far as arrays indexed by k - 1, rebuilt after growth and ``build``.
-
-        Past x_hi, or at x <= -SPAN, a strip reads its frozen psi tail x + c_hi (x + c_lo); without
-        psi x_hi = -inf and c = 0.  psi and dpsi are (strips x nodes of ``grid``).  c, psi and dpsi
-        are NaN until the table is built.
-        """
+        """The strips grown so far as arrays indexed by k - 1, rebuilt after growth."""
         n = len(self._tops) - 1  # _grow appends each record before its top
-        key = (n, self._builds)  # read first: a build during the rebuild leaves a stale key
-        if self._cols[0] != key:
+        if self._cols[0] != n:
             recs = self._strips[:n]
             cols = {a: np.array([getattr(s, a) for s in recs]) for a in ("x_div", "y_div", "active")}
+            cols["psi"] = np.array([s.psi is not None for s in recs], bool)
             cols["tops"] = np.array(self._tops[:n + 1])
             cols["label"] = np.array([f"{self.tag}{s.k}" for s in recs], object)
-            cols["x_hi"] = np.array([-math.inf if s.psi is None else self.grid.xs[-1] for s in recs])
-            nan = np.full(len(self.grid.xs), math.nan)
-            tables = [(0.0, nan, nan, 0.0) if s.psi is None else s.psi_table._table or (math.nan, nan, nan, math.nan)
-                      for s in recs]
-            cols["c_lo"], cols["c_hi"] = (np.array([t[k] for t in tables], float) for k in (0, 3))
-            cols["psi"], cols["dpsi"] = (np.array([t[k] for t in tables]).reshape(n, len(nan)) for k in (1, 2))
-            self._cols = key, cols
+            self._cols = n, cols
         return self._cols[1]
 
-    def build(self, i: int) -> None:
-        """Solve the psi table of strip i + 1; ``columns()`` reads it from then on."""
-        self._strips[i].psi_table._build()
-        with self._lock:
-            self._builds += 1
+    def psi_read(self, x: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``psi_table.eval`` at each x[c] in strip j[c] + 1, bit for bit, NaN where ``eval`` solves exactly.
+
+        Strips without psi read x + 0 and 1.  Builds every table it reads first, as ``eval`` does.
+        """
+        xs, rows, r = self._xs, *np.unique(j, return_inverse=True)
+        nan = np.full(len(xs), math.nan)
+        tables = [(0.0, nan, nan, 0.0) if s.psi is None else s.psi_table._table or s.psi_table._build()
+                  for s in map(self._strips.__getitem__, rows.tolist())]
+        c_lo, c_hi = (np.array([t[k] for t in tables], float)[r] for k in (0, 3))
+        vs, ds = (np.array([t[k] for t in tables]).reshape(len(rows), len(xs)) for k in (1, 2))
+        high = ~self.columns()["psi"][j] | (x >= xs[-1])
+        tail = high | (x <= -_PsiCache.SPAN)
+        px, dp = np.where(tail, x + np.where(high, c_hi, c_lo), np.nan), np.where(tail, 1.0, np.nan)
+        herm = ~tail & (x > xs[0])
+        xh, rh, i = x[herm], r[herm], np.searchsorted(xs, x[herm], side="right") - 1
+        px[herm], dp[herm] = _hermite(xh, xs[i], xs[i + 1] - xs[i], vs[rh, i], ds[rh, i], vs[rh, i + 1], ds[rh, i + 1])
+        return px, dp
 
     # -- evaluation ------------------------------------------------------
     def value(self, s: _Strip, x: float, t: float) -> ScaledComplex:
@@ -491,7 +497,7 @@ class _StripSystem:
         """Heights Y_k <= y_max of the seams."""
         self.locate(y_max)  # grows the system past y_max
         cols = self.columns()
-        return cols["tops"][1:][(cols["x_hi"] > -math.inf) & (cols["tops"][1:] <= y_max)].tolist()
+        return cols["tops"][1:][cols["psi"] & (cols["tops"][1:] <= y_max)].tolist()
 
     def seam_checks(self, xs, strips: int, k_cap: int, name: Callable[[int], str]) -> list[SeamCheck]:
         """Log-space gaps across the first ``strips`` seams below strip k_cap, sampled at xs."""
@@ -541,30 +547,29 @@ class _PsiCache:
     The first ``eval`` (or ``_build``) solves the whole table in one sweep
     of ascending x (left tail constant, nodes, right tail constant) under
     ``_lock`` and stores one immutable tuple (c_lo, psi and psi' as node
-    arrays, c_hi), which later reads take without a lock.  A quadrature reads
-    nearly every node of the tables it reads (1,106 of 1,116 on strips 1..450,
-    185 of 193 on the spiral 1..200), and one sweep keeps the nodes independent
-    of the order cells reach them.  A table that no quadrature reads costs no solve.
-
-    ``read`` is ``eval`` over an array, bit for bit: tails and Hermite cells as
-    numpy arrays, NaN where ``eval`` solves exactly.  Every table of one strip
-    system shares the node grid xs, so ``read`` also takes the tables of a whole
-    system stacked by row (``_StripSystem.columns``), one row per point.
+    arrays, c_hi), which later reads take without a lock; ``eval`` builds
+    before it solves.  A quadrature reads nearly every node of the tables it
+    reads (1,106 of 1,116 on strips 1..450, 185 of 193 on the spiral 1..200),
+    and one sweep keeps the nodes independent of the order cells reach them.
+    A table that no quadrature reads costs no solve.
 
     Tables that start at x = 0 (right-side seams pin psi(0) = 0) fall back
-    to exact solves on 0 <= x <= 2: psi turns over there within a few multiples
-    of 1/N, and no fixed grid keeps the *derivative* honest at the knee.
+    to exact solves on -SPAN < x <= 2: psi turns over there within a few
+    multiples of 1/N, and no fixed grid keeps the *derivative* honest at the
+    knee.  ``_StripSystem.psi_read`` reads a system's tables as arrays.
     """
 
     SPAN = 24.0
     STEP = 0.25
 
-    def __init__(self, f: Optional[Callable[[float], float]], df: Optional[Callable[[float], float]],
-                 lo: float, hi: float):
+    @classmethod
+    def nodes(cls, lo: float, hi: float) -> np.ndarray:
+        """The node grid of a table on [lo, hi]: from 2 when lo = 0, where the exact band ends."""
+        return np.arange(2.0 if lo == 0.0 else lo, hi + cls.STEP / 2.0, cls.STEP)
+
+    def __init__(self, f: Callable[[float], float], df: Callable[[float], float], lo: float, hi: float):
         self.f, self.df = f, df
-        step = self.STEP
-        self._exact_below = 2.0 if lo == 0.0 else -math.inf
-        self.xs = np.arange(max(lo, self._exact_below), hi + step / 2.0, step)
+        self.xs = self.nodes(lo, hi)
         self._xl = self.xs.tolist()
         self._table: Optional[tuple] = None  # (c_lo, psi at xs, psi' at xs, c_hi)
         self._lock = threading.Lock()
@@ -584,38 +589,13 @@ class _PsiCache:
         xl = self._xl
         if x >= xl[-1]:
             return x + c_hi, 1.0
-        if x <= xl[0] or x < self._exact_below:
+        if x <= xl[0]:
             if x <= -self.SPAN:
                 return x + c_lo, 1.0
             return self.f(x), self.df(x)
         i = bisect_right(xl, x) - 1
         val, der = _hermite(x, xl[i], xl[i + 1] - xl[i], vs.item(i), ds.item(i), vs.item(i + 1), ds.item(i + 1))
         return float(val), float(der)
-
-    def regions(self, x: np.ndarray, x_hi) -> tuple[np.ndarray, np.ndarray]:
-        """(tail, Hermite) masks of x as ``eval`` reads it, with x_hi in place of xs[-1]; it solves the rest."""
-        tail = (x >= x_hi) | (x <= -self.SPAN)
-        return tail, ~tail & (x > self.xs[0]) & (x >= self._exact_below)
-
-    def read(self, x: np.ndarray, rows: Optional[np.ndarray] = None,
-             cols: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
-        """``eval`` at each point of x, NaN where it solves exactly; point j reads table rows[j] of ``cols``.
-
-        ``cols`` stacks tables on this grid by row: x_hi, c_lo, c_hi, and psi and dpsi at the nodes;
-        a row with x_hi = -inf reads x + c_hi everywhere.  By default the one row is this table.
-        """
-        if cols is None:
-            c_lo, vs, ds, c_hi = self._table or self._build()
-            rows, cols = np.zeros(len(x), int), dict(x_hi=self.xs[-1:], c_lo=np.array([c_lo]),
-                                                     c_hi=np.array([c_hi]), psi=vs[None], dpsi=ds[None])
-        x_hi, vs, ds = cols["x_hi"][rows], cols["psi"], cols["dpsi"]
-        tail, herm = self.regions(x, x_hi)
-        px = np.where(tail, x + np.where(x >= x_hi, cols["c_hi"][rows], cols["c_lo"][rows]), np.nan)
-        dp = np.where(tail, 1.0, np.nan)
-        xh, r, i = x[herm], rows[herm], np.searchsorted(self.xs, x[herm], side="right") - 1
-        px[herm], dp[herm] = _hermite(xh, self.xs[i], self.xs[i + 1] - self.xs[i],
-                                      vs[r, i], ds[r, i], vs[r, i + 1], ds[r, i + 1])
-        return px, dp
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +693,9 @@ class _Engine:
       - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
         cells that straddle or are not conformal.  The default loops over
         ``mu_quad``.  The strips engine reads psi (frozen tails, Hermite
-        tables, or none) as arrays through ``_PsiCache.read`` and loops only
-        over the exact band of its right tables.
+        tables, or none) as arrays through ``_StripSystem.psi_read``, which
+        builds the tables first, and loops only over the exact band of its
+        right tables: one solver per strip, and ``eval`` builds before it solves.
 
     Array code must take the scalar code's decisions, since grid nodes sit on
     seams, and give |mu| bit for bit.  np.sin, np.cos, np.fmod and np.hypot agree
@@ -826,29 +807,15 @@ class _StripsEngine(_Engine):
         return labels, ~active, np.zeros(len(zc), bool)
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
-        """|mu_quad| at zc as arrays from ``_PsiCache.read``, bar the exact band: right tables at x <= 2."""
-        out, exact, builds = np.empty(len(zc)), np.zeros(len(zc), bool), []
-        located = list(self._located(zc))
-        # tables build in mu_quad's order: those with tail reads first (cell -1), the rest at their
-        # first Hermite read, between the exact solves, which start from the warm start a build leaves
-        for sys, cols, sel, j in located:
-            tail, herm = sys.grid.regions(zc.real[sel], cols["x_hi"][j])
-            exact[sel], unbuilt = ~tail & ~herm, np.isnan(cols["c_hi"][j])
-            for cell, reads in ((np.full(len(j), -1), tail & unbuilt), (np.flatnonzero(sel), herm & unbuilt)):
-                rows, at = np.unique(j[reads], return_index=True)
-                builds += [(c, sys, i) for c, i in zip(cell[reads][at].tolist(), rows.tolist())]
-        cells, done = np.flatnonzero(exact), 0
-        for c, sys, i in sorted(builds, key=lambda b: b[0]):
-            k = int(np.searchsorted(cells, c))
-            out[cells[done:k]], done = super().mu_abs_quad(zc[cells[done:k]]), k
-            sys.build(i)
-        out[cells[done:]] = super().mu_abs_quad(zc[cells[done:]])
-        for sys, _, sel, j in located:  # as mu_parts: a = t (psi' - 1)/2, b = (psi(x) - x)/(4 pi y_div)
-            cols, x, keep = sys.columns(), zc.real[sel], ~exact[sel]
-            px, dp = sys.grid.read(x, j, cols)
+        """|mu_quad| at zc as arrays from ``psi_read``, bar the exact band it leaves NaN (right tables at x <= 2)."""
+        out, exact = np.empty(len(zc)), np.zeros(len(zc), bool)
+        for sys, cols, sel, j in self._located(zc):  # as mu_parts: a = t (psi' - 1)/2, b = (psi(x) - x)/(4 pi y_div)
+            x = zc.real[sel]
+            px, dp = sys.psi_read(x, j)
             t = (np.abs(zc.imag[sel]) - cols["tops"][j]) / (TWO_PI * cols["y_div"][j])
             a, b = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * cols["y_div"][j])
-            out[np.flatnonzero(sel)[keep]] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], a, b)[keep]
+            out[sel], exact[sel] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], a, b), np.isnan(px)
+        out[exact] = super().mu_abs_quad(zc[exact])  # in cell order, after every table the cells read is built
         return out
 
     def piece_labels(self) -> tuple[str, ...]:
@@ -1116,7 +1083,7 @@ class _SpiralEngine(_Engine):
             u_x, u_y, _, _ = self.homeo.jacobian(h)
         a, b = 0.5 * (u_x - 1.0), 0.5 * u_y
         mu_band = _band_mu(a, b)
-        hp = self.charts.h_prime(w)
+        hp = h / (self.charts.mu * w)  # h_prime(w), from the h located
         return mu_band * hp.conjugate() / hp, mu_band, a, b, None, None
 
     def classify(self, w: complex) -> PieceInfo:
@@ -1131,7 +1098,7 @@ class _SpiralEngine(_Engine):
             region="spiral-upper" if upper else "spiral-lower",
             pair=self.upper if upper else self.lower, variant=PLAIN,
             band=band, conformal=not band,
-            seam_distance=abs(h.imag) / abs(self.charts.h_prime(w)),
+            seam_distance=abs(h.imag) / abs(h / (self.charts.mu * w)),  # / |h_prime(w)|
         )
 
     def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1466,8 +1433,10 @@ class GluedMap:
 
     State built on first use is guarded where it lives: strip records by
     the ``_StripSystem`` lock, Hermite tables by the ``_PsiCache`` lock,
-    warm starts by the ``PhiSolver`` lock, slopes by the ``SlopeSequence``
-    lock and mpmath's process-wide precision by ``specfun._MP_LOCK``.
+    slopes by the ``SlopeSequence`` lock and mpmath's process-wide precision
+    by ``specfun._MP_LOCK``.  A ``PhiSolver`` warm start needs no lock: it is
+    one immutable pair, and a seed that does not converge falls back to the
+    bracketed solve.
 
     Calling the map returns a :class:`~banklaine.scaledcx.ScaledComplex`
     (poles are tagged, not raised).  Points whose chart coordinate exceeds

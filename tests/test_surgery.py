@@ -838,31 +838,36 @@ def _hermite_test_points(table, rng) -> np.ndarray:
     return np.concatenate([xs, ends, np.nextafter(ends, -math.inf), np.nextafter(ends, math.inf), x[pow_differs]])
 
 
-def test_psi_cache_hermite_array_reads_match_eval(spiral_map):
-    # _PsiCache.read gives eval's bits wherever eval does not solve exactly,
-    # and NaN where it does: on right tables at -24 < x <= 2.  The strip
-    # tables are also read stacked, as the strips engine reads a system's
-    # tables: through its grid and columns() at the strip's row
+def test_psi_cache_hermite_array_reads_match_eval():
+    # _StripSystem.psi_read gives _PsiCache.eval's bits wherever eval does not
+    # solve exactly, NaN where it does (right tables at -24 < x <= 2), and
+    # x + 0 and 1 in strips without psi.  It builds every table it reads, and
+    # reads rows stacked in any order as it reads each one alone
     rng = np.random.default_rng(17)
     eng = assemble("strips", lam1=0.5, lam2=0.5)._impl
-    tables = [(None, None, spiral_map._impl._qcache)]
     for side in (RIGHT, LEFT):
         sys_ = eng.up[side]
-        s = next(sys_.strip(k) for k in range(1, 20) if sys_.strip(k).psi is not None)
-        tables.append((sys_, s.k - 1, s.psi_table))
-    for sys_, row, table in tables:
+        with_psi = [sys_.strip(k) for k in range(1, 9) if sys_.strip(k).psi is not None]
+        free = next(sys_.strip(k) for k in range(1, 9) if sys_.strip(k).psi is None)
+        table = with_psi[0].psi_table
         x = _hermite_test_points(table, rng)
-        reads = [table.read(x)]
-        if sys_ is not None:
-            sys_.build(row)
-            reads.append(sys_.grid.read(x, np.full(len(x), row), sys_.columns()))
-        exact = (x < table.xs[-1]) & (x > -24.0) & ((x <= table.xs[0]) | (x < table._exact_below))
+        exact = (x < table.xs[-1]) & (x > -24.0) & (x <= table.xs[0])
         assert exact.any() == (table.xs[0] == 2.0)
+        assert [s.psi_table._table for s in with_psi] == [None, None]
+        px, dp = sys_.psi_read(x, np.full(len(x), with_psi[0].k - 1))
+        assert table._table is not None and with_psi[1].psi_table._table is None
         want = [table.eval(v) for v in x[~exact].tolist()]
-        for px, dp in reads:
-            assert np.isnan(px[exact]).all() and np.isnan(dp[exact]).all()
-            assert [(p.hex(), d.hex()) for p, d in zip(px[~exact].tolist(), dp[~exact].tolist())] == \
-                [(p.hex(), d.hex()) for p, d in want]
+        assert np.isnan(px[exact]).all() and np.isnan(dp[exact]).all()
+        assert [(p.hex(), d.hex()) for p, d in zip(px[~exact].tolist(), dp[~exact].tolist())] == \
+            [(p.hex(), d.hex()) for p, d in want]
+        fx, fd = sys_.psi_read(x, np.full(len(x), free.k - 1))
+        assert [v.hex() for v in fx.tolist()] == [(v + 0.0).hex() for v in x.tolist()] and (fd == 1.0).all()
+        rows = [s.k - 1 for s in with_psi + [free]]
+        alone = [np.concatenate(r) for r in zip(*(sys_.psi_read(x, np.full(len(x), k)) for k in rows))]
+        order = rng.permutation(len(rows) * len(x))
+        stacked = sys_.psi_read(np.tile(x, len(rows))[order], np.repeat(rows, len(x))[order])
+        assert [[v.hex() for v in got.tolist()] for got in stacked] == \
+            [[v.hex() for v in got[order].tolist()] for got in alone]
 
 
 @pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
@@ -871,11 +876,26 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
     # frozen psi tails on both sides, strips without psi and Hermite cells as
     # arrays, and only exact cells, in cell order, through the scalar
     # _Engine.mu_abs_quad.  Right-side tables solve exactly on 0 <= x <= 2
-    # from the warm start the previous solve left, so there the second pass
-    # may differ in the last bit
-    eng = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
+    # from the warm start the previous solve of the same strip left: built
+    # before any exact solve, the tables leave each solver the sequence of
+    # solves a scalar pass over the cells gives it on a fresh twin map, in one
+    # call or split over two
     rng = np.random.default_rng(11)
     zc = rng.uniform(1.0, 450.0, 4000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))
+    twin = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
+    want = [abs(twin.mu_quad(z)) for z in zc.tolist()]
+    paths, exact = [], []
+    for z in zc.tolist():
+        _, s, _ = twin._locate(z)
+        if s.psi is None:
+            paths.append("psi-free")
+        elif z.real >= s.psi_table.xs[-1] or z.real <= -s.psi_table.SPAN:
+            paths.append("tail-high" if z.real > 0 else "tail-low")
+        else:
+            paths.append("exact" if 0.0 <= z.real <= 2.0 else "hermite")
+        if paths[-1] == "exact":
+            exact.append(z)
+    assert set(paths) == {"psi-free", "tail-high", "tail-low", "exact", "hermite"}
     scalar, reached = surgery._Engine.mu_abs_quad, []
 
     def counted(self, zs):
@@ -883,25 +903,11 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
         return scalar(self, zs)
 
     monkeypatch.setattr(surgery._Engine, "mu_abs_quad", counted)
-    got = eng.mu_abs_quad(zc)
-    want = [abs(eng.mu_quad(z)) for z in zc.tolist()]
-    paths, exact = set(), []
-    for z, g, w in zip(zc.tolist(), got.tolist(), want):
-        _, s, _ = eng._locate(z)
-        if s.psi is None:
-            path = "psi-free"
-        elif z.real >= s.psi_table.xs[-1] or z.real <= -s.psi_table.SPAN:
-            path = "tail-high" if z.real > 0 else "tail-low"
-        else:
-            path = "exact" if 0.0 <= z.real <= 2.0 else "hermite"
-        paths.add(path)
-        if path == "exact":
-            exact.append(z)
-            assert abs(g - w) <= 2e-16, (z, g, w)
-        else:
-            assert g.hex() == w.hex(), (path, z)
-    assert paths == {"psi-free", "tail-high", "tail-low", "exact", "hermite"}
-    assert reached == exact
+    for cuts in ([], [1700]):
+        eng, reached[:] = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl, []
+        got = np.concatenate([eng.mu_abs_quad(part) for part in np.split(zc, cuts)])
+        differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got.tolist(), want) if g.hex() != w.hex()]
+        assert differ == [] and reached == exact, cuts
 
 
 SECTOR_SEAM = 12.0 * math.pi  # the first seam height of the sectors map's base strips
