@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -82,13 +83,12 @@ class ShiftConstant:
     iterations: int
 
 
+_NEWTON_WIDTH = 1e-3  # _bisect_newton bisects down to this bracket width, then runs Newton
+_STEP_CAP = 200  # bracket expansions, bisections and Newton steps of one _bisect_newton call
+
+
 def _bisect_newton(
-    fdf: Callable[[float], tuple[float, float]],
-    lo: float,
-    hi: float,
-    bisect_width: float = 1e-3,
-    tol: float = 1e-13,
-    max_iter: int = 200,
+    fdf: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: float = 1e-13
 ) -> tuple[float, float, int]:
     """Monotone-increasing root find of f, fdf(x) = (f(x), f'(x)): bisection then Newton.
 
@@ -109,7 +109,7 @@ def _bisect_newton(
         it += 1
         if it > 120:
             raise RuntimeError("bracketing failure (should not happen for homeomorphisms)")
-    while hi - lo > bisect_width and it < max_iter:
+    while hi - lo > _NEWTON_WIDTH and it < _STEP_CAP:
         mid = 0.5 * (lo + hi)
         if fdf(mid)[0] < 0:
             lo = mid
@@ -118,8 +118,8 @@ def _bisect_newton(
         it += 1
     x = 0.5 * (lo + hi)
     fx, d = fdf(x)
-    while abs(fx) > tol and it < max_iter:
-        step = fx / d if d > 0 else math.copysign(bisect_width, fx)
+    while abs(fx) > tol and it < _STEP_CAP:
+        step = fx / d if d > 0 else math.copysign(_NEWTON_WIDTH, fx)
         xn = x - step
         if not (lo <= xn <= hi):
             # Newton escaped; shrink the bracket by bisection instead
@@ -134,8 +134,9 @@ def _bisect_newton(
     return x, abs(fx), it
 
 
+@lru_cache(maxsize=None)
 def solve_shift(pair: PairIndex, variant: str = PLAIN) -> ShiftConstant:
-    """The normalization shift s with g(s) = 2 (plain) or (g(s)+1)/2 = 2 (half)."""
+    """The normalization shift s with g(s) = 2 (plain) or (g(s)+1)/2 = 2 (half); cached per model."""
 
     def fdf(s: float) -> tuple[float, float]:
         v, dv = real_log_value_slope(pair, s, variant)
@@ -261,14 +262,6 @@ class PhiSolver:
         rhs = real_log_value(self.spec.src, p, self.spec.variant_src)
         return abs(lhs - rhs) / max(1.0, abs(lhs))
 
-    def __call__(self, x: float) -> float:
-        return self.value(x)
-
-
-def solve_phi(spec: DiffeoSpec, x: float) -> float:
-    """One-shot phi(x); for grids prefer a PhiSolver instance (warm starts)."""
-    return PhiSolver(spec).value(x)
-
 
 def _ols_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     A = np.column_stack([xs, np.ones_like(xs)])
@@ -307,19 +300,15 @@ class AsymptoticReport:
         return d
 
 
-def asymptotic_report(
-    spec: DiffeoSpec,
-    grid: Sequence[float],
-    left_window: tuple[float, float] = (-math.inf, -15.0),
-    right_window: tuple[float, float] = (5.0, math.inf),
-) -> AsymptoticReport:
+def asymptotic_report(spec: DiffeoSpec, grid: Sequence[float]) -> AsymptoticReport:
     """Fit the two asymptotic regimes of phi over the given grid.
 
-    Right side: OLS of log|phi(x)-x| against x (decay exponent).  Left side:
-    OLS of phi(x) against x giving (kappa_hat, c_hat).  Deviations below
-    1e-13 are machine noise and are discarded before fitting.  The default
-    left window starts at -15 because the O(e^{delta x}) remainder is still
-    ~1e-4 at x=-5 and would contaminate a 1e-4 acceptance band on c_hat.
+    Right side, x >= 5: OLS of log|phi(x)-x| against x (decay exponent).
+    Left side, x <= -15: OLS of phi(x) against x giving (kappa_hat, c_hat).
+    Deviations below 1e-13 are machine noise and are discarded before
+    fitting.  The left window ends at -15 because the O(e^{delta x})
+    remainder is still ~1e-4 at x=-5 and would contaminate a 1e-4
+    acceptance band on c_hat.
     """
     xs = np.asarray(sorted(grid), dtype=float)
     if spec.is_identity:
@@ -329,13 +318,13 @@ def asymptotic_report(
     residual_max = max(solver.conjugacy_residual(x) for x in xs[:: max(1, len(xs) // 32)])
 
     dev = np.abs(phis - xs)
-    rmask = (xs >= right_window[0]) & (xs <= right_window[1]) & (dev > 1e-13)
+    rmask = (xs >= 5.0) & (dev > 1e-13)
     n_right = int(np.sum(rmask))
     if n_right < 8:
         raise ValueError(f"degenerate right fit: only {n_right} usable points")
     dslope, dint = _ols_line(xs[rmask], np.log(dev[rmask]))
 
-    lmask = (xs >= left_window[0]) & (xs <= left_window[1])
+    lmask = xs <= -15.0
     n_left = int(np.sum(lmask))
     if n_left < 8:
         raise ValueError(f"degenerate left fit: only {n_left} usable points")
@@ -383,33 +372,27 @@ RIGHT = "right-halfplane"
 LEFT = "left-halfplane"
 
 
-def build_psi(
-    chain: Sequence[tuple[PairIndex, str]], side: str, l: int = 1
-) -> list[PsiMap]:
-    """One PsiMap per consecutive chain link (k -> k+1).
+def psi_link(model: tuple[PairIndex, str], model1: tuple[PairIndex, str], side: str, l: int) -> PsiMap:
+    """The psi from the (pair, variant) of strip k to that of strip k+1 on one side.
 
-    Right side uses horizontal scale l on both ends; the left side reads in
-    x/N_{k+1} and writes out N_k, matching the strip heights it interpolates
-    between.  psi_k(0) = 0 holds because phi maps the dst shift to the src
-    shift.
+    The right side uses horizontal scale l on both ends; the left side reads
+    in x/N_{k+1} and writes out N_k, matching the strip heights it
+    interpolates between.  ``scale_out`` and ``s_src`` are strip k's x_div
+    and shift; psi(0) = 0 because phi maps the dst shift to the src shift.
     """
+    (pair, variant), (pair1, variant1) = model, model1
+    inn, out = (float(l), float(l)) if side == RIGHT else (float(pair1.N), float(pair.N))
+    return PsiMap(DiffeoSpec(pair, pair1, variant, variant1),
+                  solve_shift(pair, variant).value, solve_shift(pair1, variant1).value, inn, out)
+
+
+def build_psi(chain: Sequence[tuple[PairIndex, str]], side: str, l: int = 1) -> list[PsiMap]:
+    """One ``psi_link`` per consecutive chain link (k -> k+1)."""
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}")
     if l < 1:
         raise ValueError("l must be a positive integer")
-    out: list[PsiMap] = []
-    shifts = {pv: solve_shift(*pv).value for pv in dict.fromkeys(chain)}
-    for k in range(len(chain) - 1):
-        (p_src, v_src), (p_dst, v_dst) = chain[k], chain[k + 1]
-        spec = DiffeoSpec(p_src, p_dst, v_src, v_dst)
-        s_src = shifts[(p_src, v_src)]
-        s_dst = shifts[(p_dst, v_dst)]
-        if side == RIGHT:
-            inn, outn = float(l), float(l)
-        else:
-            inn, outn = float(p_dst.N), float(p_src.N)
-        out.append(PsiMap(spec, s_src, s_dst, inn, outn))
-    return out
+    return [psi_link(a, b, side, l) for a, b in zip(chain, chain[1:])]
 
 
 @dataclass
@@ -422,18 +405,16 @@ class FixedPointReport:
     scan_step: float
 
 
-def find_fixed_points(
-    spec: DiffeoSpec, search: Optional[tuple[float, float]] = None, step: float = 1e-3
-) -> FixedPointReport:
+def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
     """Scan phi(x)-x for sign changes and polish each crossing to 1e-10.
 
-    The default window [-5, 2 log max(N,M) + 10] covers every location the
+    The window [-5, 2 log max(N,M) + 10] covers every location the
     fixed-point dichotomy can produce.
     """
+    step = 1e-3  # the scan's grid spacing
     if spec.is_identity:
         return FixedPointReport(spec, "identity", [], [], [], step)
-    top = max(spec.src.N, spec.dst.N)
-    lo, hi = search if search is not None else (-5.0, 2.0 * math.log(top) + 10.0)
+    lo, hi = -5.0, 2.0 * math.log(max(spec.src.N, spec.dst.N)) + 10.0
     solver = PhiSolver(spec)
     xs = np.arange(lo, hi + step, step)
     points: list[float] = []

@@ -46,7 +46,7 @@ def _power_mark(i: int, lam: float) -> int:
 
 
 class SlopeSequence:
-    """Integer slopes m_k (k >= 1) drawn on demand from a generator, with memoized sums.
+    """Integer slopes m_k (k >= 1) drawn on demand from a generator.
 
     ``entries_list`` holds the entries drawn so far; ``ensure`` extends it
     from the source under ``_lock``.  A source that raised is finished, so
@@ -56,7 +56,6 @@ class SlopeSequence:
     def __init__(self, source: Iterable[int]):
         self._source: Iterator[int] = iter(source)
         self.entries_list: list = []
-        self._cum = None
         self._lock = threading.Lock()
 
     def ensure(self, kmax: int) -> None:
@@ -82,14 +81,11 @@ class SlopeSequence:
         return np.asarray(self.entries_list[:kmax], dtype=np.int64)
 
     def cumulative(self, kmax: int) -> np.ndarray:
-        """Partial sums S_1..S_kmax."""
-        self.ensure(kmax)
-        cum = self._cum
-        if cum is None or len(cum) < kmax:
-            cum = self._cum = np.cumsum(np.asarray(self.entries_list, dtype=np.int64))
-        return cum[:kmax]
+        """Partial sums S_1..S_kmax; of a binary profile, the marks up to strip k, ~ (2 pi k)^lam / (2 pi)."""
+        return np.cumsum(self.prefix(kmax))
 
     def partial(self, k: int) -> int:
+        """S_k, with S_0 = 0: the count of marked strips (zeros or poles) among the first k."""
         if k == 0:
             return 0
         return int(self.cumulative(k)[-1])
@@ -231,7 +227,7 @@ class ProfileBundle:
         return self.m_seq.prefix(kmax) + 2 * self.n_seq.prefix(kmax) + 1
 
     def script_N(self, k: int) -> int:
-        """Partial sum of N_j up to k (the seam index bookkeeping)."""
+        """Partial sum of N_j up to k: H(2 pi k) = 2 pi script_N(k), the height of strip k's top seam."""
         if k == 0:
             return 0
         return int(np.sum(self.slopes_N(k)))
@@ -308,7 +304,7 @@ def select_case(lam1: float, lam2: float) -> CaseSelection:
 def export_csv(
     dest, m_seq: SlopeSequence, n_seq: SlopeSequence, kmax: int
 ) -> None:
-    """Write (k, m_k, n_k, N_k, script_N_k) rows for audit."""
+    """Write (k, m_k, n_k, N_k, script_N_k) rows for audit: strip k is 2 pi N_k high, its top seam 2 pi script_N_k."""
     m = m_seq.prefix(kmax)
     n = n_seq.prefix(kmax)
     N = m + 2 * n + 1

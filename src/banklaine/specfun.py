@@ -509,18 +509,18 @@ def denom_roots(pair: PairIndex) -> tuple[complex, ...]:
     return _poly_roots(build_coefficients(pair).denom)
 
 
-def solve_value_negative_one(pair: PairIndex, w_seed: complex, iters: int = 60) -> complex | None:
+def solve_value_negative_one(pair: PairIndex, w_seed: complex) -> complex | None:
     """Newton solve of P(w) e^w + Q(w) = 0 (i.e. g = -1) from a w-plane seed.
 
     Returns None when Newton fails: a vanishing derivative, an iterate that
-    overflows, or no convergence within ``iters`` steps.
+    overflows, or no convergence within 60 steps.
     """
     table = build_coefficients(pair)
     B = [float(b) for b in table.numer]
     A = [float(a) for a in table.denom]
     w = complex(w_seed)
     try:
-        for _ in range(iters):
+        for _ in range(60):
             (p, dp), (q, dq) = _horner(B, w), _horner(A, w)
             ew = cmath.exp(w)
             h, hp = p * ew + q, (dp + p) * ew + dq
@@ -612,16 +612,16 @@ def _complex_eval(handle: FunctionHandle) -> Callable[[complex], complex]:
     return f
 
 
-def apply_B(handle: FunctionHandle, z: complex, radius: float = 0.25) -> complex:
+def apply_B(handle: FunctionHandle, z: complex) -> complex:
     """The coefficient functional -2E''/E + (E'/E)^2 - 1/E^2 at z.
 
-    Derivatives come from Cauchy integrals on |zeta - z| = radius; if the
+    Derivatives come from Cauchy integrals on |zeta - z| = 0.25; if the
     winding of E around that circle is nonzero the disk contains a zero or
     pole of E and the request violates the benign-point contract.
     """
-    (e0, e1, e2), winding = contour.circle_derivatives(_complex_eval(handle), z, radius, 2)
+    (e0, e1, e2), winding = contour.circle_derivatives(_complex_eval(handle), z, 0.25, 2)
     if winding != 0:
-        raise ValueError(f"disk of radius {radius} at {z} contains a zero/pole (winding {winding})")
+        raise ValueError(f"disk of radius 0.25 at {z} contains a zero/pole (winding {winding})")
     return -2.0 * e2 / e0 + (e1 / e0) ** 2 - 1.0 / (e0 * e0)
 
 

@@ -35,12 +35,11 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .diffeo import LEFT, RIGHT, DiffeoSpec, PhiSolver, PsiMap, solve_shift
+from .diffeo import LEFT, RIGHT, DiffeoSpec, PhiSolver, PsiMap, psi_link
 from .scaledcx import ScaledComplex, wrap_phase
 from .sequences import build_graded_slopes, build_paired_slopes, select_case
 from .specfun import HALF, PAIR_CAP, PLAIN, PairIndex, eval_model, eval_model_turns
@@ -82,16 +81,12 @@ class PairCapError(ValueError):
 # small helpers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _shift_value(pair: PairIndex, variant: str) -> float:
-    return solve_shift(pair, variant).value
-
-
 def affine_beltrami(x_div: float, y_div: float) -> complex:
     """Beltrami coefficient of chi(x+iy) = x/x_div + i y/y_div.
 
     For the strip charts this is (N-l)/(N+l) up to sign; zero when the two
-    scales agree.
+    scales agree.  It is the constant dilatation that a strip's own chart adds
+    to (K-1)/|z|^2, apart from any psi band.
     """
     alpha = 0.5 * (1.0 / x_div + 1.0 / y_div)
     beta = 0.5 * (1.0 / x_div - 1.0 / y_div)
@@ -211,16 +206,23 @@ class SpiralCharts:
 
         |h| = r^{1/Re mu} e^{-beta0 xi} with xi in (-pi, pi], so the image
         of the circle spans exactly r^{1/Re mu} * [kappa^{-1/2}, kappa^{1/2}]
-        (endpoints approached at the spiral cut).
+        (endpoints approached at the spiral cut).  So |w| <= r pulls back to
+        |h| within a fixed factor of r^{1/Re mu}: the radius comparison
+        behind the growth scale ``order``.
         """
         s = math.exp(abs(self.beta0) * math.pi)  # = max(sqrt(kappa), 1/sqrt(kappa))
         base = r ** self.order
         return base / s, base * s
 
-    def boundary_gap(self, x: float, eps: float = 1e-8) -> float:
-        """|p(x + i eps) - p(kappa x - i eps)| for x < 0; -> 0 with eps."""
+    def boundary_gap(self, x: float) -> float:
+        """|p(x + i eps) - p(kappa x - i eps)| at eps = 1e-8 for x < 0; -> 0 with eps.
+
+        It measures the edge identification p(x + i0) = p(kappa x - i0) by which
+        z^mu glues the two sides of the cut, the defining property of the chart.
+        """
         if x >= 0:
             raise ValueError("the edge identification lives on x < 0")
+        eps = 1e-8
         return abs(self.p(complex(x, eps)) - self.p(complex(self.kappa * x, -eps)))
 
 
@@ -287,11 +289,6 @@ def _shear_jacobian(x: float, y: float, base: float, dp: float) -> tuple[float, 
     # u = base + |y| (x - base), v = y, for 0 < |y| < 1; dp = base'(x)
     sgn = 1.0 if y >= 0 else -1.0
     return dp * (1.0 - abs(y)) + abs(y), sgn * (x - base), 0.0, 1.0
-
-
-def build_strip_homeo(spec: DiffeoSpec) -> StripHomeo:
-    """The strip interpolation for one diffeomorphism spec."""
-    return StripHomeo(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +361,20 @@ class _StripSystem:
         self._xs = _PsiCache.nodes(*self._span)  # the node grid of every psi table here
 
     # -- strip records -----------------------------------------------------
-    def _model(self, k: int) -> tuple[PairIndex, str, float, float]:
-        """(pair, variant, x_div, shift) of strip k."""
+    def _model(self, k: int) -> tuple[PairIndex, str]:
+        """(pair, variant) of strip k."""
         m, n = self._m.entry(k), self._n.entry(k)
         if max(m, n) > PAIR_CAP:
             raise PairCapError(f"strip system {self.tag} stops at local height {self._tops[-1]!r}: "
                                f"strip {self.tag}{k} needs the pair ({m}, {n}), past PAIR_CAP = {PAIR_CAP}")
-        pair = PairIndex(m, n)
-        variant = self.variant_rule(k)
-        x_div = float(self.l) if self.side == RIGHT else float(pair.N)
-        return pair, variant, x_div, _shift_value(pair, variant)
+        return PairIndex(m, n), self.variant_rule(k)
 
     def _grow(self) -> None:
-        """Append the next strip record; the caller holds the lock."""
+        """Append the next strip record, its x_div and shift read off its psi; the caller holds the lock."""
         k = len(self._strips) + 1
-        pair, variant, x_div, shift = self._model(k)
-        pair1, variant1, x_div1, shift1 = self._model(k + 1)
-        y_div = 1.0 if self.heights == "unit" else float(pair.N)
-        pm = PsiMap(DiffeoSpec(pair, pair1, variant, variant1), shift, shift1, x_div1, x_div)
+        pair, variant = self._model(k)
+        pm = psi_link((pair, variant), self._model(k + 1), self.side, self.l)
+        x_div, shift, y_div = pm.scale_out, pm.s_src, 1.0 if self.heights == "unit" else float(pair.N)
         table = None
         if pm.exact_identity:
             pm = None
@@ -539,10 +532,13 @@ def _hermite(x, x0, h, v0, d0, v1, d1) -> tuple:
 class _PsiCache:
     """Cubic-Hermite table of a psi (value ``f``, derivative ``df``), for quadrature.
 
-    Outside |x| <= SPAN the map is affine to well below quadrature accuracy
-    (the conjugacy approaches kappa x + c double-exponentially), so the two
-    tails are frozen constants.  Value/derivative pairs at the nodes make
-    the interpolant C^1 with error far under the midpoint-rule floor.
+    Outside |x| <= SPAN the two tails are frozen as x + c.  But the map reads
+    phi at x/N_{k+1} (left strips), x/l (right strips) or x/kappa (spiral, x < 0),
+    so it is affine only past about SPAN times that scale: |mu_quad| is off by
+    7e-5 on strips (0.5, 0.5) at -200 + 33i and by 0.25 on power (0.75, 0.5)
+    at 15 e^{2.992i}, both pinned by an xfail test.  Value/derivative pairs
+    at the nodes make the interpolant C^1 with error far under the
+    midpoint-rule floor.
 
     The first ``eval`` (or ``_build``) solves the whole table in one sweep
     of ascending x (left tail constant, nodes, right tail constant) under
@@ -674,7 +670,6 @@ class _Engine:
     which ``classify`` and ``mu_parts`` read.
 
     - :class:`GluedMap` calls ``eval(z)``, ``classify(z)``,
-      ``piece_labels()``, ``piece_value(label, z)``,
       ``seam_residuals(samples, strips)`` and ``to_dict()``.
     - :func:`beltrami_at` calls ``classify(z)``, whose ``seam_distance`` is
       a z-plane distance in every flavor, and ``mu_parts(z)``.
@@ -818,16 +813,6 @@ class _StripsEngine(_Engine):
         out[exact] = super().mu_abs_quad(zc[exact])  # in cell order, after every table the cells read is built
         return out
 
-    def piece_labels(self) -> tuple[str, ...]:
-        return ("right", "left")
-
-    def piece_value(self, label: str, z: complex) -> ScaledComplex:
-        if label not in self.piece_labels():
-            raise KeyError(label)
-        x, y = z.real, z.imag
-        table = self.up if y >= 0 else self.lo
-        return table[RIGHT if label == "right" else LEFT].eval_xy(x, y)
-
     # -- dilatation hooks -------------------------------------------------
     def fine_size(self, _r_max: float) -> float:
         return TWO_PI / 8.0
@@ -921,9 +906,6 @@ class _SectorEngine(_Engine):
             return complex(w.real / self.l, w.imag)
         return w
 
-    def base_value(self, w: complex) -> ScaledComplex:
-        return self.base.eval(w)
-
     @staticmethod
     def _half_turn(w: complex) -> complex:
         # the flipped sheet away from the real axis: G_1(w) = G_0(w -+ i pi)
@@ -998,16 +980,6 @@ class _SectorEngine(_Engine):
         uninterp = np.array(uninterp, bool)
         return np.array(labels, dtype=object), conformal & ~uninterp, uninterp
 
-    def piece_labels(self) -> tuple[str, ...]:
-        return ("base", "flipped")
-
-    def piece_value(self, label: str, z: complex) -> ScaledComplex:
-        if label == "base":
-            return self.base_value(complex(z))
-        if label == "flipped":
-            return self.flipped_value(complex(z))
-        raise KeyError(label)
-
     def fine_size(self, r_max: float) -> float:
         # pullback strip thickness ~ 2 pi / (n r^{n-1})
         return max(0.05, TWO_PI / (self.n * r_max ** (self.n - 1)) / 8.0)
@@ -1028,7 +1000,7 @@ class _SectorEngine(_Engine):
         checks = self.base.seam_residuals(samples, strips)
         # the two sheets are reciprocal on the base strip 0 <= Im w <= 2 pi
         def gap(w: complex) -> float:
-            prod = self.base_value(w).mul(self.flipped_value(w))
+            prod = self.base.eval(w).mul(self.flipped_value(w))
             return max(abs(prod.log_modulus), abs(wrap_phase(prod.phase)))
 
         checks.append(_sweep("sheet-inverse", [complex(x, 1.0 + 0.007 * x)
@@ -1052,7 +1024,7 @@ class _SpiralEngine(_Engine):
         self.lower, self.upper = lower, upper
         self.spec = DiffeoSpec(lower, upper)
         self.charts = spiral_charts(self.spec.kappa)
-        self.homeo = build_strip_homeo(self.spec)
+        self.homeo = StripHomeo(self.spec)
         # tabulates the homeo's axis profile (base, base')
         self._qcache = _PsiCache(self.homeo._base, self.homeo._base_deriv,
                                  -_PsiCache.SPAN, _PsiCache.SPAN)
@@ -1110,17 +1082,6 @@ class _SpiralEngine(_Engine):
         for j in np.flatnonzero(np.minimum(np.abs(h_im + 1.0), np.abs(h_im)) < DECISION_SLACK * (1.0 + mod)):
             band[j] = self._locate(complex(zc[j]))[1]
         return np.where(band, "cut-band", "regular"), ~band, np.zeros(len(zc), bool)
-
-    def piece_labels(self) -> tuple[str, ...]:
-        return ("upper", "lower")
-
-    def piece_value(self, label: str, w: complex) -> ScaledComplex:
-        h = self.charts.h(complex(w))
-        if label == "upper":
-            return eval_model(self.upper, h)
-        if label == "lower":
-            return eval_model(self.lower, self.homeo(h))
-        raise KeyError(label)
 
     def fine_size(self, _r_max: float) -> float:
         return 0.125
@@ -1345,17 +1306,6 @@ class _PowerEngine(_Engine):
         conformal = [self._conformal(qlab, s) for _, qlab, _, _, s, _ in locs]
         return np.array(labels, dtype=object), np.array(conformal, bool), np.zeros(len(zc), bool)
 
-    def piece_labels(self) -> tuple[str, ...]:
-        return ("wedge", "left-wedge")
-
-    def piece_value(self, label: str, z: complex) -> ScaledComplex:
-        z = complex(z)
-        if label == "wedge":
-            return self._sys_value(self.U, self.q_value(self._w(z)))
-        if label == "left-wedge":
-            return self._sys_value(self.V, self._v(z))
-        raise KeyError(label)
-
     def fine_size(self, r_max: float) -> float:
         spacing = TWO_PI * r_max ** (1.0 - self.rho) / self.rho
         return min(TWO_PI, spacing) / 8.0
@@ -1408,8 +1358,8 @@ class _PowerEngine(_Engine):
         for sgn, name in ((1.0, "ray+"), (-1.0, "ray-")):
             checks.append(_sweep(name, [r * cmath.exp(1j * sgn * self.ray)
                                         for r in np.linspace(1.1, 7.3, samples).tolist()],
-                                 lambda zr: _log_gap(self.piece_value("wedge", zr),
-                                                     self.piece_value("left-wedge", zr))))
+                                 lambda zr: _log_gap(self._sys_value(self.U, self.q_value(self._w(zr))),
+                                                     self._sys_value(self.V, self._v(zr)))))
         # strip seams of both wedge systems
         xs_r = np.linspace(0.5, 6.0, samples)
         xs_l = np.linspace(-40.0, -0.5, samples)
@@ -1454,13 +1404,6 @@ class GluedMap:
 
     def classify(self, z: complex) -> PieceInfo:
         return self._impl.classify(complex(z))
-
-    def piece_labels(self) -> tuple[str, ...]:
-        return self._impl.piece_labels()
-
-    def piece_value(self, label: str, z: complex) -> ScaledComplex:
-        """Evaluate one named piece formula in its own chart, ignoring gating."""
-        return self._impl.piece_value(label, complex(z))
 
     def seam_residuals(self, samples: int = 64, **kw) -> list[SeamCheck]:
         """Log-space residual sweeps across every declared seam."""
@@ -1556,10 +1499,10 @@ def _no_extras(flavor: str, opts: dict) -> None:
 # Beltrami sampling
 # ---------------------------------------------------------------------------
 
-def beltrami_at(gmap: GluedMap, z: complex, seam_tol: float = 1e-9) -> BeltramiSample:
+def beltrami_at(gmap: GluedMap, z: complex) -> BeltramiSample:
     """Closed-form Beltrami coefficient of the glued map at z.
 
-    Points closer than ``seam_tol`` (a z-plane distance) to a
+    Points closer than 1e-9 (a z-plane distance) to a
     declared seam, or at a chart singularity, come back flagged
     ``indeterminate`` -- the coefficient is still the one-sided value.
     """
@@ -1569,7 +1512,7 @@ def beltrami_at(gmap: GluedMap, z: complex, seam_tol: float = 1e-9) -> BeltramiS
         raise UninterpolatedRegion(f"no formula at z={z:.6g}")
     mu, mu_band, a, b, dpsi, gap = gmap._impl.mu_parts(z)
     mu_abs = abs(mu)
-    indeterminate = info.seam_distance < seam_tol or not math.isfinite(mu_abs) or mu_abs >= 1.0
+    indeterminate = info.seam_distance < 1e-9 or not math.isfinite(mu_abs) or mu_abs >= 1.0
     return BeltramiSample(
         z=z, piece=info.label, mu=mu, K=_k_of_mu(mu_abs),
         mu_band=mu_band, K_band=_k_of_mu(abs(mu_band)),
@@ -1620,6 +1563,7 @@ class DilatationReport:
         return self.tail_increment(0.5 * (self.r_min + self.r_max)) < 1e-3
 
     def csv_text(self) -> str:
+        """Audit rows (outer shell radius, strip, sum) of ``shell_strip_sums``: each strip's share of the tail."""
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["r", "strip", "sum"])

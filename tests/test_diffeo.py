@@ -21,7 +21,6 @@ from banklaine.diffeo import (
     closed_form_c,
     find_fixed_points,
     r0_constant,
-    solve_phi,
     solve_shift,
 )
 from banklaine.specfun import HALF, PLAIN, PairIndex, build_coefficients, real_log_gap_deriv
@@ -114,18 +113,18 @@ def test_kappa_below_one():
 def test_identity_spec_is_exact():
     spec = DiffeoSpec(P11, P11)
     assert spec.is_identity
-    assert solve_phi(spec, 1.234) == 1.234
+    assert PhiSolver(spec).value(1.234) == 1.234
 
 
 def test_phi_deep_negative_matches_affine():
     spec = DiffeoSpec(P00, P11)
-    got = solve_phi(spec, -30.0)
+    got = PhiSolver(spec).value(-30.0)
     assert abs(got - (4.0 * -30.0 - math.log(72.0))) < 1e-6
 
 
 def test_phi_right_tail_collapses():
     spec = DiffeoSpec(P00, P11)
-    assert abs(solve_phi(spec, 20.0) - 20.0) < math.exp(-10.0)
+    assert abs(PhiSolver(spec).value(20.0) - 20.0) < math.exp(-10.0)
 
 
 def test_conjugacy_residual_band():
