@@ -35,6 +35,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -302,9 +303,9 @@ class _Strip:
     The strip spans local heights [lo, hi) with hi - lo = 2 pi y_div,
     carries the model ``pair`` in ``variant`` scaled by
     chi = x/x_div + i y/y_div and shifted by ``shift``, and interpolates
-    toward strip k+1 through ``psi`` (None when that map is the identity),
-    tabulated for quadrature in ``psi_table``.  ``active`` says whether the
-    strip carries any dilatation at all.
+    toward strip k+1 through its own ``psi`` (None when that map is the
+    identity), tabulated in ``psi_table``, which strips that repeat the
+    transition share.  ``active`` says whether it carries any dilatation.
     """
 
     k: int
@@ -337,10 +338,10 @@ class _StripSystem:
     only: ``_grow`` appends each record before its top, so a reader that
     finds y below ``_tops[-1]`` without the lock also finds its record.
 
-    The system owns its strips' psi tables, all on one node grid, and
-    ``psi_read`` reads them stacked.  Each strip's psi owns its solver and
-    ``_PsiCache.eval`` builds before it solves, so building every table read
-    before any exact solve leaves each solver the solves ``eval`` gives it.
+    ``_grow`` takes each strip's psi table from ``_psi_table``, one per
+    transition, and ``psi_read`` reads them stacked on one node grid.  The
+    tables solve on solvers of their own and the exact band, which no table
+    covers, on each strip's psi: sharing a table moves no solve.
     """
 
     def __init__(self, m_seq, n_seq, side: str, l: int, heights: str,
@@ -357,8 +358,7 @@ class _StripSystem:
         self._strips: list[_Strip] = []
         self._tops: list[float] = [0.0]
         self._cols: tuple[int, dict] = (-1, {})  # (strips laid out, columns)
-        self._span = (0.0, _PsiCache.SPAN) if side == RIGHT else (-_PsiCache.SPAN, 0.0)
-        self._xs = _PsiCache.nodes(*self._span)  # the node grid of every psi table here
+        self._xs = _PsiCache.nodes(*_PsiCache.SIDES[side])  # the node grid of every psi table here
 
     # -- strip records -----------------------------------------------------
     def _model(self, k: int) -> tuple[PairIndex, str]:
@@ -372,14 +372,10 @@ class _StripSystem:
     def _grow(self) -> None:
         """Append the next strip record, its x_div and shift read off its psi; the caller holds the lock."""
         k = len(self._strips) + 1
-        pair, variant = self._model(k)
-        pm = psi_link((pair, variant), self._model(k + 1), self.side, self.l)
+        model, model1 = self._model(k), self._model(k + 1)
+        (pair, variant), pm = model, psi_link(model, model1, self.side, self.l)
         x_div, shift, y_div = pm.scale_out, pm.s_src, 1.0 if self.heights == "unit" else float(pair.N)
-        table = None
-        if pm.exact_identity:
-            pm = None
-        else:
-            table = _PsiCache(pm, pm.deriv, *self._span)
+        pm, table = (None, None) if pm.exact_identity else (pm, _psi_table(model, model1, self.side, self.l))
         lo = self._tops[-1]
         hi = lo + TWO_PI * y_div
         self._strips.append(_Strip(k, pair, variant, x_div, y_div, shift, lo, hi, pm, table,
@@ -418,7 +414,7 @@ class _StripSystem:
         return self._cols[1]
 
     def psi_read(self, x: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``psi_table.eval`` at each x[c] in strip j[c] + 1, bit for bit, NaN where ``eval`` solves exactly.
+        """``psi_table.eval`` at each x[c] in strip j[c] + 1, bit for bit, NaN on the exact band (``eval`` gives None).
 
         Strips without psi read x + 0 and 1.  Builds every table it reads first, as ``eval`` does.
         """
@@ -459,7 +455,7 @@ class _StripSystem:
         """
         a, b, dp, gap = 0.0, 0.0, 1.0, 0.0
         if s.psi is not None:
-            px, dp = s.psi_table.eval(x) if quad else (s.psi(x), s.psi.deriv(x))
+            px, dp = (quad and s.psi_table.eval(x)) or (s.psi(x), s.psi.deriv(x))  # eval: None on the exact band
             a, b, gap = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * s.y_div), px - x
         mu, mu_band = _compose_affine(s.x_div, s.y_div, a, b), _band_mu(a, b)
         if conj:
@@ -540,23 +536,22 @@ class _PsiCache:
     at the nodes make the interpolant C^1 with error far under the
     midpoint-rule floor.
 
-    The first ``eval`` (or ``_build``) solves the whole table in one sweep
-    of ascending x (left tail constant, nodes, right tail constant) under
-    ``_lock`` and stores one immutable tuple (c_lo, psi and psi' as node
-    arrays, c_hi), which later reads take without a lock; ``eval`` builds
-    before it solves.  A quadrature reads nearly every node of the tables it
-    reads (1,106 of 1,116 on strips 1..450, 185 of 193 on the spiral 1..200),
-    and one sweep keeps the nodes independent of the order cells reach them.
-    A table that no quadrature reads costs no solve.
+    The first ``eval`` (or ``_build``) solves the whole table with ``f`` and
+    ``df`` in one sweep of ascending x (left tail constant, nodes, right tail
+    constant) under ``_lock``, and stores one immutable tuple (c_lo, psi and
+    psi' at the nodes, c_hi) that later reads take without a lock.  One sweep
+    keeps the nodes independent of the order cells reach them; a table that
+    no quadrature reads costs no solve.
 
-    Tables that start at x = 0 (right-side seams pin psi(0) = 0) fall back
-    to exact solves on -SPAN < x <= 2: psi turns over there within a few
-    multiples of 1/N, and no fixed grid keeps the *derivative* honest at the
-    knee.  ``_StripSystem.psi_read`` reads a system's tables as arrays.
+    Tables that start at x = 0 (right-side seams pin psi(0) = 0) leave the
+    exact band -SPAN < x <= 2 to the strip's own psi (``eval`` gives None):
+    psi turns over there within a few multiples of 1/N, and no fixed grid
+    keeps the *derivative* honest at the knee.
     """
 
     SPAN = 24.0
     STEP = 0.25
+    SIDES = {RIGHT: (0.0, SPAN), LEFT: (-SPAN, 0.0)}  # [lo, hi] of a strip system's tables
 
     @classmethod
     def nodes(cls, lo: float, hi: float) -> np.ndarray:
@@ -579,19 +574,24 @@ class _PsiCache:
                 self._table = (c_lo, vs, ds, self.f(tail) - tail)
             return self._table
 
-    def eval(self, x: float) -> tuple[float, float]:
-        """(psi(x), psi'(x)) to interpolation accuracy."""
+    def eval(self, x: float) -> Optional[tuple[float, float]]:
+        """(psi(x), psi'(x)) to interpolation accuracy; None on the exact band, which the table leaves out."""
         c_lo, vs, ds, c_hi = self._table or self._build()
         xl = self._xl
         if x >= xl[-1]:
             return x + c_hi, 1.0
         if x <= xl[0]:
-            if x <= -self.SPAN:
-                return x + c_lo, 1.0
-            return self.f(x), self.df(x)
+            return (x + c_lo, 1.0) if x <= -self.SPAN else None
         i = bisect_right(xl, x) - 1
         val, der = _hermite(x, xl[i], xl[i + 1] - xl[i], vs.item(i), ds.item(i), vs.item(i + 1), ds.item(i + 1))
         return float(val), float(der)
+
+
+@lru_cache(maxsize=None)
+def _psi_table(model: tuple[PairIndex, str], model1: tuple[PairIndex, str], side: str, l: int) -> _PsiCache:
+    """The table of one strip transition, over a ``psi_link`` of its own: the same bits whoever builds it."""
+    pm = psi_link(model, model1, side, l)
+    return _PsiCache(pm, pm.deriv, *_PsiCache.SIDES[side])
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +687,9 @@ class _Engine:
         ``conformal`` promises mu == 0.
       - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
         cells that straddle or are not conformal.  The default loops over
-        ``mu_quad``.  The strips engine reads psi (frozen tails, Hermite
-        tables, or none) as arrays through ``_StripSystem.psi_read``, which
-        builds the tables first, and loops only over the exact band of its
-        right tables: one solver per strip, and ``eval`` builds before it solves.
+        ``mu_quad``.  The strips engine reads psi tables (or none) as arrays
+        through ``_StripSystem.psi_read`` and loops only over the exact band
+        of its right strips, which each strip solves on its own psi.
 
     Array code must take the scalar code's decisions, since grid nodes sit on
     seams, and give |mu| bit for bit.  np.sin, np.cos, np.fmod and np.hypot agree
@@ -1648,7 +1647,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
 
     def blocks():
         """Consecutive shells' arc pieces (shell, start, step, nodes, cell area), coarse gaps and fine windows."""
-        block: list = []
+        block, nodes = [], 0  # nodes: the running sum of p[3] over block + pieces
         for i in range(n_r):
             r0, r1 = float(edges[i]), float(edges[i + 1])
             rc, cursor, pieces = 0.5 * (r0 + r1), -math.pi, []
@@ -1658,10 +1657,11 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
                         m = max(1, int(math.ceil((b - a) * rc / target)))
                         dth = (b - a) / m
                         pieces.append((i, a, dth, m + 1, 0.5 * (r1 * r1 - r0 * r0) * dth))
+                        nodes += m + 1
                 cursor = max(cursor, hi)
-            if block and sum(p[3] for p in block + pieces) > BLOCK_CELLS:
+            if block and nodes > BLOCK_CELLS:
                 yield block
-                block = []
+                block, nodes = [], sum(p[3] for p in pieces)
             block += pieces
         yield block
 

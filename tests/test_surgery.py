@@ -660,8 +660,8 @@ def test_frozen_psi_tails_track_the_exact_map(flavor, params, z, tol):
 
 def test_quadrature_tables_do_not_depend_on_reading_order():
     # the heights sit in the transition strips 6 and 7 of both sides; right
-    # tables solve exactly on 0 < x <= 2, where the warm start still
-    # carries over from the previous call, so that band is left out
+    # strips solve exactly on 0 < x <= 2 on their own psi, where the warm
+    # start still carries over from the previous call, so that band is left out
     pts = [complex(x, y) for x in np.arange(-25.8, 26.0, 0.45) for y in (33.0, 45.0, 60.0)
            if not 0.0 < x <= 2.0]
     shuffled = pts[:]
@@ -852,21 +852,35 @@ def _hermite_test_points(table, rng) -> np.ndarray:
     return np.concatenate([xs, ends, np.nextafter(ends, -math.inf), np.nextafter(ends, math.inf), x[pow_differs]])
 
 
+def _transition(sys_, s):
+    """The key of strip s's psi table: the (pair, variant) of s and of the strip above, the side and l."""
+    above = sys_.strip(s.k + 1)
+    return (s.pair, s.variant), (above.pair, above.variant), sys_.side, sys_.l
+
+
 def test_psi_cache_hermite_array_reads_match_eval():
-    # _StripSystem.psi_read gives _PsiCache.eval's bits wherever eval does not
-    # solve exactly, NaN where it does (right tables at -24 < x <= 2), and
-    # x + 0 and 1 in strips without psi.  It builds every table it reads, and
-    # reads rows stacked in any order as it reads each one alone
+    # _StripSystem.psi_read gives _PsiCache.eval's bits wherever eval reads
+    # the table, NaN where eval gives None (the exact band of right tables,
+    # -24 < x <= 2), and x + 0 and 1 in strips without psi.  Reading one strip
+    # builds its transition's table, which a later strip repeating the
+    # transition shares, and leaves the table of another transition unbuilt
+    # (tables are shared process-wide, hence the cleared cache).  Rows read
+    # stacked in any order give what each row read alone gives
     rng = np.random.default_rng(17)
+    surgery._psi_table.cache_clear()
     eng = assemble("strips", lam1=0.5, lam2=0.5)._impl
     for side in (RIGHT, LEFT):
         sys_ = eng.up[side]
         with_psi = [sys_.strip(k) for k in range(1, 9) if sys_.strip(k).psi is not None]
         free = next(sys_.strip(k) for k in range(1, 9) if sys_.strip(k).psi is None)
+        repeat = next(sys_.strip(k) for k in range(9, 60) if sys_.strip(k).psi is not None
+                      and _transition(sys_, sys_.strip(k)) == _transition(sys_, with_psi[0]))
         table = with_psi[0].psi_table
         x = _hermite_test_points(table, rng)
         exact = (x < table.xs[-1]) & (x > -24.0) & (x <= table.xs[0])
         assert exact.any() == (table.xs[0] == 2.0)
+        assert repeat.psi_table is table and with_psi[1].psi_table is not table
+        assert _transition(sys_, with_psi[1]) != _transition(sys_, with_psi[0])
         assert [s.psi_table._table for s in with_psi] == [None, None]
         px, dp = sys_.psi_read(x, np.full(len(x), with_psi[0].k - 1))
         assert table._table is not None and with_psi[1].psi_table._table is None
@@ -884,16 +898,41 @@ def test_psi_cache_hermite_array_reads_match_eval():
             [[v.hex() for v in got[order].tolist()] for got in alone]
 
 
+def test_psi_tables_are_shared_per_transition():
+    # a psi table depends only on its transition, so strips 1..450 build one
+    # table per distinct transition read (4), not one per strip (12), and
+    # every strip that repeats a transition holds the one table
+    surgery._psi_table.cache_clear()
+    gm = assemble("strips", lam1=0.5, lam2=0.5)
+    dilatation_integral(gm, 1.0, 450.0)
+    strips = [(sys_, s) for sys_ in gm._impl._systems() for s in sys_._strips if s.psi is not None]
+    read = [(sys_, s) for sys_, s in strips if s.psi_table._table is not None]
+    assert len(read) == 12
+    assert len({id(s.psi_table) for _, s in read}) == len({_transition(*p) for p in read}) == 4
+    tables: dict = {}
+    for sys_, s in strips:
+        assert tables.setdefault(_transition(sys_, s), s.psi_table) is s.psi_table
+    # a mixed map's upper (half-model) and lower (plain) systems share the
+    # entries whose keys agree: (0,0) -> (1,0), plain in both, first at strip 100
+    eng = assemble("mixed", lam1=0.5, lam2=0.9)._impl
+    for side in (RIGHT, LEFT):
+        up, lo = ({_transition(sys_, s): s.psi_table for s in map(sys_.strip, range(1, 120)) if s.psi is not None}
+                  for sys_ in (eng.up[side], eng.lo[side]))
+        assert len(up.keys() & lo.keys()) == 1
+        assert all((up[k] is lo[k2]) == (k == k2) for k in up for k2 in lo)
+
+
 @pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
 def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
     # the array hook must give abs(mu_quad(z)) to the last bit on every path:
     # frozen psi tails on both sides, strips without psi and Hermite cells as
     # arrays, and only exact cells, in cell order, through the scalar
-    # _Engine.mu_abs_quad.  Right-side tables solve exactly on 0 <= x <= 2
-    # from the warm start the previous solve of the same strip left: built
-    # before any exact solve, the tables leave each solver the sequence of
-    # solves a scalar pass over the cells gives it on a fresh twin map, in one
-    # call or split over two
+    # _Engine.mu_abs_quad.  Right-side strips solve exactly on 0 <= x <= 2 on
+    # their own psi, from the warm start the previous solve of the same strip
+    # left.  The tables, shared per transition with the twin's, solve on
+    # solvers of their own, so each strip's solver sees the sequence of solves
+    # a scalar pass over the cells gives it on a fresh twin map, in one call
+    # or split over two
     rng = np.random.default_rng(11)
     zc = rng.uniform(1.0, 450.0, 4000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))
     twin = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
