@@ -105,21 +105,25 @@ def _compose_affine(x_div: float, y_div: float, a: float, b: float) -> complex:
     return num / den
 
 
+def _c_quot(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai) / (br + i bi) over arrays by Smith's method as CPython divides (``_Py_c_quot``); NaN where b == 0."""
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):  # in the branch np.where drops; Python overflows without a warning
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
 def _affine_mu_abs(x_div: np.ndarray, y_div: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """abs(_compose_affine(x_div, y_div, a, b)) over arrays, bit for bit, NaN (0/0) where den == 0.
 
-    num = (beta + f a, f b) over den = (alpha + f a, -f b), f = alpha + beta, by Smith's method as CPython
-    divides (``_Py_c_quot``), then hypot; complex numpy division and np.abs round differently.
+    num = (beta + f a, f b) over den = (alpha + f a, -f b), f = alpha + beta, by ``_c_quot``, then hypot
+    as complex abs; np.abs of a complex rounds differently.
     """
     alpha, beta = 0.5 * (1.0 / x_div + 1.0 / y_div), 0.5 * (1.0 / x_div - 1.0 / y_div)
     fa, fb = (alpha + beta) * a, (alpha + beta) * b
-    nr, dr, di = beta + fa, alpha + fa, -fb
-    by_re = np.abs(dr) >= np.abs(di)
-    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch np.where drops
-        ratio = np.where(by_re, di / dr, dr / di)
-        denom = np.where(by_re, dr + di * ratio, dr * ratio + di)
-        return np.hypot(np.where(by_re, nr + fb * ratio, nr * ratio + fb) / denom,
-                        np.where(by_re, fb - nr * ratio, fb * ratio - nr) / denom)
+    return np.hypot(*_c_quot(beta + fa, fb, alpha + fa, -fb))
 
 
 def _band_mu(a: float, b: float) -> complex:
@@ -173,11 +177,15 @@ class SpiralCharts:
         # the argument of h(w); also the branch-adjusted phase of w
         return wrap_phase(math.atan2(w.imag, w.real) + self.beta0 * math.log(abs(w)))
 
+    def _xis(self, theta: np.ndarray, logr: np.ndarray) -> np.ndarray:
+        """``_xi`` from arrays of arg w and log|w|: np.fmod is exact, as math.fmod, then wrap_phase's corrections."""
+        t = np.fmod(theta + self.beta0 * logr, TWO_PI)
+        return np.where(t <= -math.pi, t + TWO_PI, np.where(t > math.pi, t - TWO_PI, t))
+
     def xi_logr(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(``_xi(w)``, log|w|) at nonzero points to ~1e-12; exact within DECISION_SLACK of xi = 0, +-pi."""
         logr = np.log(np.hypot(w.real, w.imag))
-        t = np.fmod(np.arctan2(w.imag, w.real) + self.beta0 * logr, TWO_PI)  # then wrap_phase's corrections
-        xi = np.where(t <= -math.pi, t + TWO_PI, np.where(t > math.pi, t - TWO_PI, t))
+        xi = self._xis(np.arctan2(w.imag, w.real), logr)
         a = np.abs(xi)
         for j in np.flatnonzero((a < DECISION_SLACK) | (a > math.pi - DECISION_SLACK)).tolist():
             z = complex(w[j])
@@ -189,13 +197,20 @@ class SpiralCharts:
 
         Writes h = exp((1/mu)(log|w| + i theta)) with 1/mu = 1 + i beta0 and
         theta the lift of arg w for which the image leaves the cut plane
-        exactly along Gamma.
+        exactly along Gamma.  ``h_array`` is its array form, bit for bit.
         """
         w = complex(w)
         if w == 0:
             return 0j
         xi = self._xi(w)
         return cmath.exp(complex(self.order * math.log(abs(w)) - self.beta0 * xi, xi))
+
+    def h_array(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Re h, Im h) at nonzero w as ``h`` forms them (libm log, atan2, exp per element); exact below |h| = e^708."""
+        logr = np.array(list(map(math.log, np.hypot(w.real, w.imag).tolist())))
+        xi = self._xis(np.array(list(map(math.atan2, w.imag.tolist(), w.real.tolist()))), logr)
+        l = np.array(list(map(math.exp, (self.order * logr - self.beta0 * xi).tolist())))
+        return l * np.cos(xi), l * np.sin(xi)
 
     def h_prime(self, w: complex) -> complex:
         """dh/dw = h(w)/(mu w) on the cut complement."""
@@ -287,8 +302,8 @@ class StripHomeo:
 
 
 def _shear_jacobian(x: float, y: float, base: float, dp: float) -> tuple[float, float, float, float]:
-    # u = base + |y| (x - base), v = y, for 0 < |y| < 1; dp = base'(x)
-    sgn = 1.0 if y >= 0 else -1.0
+    # u = base + |y| (x - base), v = y, for 0 < |y| < 1; dp = base'(x); floats or arrays
+    sgn = 2.0 * (y >= 0) - 1.0
     return dp * (1.0 - abs(y)) + abs(y), sgn * (x - base), 0.0, 1.0
 
 
@@ -531,8 +546,9 @@ class _PsiCache:
     Outside |x| <= SPAN the two tails are frozen as x + c.  But the map reads
     phi at x/N_{k+1} (left strips), x/l (right strips) or x/kappa (spiral, x < 0),
     so it is affine only past about SPAN times that scale: |mu_quad| is off by
-    7e-5 on strips (0.5, 0.5) at -200 + 33i and by 0.25 on power (0.75, 0.5)
-    at 15 e^{2.992i}, both pinned by an xfail test.  Value/derivative pairs
+    7e-5 on strips (0.5, 0.5) at -200 + 33i, by 0.25 on power (0.75, 0.5)
+    at 15 e^{2.992i} and by 3.4e-5 on the spiral at p(-40 - 0.5i), all pinned
+    by an xfail test.  Value/derivative pairs
     at the nodes make the interpolant C^1 with error far under the
     midpoint-rule floor.
 
@@ -585,6 +601,16 @@ class _PsiCache:
         i = bisect_right(xl, x) - 1
         val, der = _hermite(x, xl[i], xl[i + 1] - xl[i], vs.item(i), ds.item(i), vs.item(i + 1), ds.item(i + 1))
         return float(val), float(der)
+
+    def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``eval`` at each x, bit for bit, NaN where it gives None; builds the table first, as ``eval`` does."""
+        c_lo, vs, ds, c_hi = self._table or self._build()
+        xs, high, low = self.xs, x >= self.xs[-1], x <= -self.SPAN
+        px, dp = np.where(high, x + c_hi, np.where(low, x + c_lo, np.nan)), np.where(high | low, 1.0, np.nan)
+        herm = ~high & (x > xs[0])
+        xh, i = x[herm], np.searchsorted(xs, x[herm], side="right") - 1  # as eval bisects
+        px[herm], dp[herm] = _hermite(xh, xs[i], xs[i + 1] - xs[i], vs[i], ds[i], vs[i + 1], ds[i + 1])
+        return px, dp
 
 
 @lru_cache(maxsize=None)
@@ -686,16 +712,16 @@ class _Engine:
         midpoints zc, the cheap ``classify``: labels key ``strip_sums``, and
         ``conformal`` promises mu == 0.
       - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
-        cells that straddle or are not conformal.  The default loops over
-        ``mu_quad``.  The strips engine reads psi tables (or none) as arrays
-        through ``_StripSystem.psi_read`` and loops only over the exact band
-        of its right strips, which each strip solves on its own psi.
+        cells that straddle or are not conformal: a loop over ``mu_quad`` on
+        sectors and power (the default), arrays elsewhere.  The strips engine
+        loops only over the exact band of its right strips, which each strip
+        solves on its own psi; the spiral forms h with libm (``charts.h_array``).
 
     Array code must take the scalar code's decisions, since grid nodes sit on
     seams, and give |mu| bit for bit.  np.sin, np.cos, np.fmod and np.hypot agree
-    with ``math`` and complex abs; np.log, np.arctan2, np.exp and complex np.abs
-    may differ in the last bit (AVX-512 builds).  Decisions, not values, are exact:
-    one within ``DECISION_SLACK`` = 1e-9 of its threshold is retaken by scalar code.
+    with ``math`` and complex abs; np.log, np.arctan2, np.exp, complex numpy division
+    and np.abs may differ in the last bit (AVX-512 builds), so |mu| calls libm and
+    ``_c_quot``.  Decisions within ``DECISION_SLACK`` = 1e-9 of a threshold are retaken by scalar code.
 
     ``mu_parts(z, quad)`` is the one Beltrami computation.  It returns
     ``(mu, mu_band, a, b, psi', psi(x) - x)``: mu of the whole glued map,
@@ -1015,7 +1041,7 @@ class _SectorEngine(_Engine):
 # ---------------------------------------------------------------------------
 
 class _SpiralEngine(_Engine):
-    """Two models glued across a logarithmic spiral by the chart z^mu."""
+    """Two models glued across a logarithmic spiral by the chart z^mu; ``mu_abs_quad`` is ``mu_parts``' array form."""
 
     flavor = SPIRAL
 
@@ -1056,6 +1082,20 @@ class _SpiralEngine(_Engine):
         mu_band = _band_mu(a, b)
         hp = h / (self.charts.mu * w)  # h_prime(w), from the h located
         return mu_band * hp.conjugate() / hp, mu_band, a, b, None, None
+
+    def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
+        """abs(mu_quad(w)) at each w of zc in ``mu_parts``' operations as arrays, bit for bit; 0.0 off the band."""
+        hr, hi = self.charts.h_array(np.where(zc == 0, 1.0, zc))  # h(1) = 1 is off the band, as h(0) = 0
+        band, out = (-1.0 < hi) & (hi < 0.0), np.zeros(len(zc))  # _locate's test on the bits of h itself
+        if not band.any():
+            return out  # reading builds the table, which mu_parts does at its first band cell
+        hr, hi, w, mu = hr[band], hi[band], zc[band], self.charts.mu
+        u_x, u_y, _, _ = _shear_jacobian(hr, hi, *self._qcache.read(hr))
+        a, b = 0.5 * (u_x - 1.0), 0.5 * u_y
+        mr, mi = _c_quot(a, b, 1.0 + a, -b)  # _band_mu; then h' = h / (mu w)
+        hpr, hpi = _c_quot(hr, hi, mu.real * w.real - mu.imag * w.imag, mu.real * w.imag + mu.imag * w.real)
+        out[band] = np.hypot(*_c_quot(mr * hpr - mi * -hpi, mr * -hpi + mi * hpr, hpr, hpi))  # mu_band conj(hp)/hp
+        return out
 
     def classify(self, w: complex) -> PieceInfo:
         w = complex(w)

@@ -32,7 +32,8 @@ from banklaine.surgery import (
 )
 from banklaine.scaledcx import wrap_phase
 from banklaine import surgery
-from banklaine.surgery import SpiralCharts, StripHomeo, _affine_mu_abs, _cell_range, _compose_affine, _SpiralEngine
+from banklaine.surgery import (SpiralCharts, StripHomeo, _affine_mu_abs, _c_quot, _cell_range, _compose_affine,
+                               _SpiralEngine)
 
 P00, P11 = PairIndex(0, 0), PairIndex(1, 1)
 TWO_PI = 2.0 * math.pi
@@ -650,10 +651,12 @@ def test_quadrature_mu_tracks_exact_mu(strips_map, spiral_map, power_map):
 @pytest.mark.parametrize("flavor, params, z, tol", [
     ("strips", {"lam1": 0.5, "lam2": 0.5}, complex(-200.0, 32.98672286269283), 1e-6),  # strip L6, t = 1/4
     ("power", {"rho": 0.75, "delta": 0.5}, 15.0 * cmath.exp(2.992j), 1e-4),  # Re q = -56.6 in V3, N_4 = 96
-], ids=["strips", "power"])
+    ("spiral", {"lower": (0, 0), "upper": (1, 1)}, spiral_charts(4.0).p(complex(-40.0, -0.5)), 1e-6),  # |z| = 17.45
+], ids=["strips", "power", "spiral"])
 def test_frozen_psi_tails_track_the_exact_map(flavor, params, z, tol):
-    # a left table reads phi at x/N_{k+1} and a right one at x/l, so past
-    # |x| = 24 psi still bends; the tolerances are the previous test's
+    # a left table reads phi at x/N_{k+1}, a right one at x/l and the spiral's
+    # at x/kappa (x < 0), so past |x| = 24 psi still bends; the tolerances
+    # are the previous test's
     eng = assemble(flavor, **params)._impl
     assert abs(eng.mu(z) - eng.mu_quad(z)) < tol
 
@@ -840,6 +843,38 @@ def test_affine_mu_abs_divides_as_python_does():
     assert all(math.isnan(g) for g in np.array(got)[zero]) and (a == 0.0).sum() > 4000
 
 
+def test_c_quot_divides_as_python_does():
+    # random operands over 16 decades, ties |Re b| = |Im b| (Python scales by
+    # Re b there, and the two branches agree) and zero parts; on more than half of these quotients the
+    # branch of Smith's method that Python does not take differs in the last
+    # bit.  Where Python raises on b == 0, _c_quot gives NaN
+    rng = np.random.default_rng(23)
+    n = 20000
+    ar, ai, br, bi = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n) for _ in range(4))
+    tie, zero, flat = (rng.random(n) < p for p in (0.1, 0.02, 0.1))
+    bi[tie] = rng.choice([-1.0, 1.0], int(tie.sum())) * br[tie]
+    br[zero], bi[zero] = rng.choice([0.0, -0.0], int(zero.sum())), rng.choice([0.0, -0.0], int(zero.sum()))
+    ai[flat], bi[flat & ~zero & ~tie] = 0.0, 0.0
+    want = []
+    for a, b in zip(map(complex, ar.tolist(), ai.tolist()), map(complex, br.tolist(), bi.tolist())):
+        try:
+            q = a / b
+        except ZeroDivisionError:
+            q = complex(math.nan, math.nan)
+        want.append((q.real.hex(), q.imag.hex()))
+    assert [w for w, z in zip(want, zero.tolist()) if z] == [("nan", "nan")] * int(zero.sum())
+    got = _c_quot(ar, ai, br, bi)
+    assert list(zip(*([v.hex() for v in part.tolist()] for part in got))) == want
+    with np.errstate(divide="ignore", invalid="ignore"):  # Smith's two branches, scaled by Re b and by Im b
+        r1, r2 = bi / br, br / bi
+        d1, d2 = br + bi * r1, br * r2 + bi
+        by_re = np.abs(br) >= np.abs(bi)
+        other = (np.where(by_re, (ar * r2 + ai) / d2, (ar + ai * r1) / d1),
+                 np.where(by_re, (ai * r2 - ar) / d2, (ai - ar * r1) / d1))
+    other = list(zip(*([v.hex() for v in part.tolist()] for part in other)))
+    assert sum(o != w for o, w in zip(other, want)) > n // 2
+
+
 def _hermite_test_points(table, rng) -> np.ndarray:
     """Every node, both neighbours of the grid ends, of 2 and of -24, and points where pow(1 - s, 2) != (1 - s)^2."""
     xs = table.xs
@@ -859,7 +894,8 @@ def _transition(sys_, s):
 
 
 def test_psi_cache_hermite_array_reads_match_eval():
-    # _StripSystem.psi_read gives _PsiCache.eval's bits wherever eval reads
+    # _StripSystem.psi_read (and _PsiCache.read on the spiral's table, last)
+    # gives _PsiCache.eval's bits wherever eval reads
     # the table, NaN where eval gives None (the exact band of right tables,
     # -24 < x <= 2), and x + 0 and 1 in strips without psi.  Reading one strip
     # builds its transition's table, which a later strip repeating the
@@ -896,6 +932,14 @@ def test_psi_cache_hermite_array_reads_match_eval():
         stacked = sys_.psi_read(np.tile(x, len(rows))[order], np.repeat(rows, len(x))[order])
         assert [[v.hex() for v in got.tolist()] for got in stacked] == \
             [[v.hex() for v in got[order].tolist()] for got in alone]
+    # the spiral's table spans -24..24 and has no exact band: _PsiCache.read
+    # gives eval's bits everywhere, never NaN
+    table = assemble("spiral", lower=(0, 0), upper=(1, 1))._impl._qcache
+    x = _hermite_test_points(table, rng)
+    px, dp = table.read(x)
+    want = [table.eval(v) for v in x.tolist()]
+    assert None not in want and not np.isnan(px).any() and not np.isnan(dp).any()
+    assert [(p.hex(), d.hex()) for p, d in zip(px.tolist(), dp.tolist())] == [(p.hex(), d.hex()) for p, d in want]
 
 
 def test_psi_tables_are_shared_per_transition():
@@ -961,6 +1005,48 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
         got = np.concatenate([eng.mu_abs_quad(part) for part in np.split(zc, cuts)])
         differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got.tolist(), want) if g.hex() != w.hex()]
         assert differ == [] and reached == exact, cuts
+
+
+def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell(monkeypatch):
+    # the spiral's array hook gives abs(mu_quad(w)) of a fresh twin map to the
+    # last bit and never falls back to _Engine.mu_abs_quad: band cells on the
+    # Hermite table and its two frozen tails, Im h within a few ulp of -1
+    # and of 0 (xi = 0 and +-pi), exact 0.0 off the band and at w = 0.  A call
+    # with no band cell leaves the table unbuilt, as mu_parts does
+    eng, twin = (assemble("spiral", lower=(0, 0), upper=(1, 1))._impl for _ in range(2))
+    pts, edge = _spiral_decision_points(eng)
+    # and band points where np.log rounds log|w| otherwise than libm (rare, and
+    # none on numpy's baseline kernels), so h_array's libm log is exercised
+    rng = np.random.default_rng(19)
+    z = rng.uniform(-60.0, 60.0, 200_000) - 1j * rng.uniform(0.0, 1.0, 200_000)
+    w = np.exp(eng.charts.mu * np.log(z))
+    r = np.hypot(w.real, w.imag)
+    zc = np.concatenate([pts, w[np.log(r) != np.array(list(map(math.log, r.tolist())))], [0j]])
+    want = [abs(twin.mu_quad(z)) for z in zc.tolist()]
+    paths = []
+    for z in zc.tolist():
+        h, band = twin._locate(z)
+        paths.append("origin" if z == 0 else "off-band" if not band else
+                     "tail-low" if h.real <= -24.0 else "tail-high" if h.real >= 24.0 else "hermite")
+    im = np.array([twin._locate(z)[0].imag for z in zc.tolist()])
+    band = np.array([p not in ("origin", "off-band") for p in paths])
+    assert {p: paths.count(p) >= 50 for p in set(paths) - {"origin"}} == \
+        {"off-band": True, "tail-low": True, "tail-high": True, "hermite": True}
+    assert (band & (im > -4 * math.ulp(1.0))).sum() >= 20 and (im[~band] == 0.0).sum() >= 100
+    assert (band & (im < -1.0 + 4 * math.ulp(1.0))).sum() >= 50 and len(edge) > 100
+    scalar, reached = surgery._Engine.mu_abs_quad, []
+
+    def counted(self, zs):
+        reached.extend(zs.tolist())
+        return scalar(self, zs)
+
+    monkeypatch.setattr(surgery._Engine, "mu_abs_quad", counted)
+    off = zc[~band]
+    assert eng.mu_abs_quad(off).tolist() == [0.0] * len(off) and eng._qcache._table is None
+    got = eng.mu_abs_quad(zc).tolist()
+    differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got, want) if g.hex() != w.hex()]
+    assert differ == [] and reached == []
+    assert [g for g, b in zip(got, band.tolist()) if not b] == [0.0] * int((~band).sum())
 
 
 SECTOR_SEAM = 12.0 * math.pi  # the first seam height of the sectors map's base strips
