@@ -1174,25 +1174,27 @@ class _PowerEngine(_Engine):
     arg z = +-pi/(2 rho) with the same values V(+-i r^sigma).  On the axis
     Q is the map g, which reads the V strip records: U(i g(y)) and
     V(i y^gamma) land in strip k at the same normalized height.
+
+    Q has four pieces in w = x + i y = z^rho (x >= 0), decided by ``_q``:
+    ``q-identity`` (x >= 1) and ``q-square`` (x < 1, |y| < 1 <= |w|), where
+    Q(w) = w; ``q-disk`` (|w| < 1), where Q(w) = w |w|^(gamma - 1); and
+    ``q-band`` (x < 1 <= |y|), where Q(w) = x + i sgn(y) ((1 - x) g(|y|) + x |y|)
+    runs linearly in x from g to the identity.  Only the band and the disk
+    carry dilatation.  Q's formula changes across Re w = 1 for |y| >= 1, across
+    |y| = 1 for x < 1 and across the arc |w| = 1.  gamma = 1/(2 rho - 1) and
+    sigma = rho gamma follow from rho.
     """
 
     flavor = POWER
-    _Q_CONFORMAL = ("q-identity", "q-square")  # pieces of Q that are the identity
 
-    def __init__(self, rho: float, delta: float,
-                 gamma: Optional[float] = None, sigma: Optional[float] = None):
+    def __init__(self, rho: float, delta: float):
         rho_q = Fraction(rho)
         if not (Fraction(1, 2) < rho_q < 1):
             raise ValueError(f"rho must lie in (1/2, 1), got {rho}")
         gamma_q = 1 / (2 * rho_q - 1)
         sigma_q = rho_q * gamma_q
-        if gamma is not None and Fraction(gamma) != gamma_q:
-            raise ValueError(f"gamma={gamma} inconsistent with rho={rho} (need {gamma_q})")
-        if sigma is not None and Fraction(sigma) != sigma_q:
-            raise ValueError(f"sigma={sigma} inconsistent with rho={rho} (need {sigma_q})")
         # 1/rho + 1/(rho*gamma) = 2 holds exactly in rational arithmetic
         assert 1 / rho_q + 1 / sigma_q == 2
-        self.rho_q, self.gamma_q, self.sigma_q = rho_q, gamma_q, sigma_q
         self.rho, self.gamma, self.sigma = float(rho_q), float(gamma_q), float(sigma_q)
         self.delta = float(delta)
         self.m_seq = build_graded_slopes(self.gamma, self.delta)
@@ -1222,53 +1224,45 @@ class _PowerEngine(_Engine):
         s, _ = self.V["up"].locate(t)
         return TWO_PI * (s.k - 1) + (t - s.lo) / s.y_div, self.gamma * y ** (self.gamma - 1.0) / s.y_div
 
-    def g_axis(self, y: float) -> float:
-        return self._g(y)[0]
-
-    def q_label(self, w: complex) -> str:
+    def _q(self, w: complex) -> tuple[str, complex]:
+        """(piece, Q(w)): the piece of Q that holds w, decided once, and Q there."""
         x, y = w.real, w.imag
         if x >= 1.0:
-            return "q-identity"
-        if abs(y) >= 1.0:
-            return "q-band"
+            return "q-identity", w
+        ay = abs(y)
+        if ay >= 1.0:
+            return "q-band", complex(x, math.copysign((1.0 - x) * self._g(ay)[0] + x * ay, y))
         if x * x + y * y < 1.0:
-            return "q-disk"
-        return "q-square"
+            return "q-disk", w * abs(w) ** (self.gamma - 1.0)
+        return "q-square", w
 
-    def q_value(self, w: complex) -> complex:
-        label = self.q_label(w)
-        if label in ("q-identity", "q-square"):
-            return w
-        x, y = w.real, w.imag
-        if label == "q-band":
-            s = 1.0 if y >= 0 else -1.0
-            ay = abs(y)
-            return complex(x, s * ((1.0 - x) * self.g_axis(ay) + x * ay))
-        if w == 0:
-            return 0j
-        return w * abs(w) ** (self.gamma - 1.0)
-
-    def q_wirtinger(self, w: complex) -> tuple[complex, complex]:
-        label = self.q_label(w)
-        if label in ("q-identity", "q-square"):
-            return 1.0 + 0j, 0j
-        x, y = w.real, w.imag
-        if label == "q-band":
-            s = 1.0 if y >= 0 else -1.0
+    def _dq(self, w: complex, piece: str) -> tuple[complex, complex]:
+        """(dQ/dw, dQ/dw-bar) at w in ``piece``, as ``_q`` decided it."""
+        if piece == "q-band":
+            x, y = w.real, w.imag
             ay = abs(y)
             gv, gp = self._g(ay)
-            qw = complex(0.5 * (1.0 + (1.0 - x) * gp + x), 0.5 * s * (ay - gv))
-            qwb = complex(0.5 * (1.0 - (1.0 - x) * gp - x), 0.5 * s * (ay - gv))
-            return qw, qwb
-        r = abs(w)
-        qw = complex(r ** (self.gamma - 1.0) * (self.gamma + 1.0) / 2.0, 0.0)
-        qwb = 0.5 * (self.gamma - 1.0) * r ** (self.gamma - 3.0) * w * w
-        return qw, qwb
+            im = math.copysign(0.5, y) * (ay - gv)
+            return complex(0.5 * (1.0 + (1.0 - x) * gp + x), im), complex(0.5 * (1.0 - (1.0 - x) * gp - x), im)
+        if piece == "q-disk":
+            r = abs(w)
+            return (complex(r ** (self.gamma - 1.0) * (self.gamma + 1.0) / 2.0, 0.0),
+                    0.5 * (self.gamma - 1.0) * r ** (self.gamma - 3.0) * w * w)
+        return 1.0 + 0j, 0j
+
+    @staticmethod
+    def _q_edge_distance(w: complex, piece: str) -> float:
+        """w-plane distance from w in ``piece`` to the edges of that piece across which Q's formula changes."""
+        x, ay, r = w.real, abs(w.imag), abs(w)
+        if piece == "q-identity":  # Re w = 1 above |y| = 1, and the arc at w = 1
+            return min(math.hypot(x - 1.0, max(1.0 - ay, 0.0)), r - 1.0)
+        if piece == "q-band":
+            return min(1.0 - x, ay - 1.0)
+        if piece == "q-square":
+            return min(1.0 - ay, r - 1.0)
+        return 1.0 - r
 
     # -- wedge coordinates -------------------------------------------------
-    def _right(self, z: complex) -> bool:
-        return abs(math.atan2(z.imag, z.real)) <= self.ray
-
     def _w(self, z: complex) -> complex:
         return cmath.exp(self.rho * cmath.log(z))
 
@@ -1279,23 +1273,28 @@ class _PowerEngine(_Engine):
         return table["up" if q.imag >= 0 else "lo"].eval_xy(q.real, q.imag)
 
     def _locate(self, z: complex) -> tuple:
-        """(w, q-label, q, system, strip, t) of z != 0.
+        """(w, piece of Q, q, system, strip, t) of z != 0.
 
         The right wedge reads U at q = Q(w), w = z^rho; the left wedge reads
-        V at q = -(-z)^sigma and has no w or q-label (None).  Below the real
+        V at q = -(-z)^sigma and has no w or piece (None).  Below the real
         axis the system reads the mirror image of q.
         """
-        if self._right(z):
+        if abs(math.atan2(z.imag, z.real)) <= self.ray:
             w = self._w(z)
-            qlab = self.q_label(w)
-            q = w if qlab in self._Q_CONFORMAL else self.q_value(w)
+            piece, q = self._q(w)
             table = self.U
         else:
-            w = qlab = None
+            w = piece = None
             q = self._v(z)
             table = self.V
         sys = table["up" if q.imag >= 0 else "lo"]
-        return (w, qlab, q, sys, *sys.locate(abs(q.imag)))
+        return (w, piece, q, sys, *sys.locate(abs(q.imag)))
+
+    def _located(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, list]:
+        """``_locate`` over an array of nonzero points: right wedge (bools), |Im q|, pieces of Q and strips."""
+        locs = [self._locate(z) for z in zs.tolist()]
+        return (np.array([w is not None for w, *_ in locs], bool), np.array([abs(loc[2].imag) for loc in locs]),
+                [loc[1] for loc in locs], [loc[4] for loc in locs])
 
     def eval(self, z: complex) -> ScaledComplex:
         z = complex(z)
@@ -1309,10 +1308,10 @@ class _PowerEngine(_Engine):
         z = complex(z)
         if z == 0:
             return 0j, 0j, 0.0, 0.0, None, None
-        w, _, q, sys, s, t = self._locate(z)
+        w, piece, q, sys, s, t = self._locate(z)
         mu, mu_band, a, b, dpsi, gap = sys.mu_parts(s, q.real, t, quad, q.imag < 0)
         if w is not None:  # compose with Q, then twist by z^rho
-            qw, qwb = self.q_wirtinger(w)
+            qw, qwb = self._dq(w, piece)
             den = qw + mu * qwb.conjugate()
             mu = complex("nan") if den == 0 else (qwb + mu * qw.conjugate()) / den
             dp = self.rho * cmath.exp((self.rho - 1.0) * cmath.log(z))
@@ -1320,8 +1319,8 @@ class _PowerEngine(_Engine):
             dp = self.sigma * cmath.exp((self.sigma - 1.0) * cmath.log(-z))
         return mu * dp.conjugate() / dp, mu_band, a, b, dpsi, gap
 
-    def _conformal(self, qlab: Optional[str], s: _Strip) -> bool:
-        return (not s.active) and (qlab is None or qlab in self._Q_CONFORMAL)
+    def _conformal(self, piece: Optional[str], s: _Strip) -> bool:
+        return not s.active and piece in (None, "q-identity", "q-square")  # the left wedge has no Q
 
     def classify(self, z: complex) -> PieceInfo:
         z = complex(z)
@@ -1329,20 +1328,20 @@ class _PowerEngine(_Engine):
             return PieceInfo(label="origin", region="power-right", pair=PairIndex(0, 0),
                              variant=PLAIN, conformal=False, seam_distance=0.0)
         loc = self._locate(z)
-        w, qlab, _, _, s, t = loc
+        w, piece, _, _, s, t = loc
         return PieceInfo(
-            label=f"V{s.k}" if w is None else f"U{s.k}|{qlab}",
+            label=f"V{s.k}" if w is None else f"U{s.k}|{piece}",
             region="power-left" if w is None else "power-right",
             pair=s.pair, variant=s.variant, k=s.k, t=t,
             x_div=s.x_div, y_div=s.y_div, band=s.psi is not None,
-            conformal=self._conformal(qlab, s),
+            conformal=self._conformal(piece, s),
             seam_distance=self._seam_distance(z, loc),
         )
 
     def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        locs = [self._locate(z) for z in zc.tolist()]  # the midpoints are nonzero
-        labels = [f"V{s.k}" if w is None else qlab for w, qlab, _, _, s, _ in locs]
-        conformal = [self._conformal(qlab, s) for _, qlab, _, _, s, _ in locs]
+        _, _, pieces, strips = self._located(zc)  # the midpoints are nonzero
+        labels = [f"V{s.k}" if piece is None else piece for piece, s in zip(pieces, strips)]
+        conformal = [self._conformal(piece, s) for piece, s in zip(pieces, strips)]
         return np.array(labels, dtype=object), np.array(conformal, bool), np.zeros(len(zc), bool)
 
     def fine_size(self, r_max: float) -> float:
@@ -1356,16 +1355,11 @@ class _PowerEngine(_Engine):
         """Corner test: the rays, the circle |z| = 1 in the right wedge, and the
         strip seams at the height |Im q| of the point q that the system reads."""
         top = r_max ** self.rho  # |w| <= top, so |Im Q(w)| <= max(top, g(top))
-        seams_u = np.array(_seam_heights(self.U.values(), max(top, self.g_axis(top))) + [math.inf])
+        seams_u = np.array(_seam_heights(self.U.values(), max(top, self._g(top)[0])) + [math.inf])
         seams_v = np.array(_seam_heights(self.V.values(), r_max ** self.sigma) + [math.inf])
 
-        def nodes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            locs = [self._locate(zn) for zn in z.tolist()]
-            return (np.array([w is not None for w, *_ in locs], bool),
-                    np.array([abs(q.imag) for _, _, q, *_ in locs]))
-
         def test(z0, z1) -> np.ndarray:
-            (right0, hq0), (right1, hq1) = nodes(z0), nodes(z1)
+            (right0, hq0, *_), (right1, hq1, *_) = self._located(z0), self._located(z1)
             right, any_right = _cell_range(right0, right1)
             lo, hi = _cell_range(hq0, hq1)
             next_seam = np.where(right, seams_u[np.searchsorted(seams_u, lo, side="right")],
@@ -1376,28 +1370,27 @@ class _PowerEngine(_Engine):
         return test
 
     def _seam_distance(self, z: complex, loc: tuple) -> float:
-        w, qlab, q, sys, s, _ = loc
+        """z-plane distance to the rays, the strip seams of the system z reads and, in the right wedge,
+        the edges of its piece of Q: q- and w-plane distances over |dw/dz| = rho |z|^(rho - 1) on the
+        right (Q's own stretch left out) and |dq/dz| = sigma |z|^(sigma - 1) on the left."""
+        w, piece, q, sys, s, _ = loc
         th = math.atan2(z.imag, z.real)
-        d = abs(z) * min(abs(th - self.ray), abs(th + self.ray))
-        if w is None:
-            scale = self.sigma * abs(z) ** (self.sigma - 1.0)
-        else:
-            scale = self.rho * abs(z) ** (self.rho - 1.0)
-            if qlab != "q-identity":
-                d = min(d, abs(abs(w) - 1.0) / max(scale, 1e-300))
-        return min(d, sys.seam_distance(s, q.real, abs(q.imag)) / max(scale, 1e-300))
+        p = self.sigma if w is None else self.rho
+        edge = math.inf if w is None else self._q_edge_distance(w, piece)
+        return min(abs(z) * min(abs(th - self.ray), abs(th + self.ray)),
+                   min(edge, sys.seam_distance(s, q.real, abs(q.imag))) / max(p * abs(z) ** (p - 1.0), 1e-300))
 
     def seam_residuals(self, samples: int = 64, strips: int = 4) -> list[SeamCheck]:
         checks = []
         # imaginary-axis identity U(i g(y)) = V(i y^gamma)
         checks.append(_sweep("axis-identity", [complex(0.0, y) for y in np.linspace(0.37, 9.11, 32)],
-                             lambda p: _log_gap(self._sys_value(self.U, complex(0.0, self.g_axis(p.imag))),
+                             lambda p: _log_gap(self._sys_value(self.U, complex(0.0, self._g(p.imag)[0])),
                                                 self._sys_value(self.V, complex(0.0, p.imag ** self.gamma)))))
         # the glued rays
         for sgn, name in ((1.0, "ray+"), (-1.0, "ray-")):
             checks.append(_sweep(name, [r * cmath.exp(1j * sgn * self.ray)
                                         for r in np.linspace(1.1, 7.3, samples).tolist()],
-                                 lambda zr: _log_gap(self._sys_value(self.U, self.q_value(self._w(zr))),
+                                 lambda zr: _log_gap(self._sys_value(self.U, self._q(self._w(zr))[1]),
                                                      self._sys_value(self.V, self._v(zr)))))
         # strip seams of both wedge systems
         xs_r = np.linspace(0.5, 6.0, samples)
@@ -1483,8 +1476,8 @@ def assemble(flavor: str, params: Optional[dict] = None, **kw) -> GluedMap:
     - ``spiral``: ``lower=(m1, n1)``, ``upper=(m2, n2)``
     - ``strips``: ``lam1``, ``lam2`` in [0, 1], optional ``sectors=n``
     - ``mixed``: ``lam1``, ``lam2``
-    - ``power``: ``rho`` in (1/2, 1), ``delta``; optional ``gamma``/``sigma``
-      are cross-checked exactly against 1/(2 rho - 1) and rho/(2 rho - 1)
+    - ``power``: ``rho`` in (1/2, 1), ``delta``; gamma = 1/(2 rho - 1) and
+      sigma = rho/(2 rho - 1) follow from rho (``params_dict`` reports both)
     """
     opts = dict(params or {})
     opts.update(kw)
@@ -1512,10 +1505,8 @@ def assemble(flavor: str, params: Optional[dict] = None, **kw) -> GluedMap:
     elif flavor == POWER:
         rho = _take(flavor, opts, "rho")
         delta = float(_take(flavor, opts, "delta"))
-        gamma = opts.pop("gamma", None)
-        sigma = opts.pop("sigma", None)
         _no_extras(flavor, opts)
-        eng = _PowerEngine(rho, delta, gamma, sigma)
+        eng = _PowerEngine(rho, delta)
         shown = {"rho": eng.rho, "gamma": eng.gamma, "sigma": eng.sigma, "delta": delta}
     else:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
