@@ -157,7 +157,8 @@ class PhiSolver:
 
     Threads may share one solver without a lock.  The warm start ``_warm`` is
     one immutable (x, phi) pair, read once per solve, and only a seed: one
-    that does not converge falls back to the bracketed cold solve.  ``_last``
+    that does not converge falls back to the bracketed cold solve.  A fixed
+    seed passed to ``_solve`` replaces it (``PsiMap.anchored``).  ``_last``
     keeps each model's last pure (F, F') as immutable pairs too.
     """
 
@@ -227,8 +228,8 @@ class PhiSolver:
         p, d_dst, d_src = self._solve(x)
         return d_dst / (self._f_src(p)[1] if d_src is None else d_src)
 
-    def _solve(self, x: float) -> tuple[float, float, Optional[float]]:
-        """(phi(x), F_dst'(x), F_src'(phi(x)) where the solve evaluated it, else None)."""
+    def _solve(self, x: float, seed: Optional[float] = None) -> tuple[float, float, Optional[float]]:
+        """(phi(x), F_dst'(x), F_src'(phi(x)) where the solve evaluated it, else None); ``seed`` guesses phi(x)."""
         v, d_dst = self._slope("dst", x)
 
         def fdf(u: float) -> tuple[float, float]:
@@ -236,10 +237,11 @@ class PhiSolver:
             return fu - v, du
 
         warm = self._warm
-        if warm is not None and abs(warm[0] - x) < 0.5:
-            u = self._polish(warm[1], fdf)
+        seed = warm[1] if seed is None and warm is not None and abs(warm[0] - x) < 0.5 else seed
+        if seed is not None:
+            u = self._polish(seed, fdf)
             fu, du = fdf(u)
-            if abs(fu) < 1e-10 * max(1.0, abs(v)):  # warm start actually converged
+            if abs(fu) < 1e-10 * max(1.0, abs(v)):  # the seed actually converged
                 self._warm = (x, u)
                 return u, d_dst, du
         g = self._guess(v)
@@ -366,6 +368,12 @@ class PsiMap:
         if self.exact_identity:
             return 1.0
         return (self.scale_out / self.scale_in) * self.solver.deriv(x / self.scale_in + self.s_dst)
+
+    def anchored(self, x: float) -> tuple[float, float]:
+        """(psi(x), psi'(x)) from one solve seeded by psi(0) = 0, i.e. phi(s_dst) = s_src: a function of x alone."""
+        p, d_dst, d_src = self.solver._solve(x / self.scale_in + self.s_dst, self.s_src)
+        d_src = self.solver._f_src(p)[1] if d_src is None else d_src
+        return self.scale_out * (p - self.s_src), (self.scale_out / self.scale_in) * (d_dst / d_src)
 
 
 RIGHT = "right-halfplane"

@@ -355,8 +355,8 @@ class _StripSystem:
 
     ``_grow`` takes each strip's psi table from ``_psi_table``, one per
     transition, and ``psi_read`` reads them stacked on one node grid.  The
-    tables solve on solvers of their own and the exact band, which no table
-    covers, on each strip's psi: sharing a table moves no solve.
+    tables, their exact band included, solve on solvers of their own, so
+    sharing a table moves no solve; each strip's psi serves the exact solves.
     """
 
     def __init__(self, m_seq, n_seq, side: str, l: int, heights: str,
@@ -429,23 +429,9 @@ class _StripSystem:
         return self._cols[1]
 
     def psi_read(self, x: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``psi_table.eval`` at each x[c] in strip j[c] + 1, bit for bit, NaN on the exact band (``eval`` gives None).
-
-        Strips without psi read x + 0 and 1.  Builds every table it reads first, as ``eval`` does.
-        """
-        xs, rows, r = self._xs, *np.unique(j, return_inverse=True)
-        nan = np.full(len(xs), math.nan)
-        tables = [(0.0, nan, nan, 0.0) if s.psi is None else s.psi_table._table or s.psi_table._build()
-                  for s in map(self._strips.__getitem__, rows.tolist())]
-        c_lo, c_hi = (np.array([t[k] for t in tables], float)[r] for k in (0, 3))
-        vs, ds = (np.array([t[k] for t in tables]).reshape(len(rows), len(xs)) for k in (1, 2))
-        high = ~self.columns()["psi"][j] | (x >= xs[-1])
-        tail = high | (x <= -_PsiCache.SPAN)
-        px, dp = np.where(tail, x + np.where(high, c_hi, c_lo), np.nan), np.where(tail, 1.0, np.nan)
-        herm = ~tail & (x > xs[0])
-        xh, rh, i = x[herm], r[herm], np.searchsorted(xs, x[herm], side="right") - 1
-        px[herm], dp[herm] = _hermite(xh, xs[i], xs[i + 1] - xs[i], vs[rh, i], ds[rh, i], vs[rh, i + 1], ds[rh, i + 1])
-        return px, dp
+        """``psi_table.eval`` at each x[c] in strip j[c] + 1, bit for bit (``_PsiCache.read_rows``)."""
+        rows, r = np.unique(j, return_inverse=True)
+        return _PsiCache.read_rows(self._xs, [self._strips[k].psi_table for k in rows.tolist()], x, r)
 
     # -- evaluation ------------------------------------------------------
     def value(self, s: _Strip, x: float, t: float) -> ScaledComplex:
@@ -470,7 +456,7 @@ class _StripSystem:
         """
         a, b, dp, gap = 0.0, 0.0, 1.0, 0.0
         if s.psi is not None:
-            px, dp = (quad and s.psi_table.eval(x)) or (s.psi(x), s.psi.deriv(x))  # eval: None on the exact band
+            px, dp = s.psi_table.eval(x) if quad else (s.psi(x), s.psi.deriv(x))
             a, b, gap = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * s.y_div), px - x
         mu, mu_band = _compose_affine(s.x_div, s.y_div, a, b), _band_mu(a, b)
         if conj:
@@ -559,10 +545,11 @@ class _PsiCache:
     keeps the nodes independent of the order cells reach them; a table that
     no quadrature reads costs no solve.
 
-    Tables that start at x = 0 (right-side seams pin psi(0) = 0) leave the
-    exact band -SPAN < x <= 2 to the strip's own psi (``eval`` gives None):
-    psi turns over there within a few multiples of 1/N, and no fixed grid
-    keeps the *derivative* honest at the knee.
+    Tables that start at x = 0 (right-side seams pin psi(0) = 0) tabulate a
+    ``PsiMap`` from x = 2: psi turns over below within a few multiples of 1/N,
+    and no fixed grid keeps the *derivative* honest at the knee.  On that
+    exact band, -SPAN < x <= 2, ``band`` memoizes ``f.anchored(x)``, one solve
+    from a fixed seed, so each value depends on (transition, x) alone.
     """
 
     SPAN = 24.0
@@ -579,6 +566,7 @@ class _PsiCache:
         self.xs = self.nodes(lo, hi)
         self._xl = self.xs.tolist()
         self._table: Optional[tuple] = None  # (c_lo, psi at xs, psi' at xs, c_hi)
+        self._band: dict[float, tuple[float, float]] = {}  # x -> (psi, psi') on the exact band
         self._lock = threading.Lock()
 
     def _build(self) -> tuple:
@@ -590,26 +578,41 @@ class _PsiCache:
                 self._table = (c_lo, vs, ds, self.f(tail) - tail)
             return self._table
 
-    def eval(self, x: float) -> Optional[tuple[float, float]]:
-        """(psi(x), psi'(x)) to interpolation accuracy; None on the exact band, which the table leaves out."""
+    def band(self, x: float) -> tuple[float, float]:
+        """(psi(x), psi'(x)) on the exact band, solved once per x; threads that race solve the same bits."""
+        return self._band.get(x) or self._band.setdefault(x, self.f.anchored(x))
+
+    def eval(self, x: float) -> tuple[float, float]:
+        """(psi(x), psi'(x)) to interpolation accuracy, exact on the band the table leaves out."""
         c_lo, vs, ds, c_hi = self._table or self._build()
         xl = self._xl
         if x >= xl[-1]:
             return x + c_hi, 1.0
         if x <= xl[0]:
-            return (x + c_lo, 1.0) if x <= -self.SPAN else None
+            return (x + c_lo, 1.0) if x <= -self.SPAN else self.band(x)
         i = bisect_right(xl, x) - 1
         val, der = _hermite(x, xl[i], xl[i + 1] - xl[i], vs.item(i), ds.item(i), vs.item(i + 1), ds.item(i + 1))
         return float(val), float(der)
 
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``eval`` at each x, bit for bit, NaN where it gives None; builds the table first, as ``eval`` does."""
-        c_lo, vs, ds, c_hi = self._table or self._build()
-        xs, high, low = self.xs, x >= self.xs[-1], x <= -self.SPAN
-        px, dp = np.where(high, x + c_hi, np.where(low, x + c_lo, np.nan)), np.where(high | low, 1.0, np.nan)
+        """``eval`` at each x, bit for bit."""
+        return self.read_rows(self.xs, [self], x, np.zeros(len(x), int))
+
+    @classmethod
+    def read_rows(cls, xs: np.ndarray, tables: list, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``tables[r[c]].eval(x[c])``, bit for bit, building each first as ``eval`` does; None reads x + 0 and 1."""
+        nan = np.full(len(xs), math.nan)
+        rows = [(0.0, nan, nan, 0.0) if t is None else t._table or t._build() for t in tables]
+        c_lo, c_hi = (np.array([row[k] for row in rows], float)[r] for k in (0, 3))
+        vs, ds = (np.array([row[k] for row in rows]).reshape(len(rows), len(xs)) for k in (1, 2))
+        high = np.array([t is None for t in tables], bool)[r] | (x >= xs[-1])
+        px, dp = x + np.where(high, c_hi, c_lo), np.ones(len(x))
         herm = ~high & (x > xs[0])
-        xh, i = x[herm], np.searchsorted(xs, x[herm], side="right") - 1  # as eval bisects
-        px[herm], dp[herm] = _hermite(xh, xs[i], xs[i + 1] - xs[i], vs[i], ds[i], vs[i + 1], ds[i + 1])
+        xh, rh, i = x[herm], r[herm], np.searchsorted(xs, x[herm], side="right") - 1  # as eval bisects
+        px[herm], dp[herm] = _hermite(xh, xs[i], xs[i + 1] - xs[i], vs[rh, i], ds[rh, i], vs[rh, i + 1], ds[rh, i + 1])
+        band = np.flatnonzero(~high & ~herm & (x > -cls.SPAN))  # right tables' exact band, 0 <= x <= 2
+        px[band], dp[band] = np.array([tables[k].band(v) for k, v in zip(r[band].tolist(), x[band].tolist())],
+                                      float).reshape(-1, 2).T
         return px, dp
 
 
@@ -713,9 +716,8 @@ class _Engine:
         ``conformal`` promises mu == 0.
       - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
         cells that straddle or are not conformal: a loop over ``mu_quad`` on
-        sectors and power (the default), arrays elsewhere.  The strips engine
-        loops only over the exact band of its right strips, which each strip
-        solves on its own psi; the spiral forms h with libm (``charts.h_array``).
+        sectors and power (the default), arrays elsewhere; the spiral forms h
+        with libm (``charts.h_array``).
 
     Array code must take the scalar code's decisions, since grid nodes sit on
     seams, and give |mu| bit for bit.  np.sin, np.cos, np.fmod and np.hypot agree
@@ -827,15 +829,14 @@ class _StripsEngine(_Engine):
         return labels, ~active, np.zeros(len(zc), bool)
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
-        """|mu_quad| at zc as arrays from ``psi_read``, bar the exact band it leaves NaN (right tables at x <= 2)."""
-        out, exact = np.empty(len(zc)), np.zeros(len(zc), bool)
+        """|mu_quad| at zc as arrays from ``psi_read``, bit for bit."""
+        out = np.empty(len(zc))
         for sys, cols, sel, j in self._located(zc):  # as mu_parts: a = t (psi' - 1)/2, b = (psi(x) - x)/(4 pi y_div)
             x = zc.real[sel]
             px, dp = sys.psi_read(x, j)
             t = (np.abs(zc.imag[sel]) - cols["tops"][j]) / (TWO_PI * cols["y_div"][j])
             a, b = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * cols["y_div"][j])
-            out[sel], exact[sel] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], a, b), np.isnan(px)
-        out[exact] = super().mu_abs_quad(zc[exact])  # in cell order, after every table the cells read is built
+            out[sel] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], a, b)
         return out
 
     # -- dilatation hooks -------------------------------------------------
@@ -1247,7 +1248,7 @@ class _PowerEngine(_Engine):
         if piece == "q-disk":
             r = abs(w)
             return (complex(r ** (self.gamma - 1.0) * (self.gamma + 1.0) / 2.0, 0.0),
-                    0.5 * (self.gamma - 1.0) * r ** (self.gamma - 3.0) * w * w)
+                    0.5 * (self.gamma - 1.0) * r ** (self.gamma - 1.0) * (w / r) ** 2)  # r^(gamma - 3) overflows
         return 1.0 + 0j, 0j
 
     @staticmethod
@@ -1414,9 +1415,9 @@ class GluedMap:
     """An assembled quasiregular map; immutable, safe for parallel scans.
 
     State built on first use is guarded where it lives: strip records by
-    the ``_StripSystem`` lock, Hermite tables by the ``_PsiCache`` lock,
-    slopes by the ``SlopeSequence`` lock and mpmath's process-wide precision
-    by ``specfun._MP_LOCK``.  A ``PhiSolver`` warm start needs no lock: it is
+    the ``_StripSystem`` lock, Hermite tables by the ``_PsiCache`` lock (not
+    their exact-band memo: it is pure), slopes by the ``SlopeSequence`` lock
+    and mpmath's process-wide precision by ``specfun._MP_LOCK``.  A ``PhiSolver`` warm start needs no lock: it is
     one immutable pair, and a seed that does not converge falls back to the
     bracketed solve.
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banklaine.diffeo import LEFT, RIGHT, DiffeoSpec, closed_form_c, solve_shift
+from banklaine.diffeo import LEFT, RIGHT, DiffeoSpec, PsiMap, closed_form_c, solve_shift
 from banklaine.sequences import ProfileBundle
 from banklaine.specfun import PLAIN, PairIndex
 from banklaine.surgery import (
@@ -329,13 +329,26 @@ def test_power_q_is_continuous_and_its_wirtinger_derivatives_match_differences(p
 
 
 def test_power_eval_and_classify_do_not_differentiate_q():
-    # at rho = 0.95 the disk piece's dQ/dw-bar carries |w|^(gamma - 3) = |w|^-1.89,
-    # which overflows a double at w = (1e-180)^rho; only mu_parts reads it
+    # Q's Wirtinger derivatives stay off the eval, classify and array-hook
+    # path: only mu_parts reads them
     gm = assemble("power", rho=0.95, delta=0.5)
     z = complex(1e-180, 0.0)
     assert gm(z).kind == "finite"
     assert gm.classify(z).label == "U1|q-disk"
     assert gm._impl.cell_states(np.array([z]))[0].tolist() == ["q-disk"]
+
+
+def test_power_disk_mu_near_the_origin_is_the_closed_form():
+    # at rho = 0.95 the disk piece's dQ/dw-bar, (gamma - 1)/2 r^(gamma - 1) (w/r)^2,
+    # would carry r^(gamma - 3) = r^-1.89 if formed as r^(gamma - 3) w^2, which
+    # overflows a double at w = z^rho for z = 1e-180 and 1e-300.  There the
+    # strip system reads q ~ 0, where it is conformal, so |mu| is the disk's
+    # (gamma - 1)/(gamma + 1)
+    eng = assemble("power", rho=0.95, delta=0.5)._impl
+    want = (eng.gamma - 1.0) / (eng.gamma + 1.0)
+    for z in (1e-180, 1e-300):
+        assert eng.classify(complex(z)).label == "U1|q-disk"
+        assert math.isclose(abs(eng.mu(complex(z))), want, rel_tol=1e-15), z
 
 
 def test_disk_interpolation_beltrami_closed_form(power_map):
@@ -715,19 +728,102 @@ def test_frozen_psi_tails_track_the_exact_map(flavor, params, z, tol):
 
 
 def test_quadrature_tables_do_not_depend_on_reading_order():
-    # the heights sit in the transition strips 6 and 7 of both sides; right
-    # strips solve exactly on 0 < x <= 2 on their own psi, where the warm
-    # start still carries over from the previous call, so that band is left out
-    pts = [complex(x, y) for x in np.arange(-25.8, 26.0, 0.45) for y in (33.0, 45.0, 60.0)
-           if not 0.0 < x <= 2.0]
+    # the heights sit in the transition strips 6 and 7 of both sides, and
+    # x crosses the exact band 0 <= x <= 2 of the right tables; the tables
+    # are rebuilt before each map, so each reads its own solves
+    pts = [complex(x, y) for x in np.arange(-25.8, 26.0, 0.45) for y in (33.0, 45.0, 60.0)]
     shuffled = pts[:]
     random.Random(7).shuffle(shuffled)
+    surgery._psi_table.cache_clear()
     in_order = assemble("strips", lam1=0.5, lam2=0.5)._impl
-    mixed_up = assemble("strips", lam1=0.5, lam2=0.5)._impl
     want = {z: in_order.mu_quad(z) for z in sorted(pts, key=lambda z: (z.real, z.imag))}
+    surgery._psi_table.cache_clear()
+    mixed_up = assemble("strips", lam1=0.5, lam2=0.5)._impl
     got = {z: mixed_up.mu_quad(z) for z in shuffled}
-    assert all(want[z] != 0 for z in pts)
+    assert all(want[z] != 0 for z in pts) and sum(0.0 <= z.real <= 2.0 for z in pts) == 12
     assert [z for z in pts if got[z] != want[z]] == []
+
+
+def test_exact_band_is_solved_once_per_transition_and_x(monkeypatch):
+    # strips 1..60 solve each (transition, x) of the exact band once, from
+    # the seed psi(0) = 0, and every memo entry agrees with a cold solve on a
+    # freshly built psi: within 4 ulps of max(|psi|, 1) and 8 ulps of psi'
+    solves, anchored = [], PsiMap.anchored
+
+    def counted(pm, x):
+        solves.append(x)
+        return anchored(pm, x)
+
+    monkeypatch.setattr(PsiMap, "anchored", counted)
+    surgery._psi_table.cache_clear()
+    gm = assemble("strips", lam1=0.5, lam2=0.5)
+    dilatation_integral(gm, 1.0, 60.0)
+    tables = {id(s.psi_table): s.psi_table for sys_ in gm._impl._systems() for s in sys_._strips
+              if s.psi is not None}.values()
+    memo = [(t.f, x, v) for t in tables for x, v in t._band.items()]
+    assert len(solves) == len(memo) > 20
+    for pm, x, (p, d) in memo:
+        fresh = [dataclasses.replace(pm, solver=None) for _ in range(2)]  # two cold solvers
+        p0, d0 = fresh[0](x), fresh[1].deriv(x)
+        assert abs(p - p0) <= 4 * math.ulp(max(abs(p0), 1.0)), (x, p, p0)
+        assert abs(d - d0) <= 8 * math.ulp(d0), (x, d, d0)
+
+
+def _reads_exact_band(eng, z) -> bool:
+    """Whether mu_quad(z) on a strips or power engine reads a right table's exact band, 0 <= x <= 2."""
+    loc = eng._locate(z)
+    x = loc[2].real if eng.flavor == "power" else z.real  # power reads its strip system at q
+    return loc[-3].side == RIGHT and loc[-2].psi is not None and 0.0 <= x <= 2.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mu_quad_is_bit_identical_in_any_order_and_thread(seed):
+    # the exact band of right tables is solved once per (transition, x) from
+    # the fixed seed psi(0) = 0, so mu_quad does not depend on the points read
+    # before it: 6 threads reading a shuffled copy of 3,600 points on a fresh
+    # map (tables rebuilt) give the bits of one serial pass, which a solve
+    # warm-started from the previous point would not.  Power reads its band
+    # in 0.5 < |z| < 8; strips reads none there, so its points fill a box
+    # over its first transition strips
+    rng = random.Random(seed)
+    annulus = [cmath.rect(rng.uniform(0.5, 8.0), rng.uniform(-math.pi, math.pi)) for _ in range(3600)]
+    box = [complex(rng.uniform(-8.0, 8.0), rng.uniform(-160.0, 160.0)) for _ in range(3600)]
+    n_threads = 6
+
+    def bits(m):
+        return m.real.hex(), m.imag.hex()
+
+    for params, pts in (({"flavor": "power", "rho": 0.75, "delta": 0.5}, annulus),
+                        ({"flavor": "strips", "lam1": 0.5, "lam2": 0.5}, box)):
+        order = rng.sample(range(len(pts)), len(pts))
+        surgery._psi_table.cache_clear()
+        eng = assemble(**params)._impl
+        want = [bits(eng.mu_quad(z)) for z in pts]
+        surgery._psi_table.cache_clear()
+        eng = assemble(**params)._impl
+        got, errors, barrier = [None] * len(pts), [], threading.Barrier(n_threads)
+
+        def work(i):
+            try:
+                barrier.wait(timeout=60)
+                for c in order[i::n_threads]:
+                    got[c] = bits(eng.mu_quad(pts[c]))
+            except BaseException as exc:  # surfaced by the asserts below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads) and not errors, errors
+        assert sum(_reads_exact_band(eng, z) for z in pts) > 50, params["flavor"]
+        assert [c for c in range(len(pts)) if got[c] != want[c]] == [], params["flavor"]
 
 
 def test_cell_state_agrees_with_classify_and_mu(strips_map, spiral_map, power_map, sectors_map):
@@ -948,9 +1044,10 @@ def _transition(sys_, s):
 
 def test_psi_cache_hermite_array_reads_match_eval():
     # _StripSystem.psi_read (and _PsiCache.read on the spiral's table, last)
-    # gives _PsiCache.eval's bits wherever eval reads
-    # the table, NaN where eval gives None (the exact band of right tables,
-    # -24 < x <= 2), and x + 0 and 1 in strips without psi.  Reading one strip
+    # gives _PsiCache.eval's bits everywhere and is never NaN: on the tails,
+    # the Hermite cells and the exact band of right tables (-24 < x <= 2),
+    # whose memo a twin table solving the band in reverse order matches, and
+    # x + 0 and 1 in strips without psi.  Reading one strip
     # builds its transition's table, which a later strip repeating the
     # transition shares, and leaves the table of another transition unbuilt
     # (tables are shared process-wide, hence the cleared cache).  Rows read
@@ -973,10 +1070,12 @@ def test_psi_cache_hermite_array_reads_match_eval():
         assert [s.psi_table._table for s in with_psi] == [None, None]
         px, dp = sys_.psi_read(x, np.full(len(x), with_psi[0].k - 1))
         assert table._table is not None and with_psi[1].psi_table._table is None
-        want = [table.eval(v) for v in x[~exact].tolist()]
-        assert np.isnan(px[exact]).all() and np.isnan(dp[exact]).all()
-        assert [(p.hex(), d.hex()) for p, d in zip(px[~exact].tolist(), dp[~exact].tolist())] == \
+        want = [table.eval(v) for v in x.tolist()]
+        assert not np.isnan(px).any() and not np.isnan(dp).any()
+        assert [(p.hex(), d.hex()) for p, d in zip(px.tolist(), dp.tolist())] == \
             [(p.hex(), d.hex()) for p, d in want]
+        twin = surgery._psi_table.__wrapped__(*_transition(sys_, with_psi[0]))
+        assert [twin.eval(v) for v in x[exact][::-1].tolist()] == [w for w, e in zip(want, exact) if e][::-1]
         fx, fd = sys_.psi_read(x, np.full(len(x), free.k - 1))
         assert [v.hex() for v in fx.tolist()] == [(v + 0.0).hex() for v in x.tolist()] and (fd == 1.0).all()
         rows = [s.k - 1 for s in with_psi + [free]]
@@ -1021,20 +1120,19 @@ def test_psi_tables_are_shared_per_transition():
 
 @pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
 def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
-    # the array hook must give abs(mu_quad(z)) to the last bit on every path:
-    # frozen psi tails on both sides, strips without psi and Hermite cells as
-    # arrays, and only exact cells, in cell order, through the scalar
-    # _Engine.mu_abs_quad.  Right-side strips solve exactly on 0 <= x <= 2 on
-    # their own psi, from the warm start the previous solve of the same strip
-    # left.  The tables, shared per transition with the twin's, solve on
-    # solvers of their own, so each strip's solver sees the sequence of solves
-    # a scalar pass over the cells gives it on a fresh twin map, in one call
-    # or split over two
+    # the array hook must give abs(mu_quad(z)) to the last bit on every path,
+    # as arrays, and never fall back to the scalar _Engine.mu_abs_quad:
+    # frozen psi tails on both sides, strips without psi, Hermite cells and
+    # the exact band of right tables (0 <= x <= 2), which each table solves
+    # once per x from a fixed seed.  The tables are rebuilt before every map,
+    # so the array pass solves the band in its own order, in one call or
+    # split over two, and the scalar twin in cell order
     rng = np.random.default_rng(11)
     zc = rng.uniform(1.0, 450.0, 4000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))
+    surgery._psi_table.cache_clear()
     twin = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
     want = [abs(twin.mu_quad(z)) for z in zc.tolist()]
-    paths, exact = [], []
+    paths = []
     for z in zc.tolist():
         _, s, _ = twin._locate(z)
         if s.psi is None:
@@ -1043,8 +1141,6 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
             paths.append("tail-high" if z.real > 0 else "tail-low")
         else:
             paths.append("exact" if 0.0 <= z.real <= 2.0 else "hermite")
-        if paths[-1] == "exact":
-            exact.append(z)
     assert set(paths) == {"psi-free", "tail-high", "tail-low", "exact", "hermite"}
     scalar, reached = surgery._Engine.mu_abs_quad, []
 
@@ -1054,10 +1150,11 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
 
     monkeypatch.setattr(surgery._Engine, "mu_abs_quad", counted)
     for cuts in ([], [1700]):
+        surgery._psi_table.cache_clear()
         eng, reached[:] = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl, []
         got = np.concatenate([eng.mu_abs_quad(part) for part in np.split(zc, cuts)])
         differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got.tolist(), want) if g.hex() != w.hex()]
-        assert differ == [] and reached == exact, cuts
+        assert differ == [] and reached == [], cuts
 
 
 def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell(monkeypatch):
