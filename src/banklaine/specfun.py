@@ -30,7 +30,7 @@ LOG2 = math.log(2.0)
 PAIR_CAP = 10_000
 _MP_LOCK = Lock()  # mpmath's working precision is one process-wide setting
 SINGULAR_TOL = 1e-13  # Newton distance |T/(dT/dz)| below this => root hit (zero/pole)
-CANCEL_TOL = 1e-4     # |T|/max-term below this => redo the sum at high precision
+CANCEL_TOL = 1e-4     # |T|/max-term of the double sum kept below this => redo it in mpmath
 
 PLAIN = "plain"
 HALF = "half"
@@ -256,15 +256,18 @@ def _poly_eval(
 
     'singular' means the Newton distance |T / (w T')| from z to the nearest
     root is below SINGULAR_TOL, i.e. the point is a zero/pole hit for all
-    practical purposes.  Cancellation-depleted sums are recomputed with
-    mpmath first, so the distance test sees accurate values even when the
-    double sum lost every digit; the mpmath sum checks the digits it kept
-    itself, since the double sum's estimate of its loss saturates near 16.
+    practical purposes.  Where P's alternating double sum loses a digit, the
+    positive series (``_gap_series``) is summed too, and the sum that lost
+    fewer digits is kept.  One that lost more than CANCEL_TOL is redone in
+    mpmath at the alternating sum's loss + 10 digits, which checks the digits
+    it kept itself: a double sum's estimate of its loss saturates near 16.
     """
     logc = table.log_abs_numer if numer else table.log_abs_denom
-    logT, ratio, tiny = _poly_logsum(logc, numer, x, yr)
+    logT, ratio, tiny = alt = _poly_logsum(logc, numer, x, yr)
+    if numer and tiny < 0.1:
+        logT, ratio, tiny = max(alt, _gap_series(table, x, yr), key=lambda kept: kept[2])
     if tiny < CANCEL_TOL:
-        lost = -math.log10(tiny) if tiny > 0 else 60.0
+        lost = -math.log10(alt[2]) if alt[2] > 0 else 60.0
         logT, ratio, tiny = _poly_logsum_mp(table, numer, x, yr, lost + 10)
     if tiny == 0.0:
         return logT, ratio, True
@@ -333,14 +336,11 @@ def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     table = build_coefficients(pair)
-    frac = _reduce_turns(z.imag / TWO_PI)
-    yr = TWO_PI * frac
-    logQ, _, qsing = _poly_eval(table, False, z.real, yr)
+    zred = complex(z.real, TWO_PI * _reduce_turns(z.imag / TWO_PI))
+    logQ, _, qsing = _poly_eval(table, False, z.real, zred.imag)
     if qsing:
         return ScaledComplex.pole()
-    ez = cmath.exp(complex(z.real, yr))
-    zred = complex(z.real, yr)
-    sc = ScaledComplex.from_log(ez + math.log(pair.N) + pair.N * zred - table.log_intercept
+    sc = ScaledComplex.from_log(cmath.exp(zred) + math.log(pair.N) + pair.N * zred - table.log_intercept
                                 - 2.0 * logQ)
     if variant == HALF:
         sc = sc.times_real(0.5)
@@ -352,15 +352,13 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
     z = complex(z)
     _check_re(z.real)
     table = build_coefficients(pair)
-    frac = _reduce_turns(z.imag / TWO_PI)
-    yr = TWO_PI * frac
-    zred = complex(z.real, yr)
+    zred = complex(z.real, TWO_PI * _reduce_turns(z.imag / TWO_PI))
     ez = cmath.exp(zred)
-    logQ, rQ, qsing = _poly_eval(table, False, z.real, yr)
+    logQ, rQ, qsing = _poly_eval(table, False, z.real, zred.imag)
     if qsing:
         raise EvalDomainError(f"log-derivative requested at a pole near z={z}")
     if variant == PLAIN:
-        logP, rP, psing = _poly_eval(table, True, z.real, yr)
+        logP, rP, psing = _poly_eval(table, True, z.real, zred.imag)
         if psing:
             raise EvalDomainError(f"log-derivative requested at a zero near z={z}")
         return ez * (1.0 + rP - rQ)
@@ -377,11 +375,12 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
 
 
 # ---------------------------------------------------------------------------
-# the real axis: g - 1 as a sum of positive terms
+# the positive series: g - 1 on the real axis, P off it
 # ---------------------------------------------------------------------------
-# On w = e^x > 0, g - 1 = S(w)/Q(w) with S = e^w P - Q = sum_{k>=N} c_k w^k and
-# c_k = m!(2n)!/(m+2n)! * C(k-m-1, 2n)/k! > 0.  Q and S are sums of positive
-# terms, so F = log(g - 1) and F' = w S'/S - w Q'/Q >= 2n+1 do not cancel.
+# e^w P = Q + S, S = sum_{k>=N} c_k w^k, c_k = m!(2n)!/(m+2n)! C(k-m-1, 2n)/k! > 0.
+# On w = e^x > 0, g - 1 = S/Q is a ratio of sums of positive terms, so F =
+# log(g - 1) and F' = w S'/S - w Q'/Q >= 2n+1 do not cancel.  Near the positive
+# axis the largest terms keep one phase, and Q + S keeps what P's sum loses.
 
 def _ratio_sum(pair: PairIndex, w: float, k: int, last: float = math.inf) -> tuple[float, float]:
     """(log sum_j t_j, sum_j j t_j / sum_j t_j) over j = k..last, with t_k = 1.
@@ -403,6 +402,35 @@ def _ratio_sum(pair: PairIndex, w: float, k: int, last: float = math.inf) -> tup
         if s > 2.0 ** 800:
             t, s, ks, e = t * 2.0 ** -800, s * 2.0 ** -800, ks * 2.0 ** -800, e + 800
     return math.log(s) + e * LOG2, ks / s
+
+
+def _gap_series(table: CoefficientTable, x: float, yr: float) -> tuple[complex, complex, float]:
+    """(log P(w), P'(w)/P(w), tiny) at w = e^(x + i*yr), from e^w P = Q + S.
+
+    Q and S are summed by ``_ratio_sum``'s recurrence, at complex w and with
+    its stop on moduli (a loop of its own, so the real axis pays no abs()).
+    tiny = |Q + S| / max |term|; scaled by that term, Q + S cannot overflow.
+    """
+    m, N, (hi, lo) = table.pair.m, table.pair.N, table.lead_zero
+    w = cmath.exp(complex(x, yr))
+    parts = []
+    for k, last, lead in ((0, m, 0j), (N, math.inf, complex(N * ((x - hi) - lo), N * yr))):
+        t = s = top = 1.0
+        ks = float(k)
+        while k < last and abs(t) > 1e-17 * top:
+            t *= w * (k - m) / ((k + 1) * (k - N + 1))
+            k += 1
+            s, ks, top = s + t, ks + k * t, max(top, abs(t))
+            if top > 2.0 ** 800:
+                t, s, ks, top = t * 2.0 ** -800, s * 2.0 ** -800, ks * 2.0 ** -800, top * 2.0 ** -800
+                lead += 800 * LOG2
+        parts.append((s, ks, lead, lead.real + math.log(top)))
+    big = max(part[3] for part in parts)
+    v = d = 0j
+    for s, ks, lead, _ in parts:
+        c = cmath.exp(lead - big)
+        v, d = v + s * c, d + ks * c
+    return (big + cmath.log(v) - w, d / (v * w) - 1.0, abs(v)) if v else (complex(-math.inf, 0.0), 0j, 0.0)
 
 
 def _series_end(pair: PairIndex) -> int:
@@ -605,13 +633,6 @@ def tail_expansion_residual(pair: PairIndex, y: float) -> float:
 # differential operators through contour derivatives
 # ---------------------------------------------------------------------------
 
-def _complex_eval(handle: FunctionHandle) -> Callable[[complex], complex]:
-    def f(z: complex) -> complex:
-        return handle.eval(z).to_complex()
-
-    return f
-
-
 def apply_B(handle: FunctionHandle, z: complex) -> complex:
     """The coefficient functional -2E''/E + (E'/E)^2 - 1/E^2 at z.
 
@@ -619,7 +640,7 @@ def apply_B(handle: FunctionHandle, z: complex) -> complex:
     winding of E around that circle is nonzero the disk contains a zero or
     pole of E and the request violates the benign-point contract.
     """
-    (e0, e1, e2), winding = contour.circle_derivatives(_complex_eval(handle), z, 0.25, 2)
+    (e0, e1, e2), winding = contour.circle_derivatives(lambda c: handle.eval(c).to_complex(), z, 0.25, 2)
     if winding != 0:
         raise ValueError(f"disk of radius 0.25 at {z} contains a zero/pole (winding {winding})")
     return -2.0 * e2 / e0 + (e1 / e0) ** 2 - 1.0 / (e0 * e0)

@@ -1372,14 +1372,18 @@ class _PowerEngine(_Engine):
 
     def _seam_distance(self, z: complex, loc: tuple) -> float:
         """z-plane distance to the rays, the strip seams of the system z reads and, in the right wedge,
-        the edges of its piece of Q: q- and w-plane distances over |dw/dz| = rho |z|^(rho - 1) on the
-        right (Q's own stretch left out) and |dq/dz| = sigma |z|^(sigma - 1) on the left."""
+        the edges of its piece of Q: w-plane distances (in the q-band, seams' over |grad Im Q| = |Q_w -
+        conj(Q_wbar)|) over rho |z|^(rho - 1) on the right, q-plane ones over sigma |z|^(sigma - 1) on the left."""
         w, piece, q, sys, s, _ = loc
         th = math.atan2(z.imag, z.real)
         p = self.sigma if w is None else self.rho
         edge = math.inf if w is None else self._q_edge_distance(w, piece)
+        seam = sys.seam_distance(s, q.real, abs(q.imag))
+        if piece == "q-band":
+            qw, qwb = self._dq(w, piece)
+            seam /= abs(qw - qwb.conjugate())
         return min(abs(z) * min(abs(th - self.ray), abs(th + self.ray)),
-                   min(edge, sys.seam_distance(s, q.real, abs(q.imag))) / max(p * abs(z) ** (p - 1.0), 1e-300))
+                   min(edge, seam) / max(p * abs(z) ** (p - 1.0), 1e-300))
 
     def seam_residuals(self, samples: int = 64, strips: int = 4) -> list[SeamCheck]:
         checks = []

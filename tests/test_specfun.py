@@ -15,8 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from banklaine import specfun
 from banklaine.specfun import (
+    CANCEL_TOL,
     EvalDomainError,
+    _gap_series,
+    _poly_eval,
     _poly_logsum,
     _poly_logsum_mp,
     _series_end,
@@ -419,9 +423,12 @@ def test_mp_fallback_recovers_the_digits_it_lost(m, n, x):
 
 
 @pytest.mark.parametrize("m,n,x", [(3, 120, 4.5), (1, 90, 4.0)])
-def test_mp_fallback_recovers_the_digits_it_lost_off_axis(m, n, x):
-    # the gap series sums these points on the real axis; a hundredth of a
-    # turn off it they need the fallback, and it retries with more digits
+def test_mp_fallback_recovers_the_digits_it_lost_off_axis(m, n, x, monkeypatch):
+    # a hundredth of a turn off the axis the alternating sum of P loses 12
+    # digits by its own estimate and 42 or more in fact; with the positive
+    # series out of the way (it serves these points, see the series tests)
+    # the fallback has to see that for itself and retry with more digits
+    monkeypatch.setattr(specfun, "_gap_series", lambda *args: (0j, 0j, 0.0))
     pair, turns = PairIndex(m, n), 0.01
     ref = oracle(pair, complex(x, 2 * math.pi * turns), dps=600)
     got = eval_model_turns(pair, x, turns)
@@ -479,6 +486,96 @@ def test_mp_fallback_cap_fails_loudly():
     table = build_coefficients(PairIndex(0, 4))
     with pytest.raises(EvalDomainError):
         _poly_logsum_mp(table, True, 0.5, 0.0, 400)
+
+
+# ---- P off the real axis by the positive series e^w P = Q + S ----------------
+
+def p_oracle(pair: PairIndex, x: float, yr: float, dps: int = 900) -> tuple[complex, complex]:
+    """(log P(w), P'(w)/P(w)) at w = e^(x + i yr), from the exact coefficients at dps digits."""
+    t = build_coefficients(pair)
+    with mp.workdps(dps):
+        w = mp.exp(mp.mpc(x, yr))
+        P, D, wj = mp.mpc(0), mp.mpc(0), mp.mpc(1)
+        for j, c in enumerate(t.numer):
+            term = mp.mpf(c.numerator) / c.denominator * wj
+            P, D, wj = P + term, D + j * term, wj * w
+        return complex(mp.log(P)), complex(D / (P * w))
+
+
+def log_p_error(got: complex, want: complex) -> float:
+    d = got - want
+    return abs(complex(d.real, (d.imag + math.pi) % (2 * math.pi) - math.pi))
+
+
+def no_fallback(*args):
+    raise AssertionError(f"mpmath fallback at {args[1:]}")
+
+
+@pytest.mark.parametrize("pair,x,yr", [
+    # four of the points where power-seams fell back to mpmath
+    (PairIndex(1, 47), 3.3549220599217735, 0.009103728793504481),
+    (PairIndex(1, 47), 3.360510516006503, 0.293071202516923),
+    (PairIndex(1, 47), 3.3605105160065034, 0.009103728793501631),
+    (PairIndex(1, 47), 3.360510516006503, 0.6681515008173058),
+    # a hundredth of a turn off the real-axis points of the fallback test above
+    (PairIndex(3, 120), 4.5, 0.02 * math.pi),
+    (PairIndex(1, 90), 4.0, 0.02 * math.pi),
+    (PairIndex(0, 600), 6.1, 0.02 * math.pi),
+    (PairIndex(0, 600), 6.5, 0.02 * math.pi),  # the partial sums of S pass 2^800
+])
+def test_series_sums_p_off_axis_without_the_fallback(pair, x, yr, monkeypatch):
+    # the alternating sum of P cancels here, the series keeps every digit
+    monkeypatch.setattr(specfun, "_poly_logsum_mp", no_fallback)
+    want_log, want_ratio = p_oracle(pair, x, yr)
+    got_log, got_ratio, singular = _poly_eval(build_coefficients(pair), True, x, yr)
+    assert not singular
+    assert log_p_error(got_log, want_log) <= 1e-13 * max(1.0, abs(want_log))
+    assert abs(got_ratio - want_ratio) <= 1e-12 * abs(want_ratio)
+
+
+@given(m=st.integers(0, 6), n=st.integers(5, 60), x=st.floats(2.0, 4.5), yr=st.floats(-0.8, 0.8))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_series_where_kept_agrees_with_the_oracle(m, n, x, yr):
+    # wherever _poly_eval keeps the series it is as good as its own loss
+    # allows: the error stays within a few ulps times max |term| / |Q + S|
+    pair = PairIndex(m, n)
+    table = build_coefficients(pair)
+    alt, series = _poly_logsum(table.log_abs_numer, True, x, yr), _gap_series(table, x, yr)
+    assume(alt[2] < 0.1 and series[2] > max(alt[2], CANCEL_TOL))
+    assert _poly_eval(table, True, x, yr)[:2] == series[:2]
+    want_log, want_ratio = p_oracle(pair, x, yr)
+    loss = 1.0 / min(1.0, series[2])
+    assert log_p_error(series[0], want_log) <= 1e-14 * loss * max(1.0, abs(want_log))
+    assert abs(series[1] - want_ratio) <= 1e-13 * loss * max(1.0, abs(want_ratio))
+
+
+@pytest.mark.parametrize("pair,x,turns", [
+    (PairIndex(1, 47), 3.0, 1.0 / math.pi),  # Im z = 2: the alternating sum lost 4 digits
+    (PairIndex(1, 28), 3.7526, 1e-9),         # log g is about 74 here
+    (PairIndex(1, 28), 3.7526, 1e-6),
+])
+def test_series_keeps_log_g_exact_near_the_axis(pair, x, turns):
+    # the alternating sum of P lost up to 4 digits here and was kept: log g
+    # was off by 1.1e-9 at (1,47) and by 3.7e-13 and 9.8e-13 at (1,28)
+    ref = mp.log(oracle(pair, complex(x, 2 * math.pi * turns), dps=80))
+    got = eval_model_turns(pair, x, turns).logpolar
+    assert abs(got.real - float(ref.real)) <= 5e-14
+    assert abs((got.imag - float(ref.imag) + math.pi) % (2 * math.pi) - math.pi) <= 1e-13
+
+
+def test_fallback_where_both_sums_cancel(monkeypatch):
+    # at Im z = 1 the phases of the series' terms spread and it cancels too
+    pair, x, yr = PairIndex(1, 47), 3.6, 1.0
+    table = build_coefficients(pair)
+    assert _gap_series(table, x, yr)[2] < CANCEL_TOL
+    calls = []
+    monkeypatch.setattr(specfun, "_poly_logsum_mp", lambda *a: calls.append(a) or _poly_logsum_mp(*a))
+    got_log, got_ratio, _ = _poly_eval(table, True, x, yr)
+    # the digits asked for are the alternating sum's loss + 10, as before the series
+    assert [a[4] for a in calls] == [10 - math.log10(_poly_logsum(table.log_abs_numer, True, x, yr)[2])]
+    want_log, want_ratio = p_oracle(pair, x, yr)
+    assert log_p_error(got_log, want_log) <= 1e-14 * max(1.0, abs(want_log))
+    assert abs(got_ratio - want_ratio) <= 1e-13 * abs(want_ratio)
 
 
 # ---- the Bank-Laine property of E = g/g' -------------------------------------

@@ -31,7 +31,7 @@ from banklaine.surgery import (
     spiral_charts,
 )
 from banklaine.scaledcx import wrap_phase
-from banklaine import surgery
+from banklaine import specfun, surgery
 from banklaine.surgery import (SpiralCharts, StripHomeo, _affine_mu_abs, _c_quot, _cell_range, _compose_affine,
                                _SpiralEngine)
 
@@ -249,6 +249,17 @@ def test_power_seam_residuals(power_map):
         assert c.max_gap < 1e-9, c
 
 
+def test_power_seams_need_no_mp_fallback(monkeypatch):
+    # the numerator sums of (1,47) near x = 3.36 that lose 12-13 digits in
+    # their alternating form (38 of them) are summed by the positive series
+    calls = []
+    fallback = specfun._poly_logsum_mp
+    monkeypatch.setattr(specfun, "_poly_logsum_mp", lambda *a: calls.append(a[1:]) or fallback(*a))
+    checks = assemble("power", rho=0.75, delta=0.5).seam_residuals(4, strips=1)
+    assert max(c.max_gap for c in checks) < 1e-9
+    assert calls == []
+
+
 def test_power_map_reaches_large_n_strips():
     # locating U strip 14 needs solve_shift(PairIndex(1, 90), HALF), whose
     # gap tail c_N = 1/(binom(m+2n, m) N!) underflows a double unless scaled
@@ -447,6 +458,27 @@ def test_seam_distance_is_a_z_plane_distance(sectors_map, spiral_map, power_map)
         assert info.label == "U1|q-band"
         assert info.seam_distance == pytest.approx(delta, rel=1e-3)
     assert beltrami_at(power_map, complex(1.0 - 1e-12, 3.0) ** (1.0 / rho)).indeterminate
+    # power: the U seam Im Q(z^rho) = 4 pi inside the band, where Q stretches Im w about 13-fold;
+    # its normal in w is the gradient of Im Q, taken by central differences
+    eng = power_map._impl
+
+    def im_q(w):
+        return eng._q(w)[1].imag
+
+    lo, hi = 5.5, 6.5
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if im_q(complex(0.5, mid)) < 2 * TWO_PI else (lo, mid)
+    w0, h = complex(0.5, lo), 1e-6
+    grad = complex(im_q(w0 + h) - im_q(w0 - h), im_q(w0 + 1j * h) - im_q(w0 - 1j * h)) / (2 * h)
+    z0 = w0 ** (1.0 / rho)
+    fprime = grad.conjugate() * rho * z0 ** (rho - 1.0)  # conj(fprime) is the z-plane gradient of Im Q(z^rho)
+    for step in (delta, 1e-10):
+        z = step_off(z0, fprime, step / delta)
+        info = power_map.classify(z)
+        assert info.label == "U3|q-band"
+        assert info.seam_distance == pytest.approx(step, rel=0.1)
+    assert beltrami_at(power_map, z).indeterminate
 
 
 # ---- dilatation integrals ------------------------------------------------------
