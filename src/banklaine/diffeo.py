@@ -414,28 +414,35 @@ class FixedPointReport:
 
 
 def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
-    """Scan phi(x)-x for sign changes and polish each crossing to 1e-10.
+    """Scan D(x) = F_dst(x) - F_src(x) for sign changes and bisect each crossing.
 
-    The window [-5, 2 log max(N,M) + 10] covers every location the
-    fixed-point dichotomy can produce.
+    F_src increases and F_src(phi(x)) = F_dst(x), so phi(x) - x has the sign
+    of D, and the scan solves for phi only once per crossing, to keep the
+    points with |phi(p) - p| < 1e-10.  The window [-5, 2 log max(N,M) + 10]
+    covers every location the fixed-point dichotomy can produce.
     """
     step = 1e-3  # the scan's grid spacing
     if spec.is_identity:
         return FixedPointReport(spec, "identity", [], [], [], step)
+
+    def gap(x: float) -> float:
+        return (real_log_gap_slope(spec.dst, x, spec.variant_dst)[0]
+                - real_log_gap_slope(spec.src, x, spec.variant_src)[0])
+
     lo, hi = -5.0, 2.0 * math.log(max(spec.src.N, spec.dst.N)) + 10.0
     solver = PhiSolver(spec)
-    xs = np.arange(lo, hi + step, step)
+    xs = np.arange(lo, hi + step, step).tolist()
     points: list[float] = []
-    d_prev = solver.value(xs[0]) - xs[0]
+    d_prev = gap(xs[0])
     for x_prev, x in zip(xs[:-1], xs[1:]):
-        d = solver.value(x) - x
+        d = gap(x)
         if d_prev == 0.0:
-            points.append(float(x_prev))
+            points.append(x_prev)
         elif d_prev * d < 0:
-            a, b, da = float(x_prev), float(x), d_prev
+            a, b, da = x_prev, x, d_prev
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                dm = solver.value(mid) - mid
+                dm = gap(mid)
                 if dm == 0.0 or b - a < 1e-13:
                     break
                 if (dm < 0) == (da < 0):
@@ -447,14 +454,7 @@ def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
                 points.append(p)
         d_prev = d
     lsrc, ldst = math.log(spec.src.N) if spec.src.N > 1 else 1.0, math.log(spec.dst.N) if spec.dst.N > 1 else 1.0
-    return FixedPointReport(
-        spec,
-        "scan",
-        points,
-        [p / lsrc for p in points],
-        [p / ldst for p in points],
-        step,
-    )
+    return FixedPointReport(spec, "scan", points, [p / lsrc for p in points], [p / ldst for p in points], step)
 
 
 def r0_constant() -> float:

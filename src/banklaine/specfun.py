@@ -105,20 +105,11 @@ class CoefficientTable:
             for i in range(m + 1)
         )
 
-    @property
-    def identity_product(self) -> Fraction:
-        """Exact product |A_m * B_{2n}| of the two extreme coefficients."""
-        return self.denom[-1] * abs(self.numer[-1])
-
-    @property
-    def identity_expected(self) -> Fraction:
-        m, n = self.pair.m, self.pair.n
-        s = math.factorial(m + 2 * n)
-        return Fraction(math.factorial(m) * math.factorial(2 * n), s * s)
-
     def identity_holds(self) -> bool:
-        """Exact check of A_m * B_{2n} = m!(2n)!/((m+2n)!)^2 in big rationals."""
-        return self.identity_product == self.identity_expected
+        """Exact check of |A_m * B_{2n}| = m!(2n)!/((m+2n)!)^2 in big rationals."""
+        m, n2 = self.pair.m, 2 * self.pair.n
+        s = math.factorial(m + n2)
+        return self.denom[-1] * abs(self.numer[-1]) == Fraction(math.factorial(m) * math.factorial(n2), s * s)
 
 
 @lru_cache(maxsize=256)
@@ -465,13 +456,8 @@ def real_log_gap(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
     return real_log_gap_slope(pair, x, variant)[0]
 
 
-def real_log_gap_deriv(pair: PairIndex, x: float) -> float:
-    """F'(x) = g'(x)/(g(x) - 1) >= 2n + 1; identical for both variants."""
-    return _real_gap(pair, x)[1]
-
-
 def real_log_gap_slope(pair: PairIndex, x: float, variant: str = PLAIN) -> tuple[float, float]:
-    """(``real_log_gap``, ``real_log_gap_deriv``) from one evaluation."""
+    """(F(x), F'(x)): ``real_log_gap`` and F' = g'/(g - 1) >= 2n + 1, which both variants share."""
     f, df = _real_gap(pair, x)
     return (f - LOG2 if variant == HALF else f), df
 
@@ -482,13 +468,9 @@ def real_log_value(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
     return max(f, 0.0) + math.log1p(math.exp(-abs(f)))
 
 
-def real_log_value_deriv(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
-    """d/dx of log g = F'/(1 + e^-F) (plain) or of log((g+1)/2) = F'/(1 + 2e^-F) (half)."""
-    return real_log_value_slope(pair, x, variant)[1]
-
-
 def real_log_value_slope(pair: PairIndex, x: float, variant: str = PLAIN) -> tuple[float, float]:
-    """(``real_log_value``, ``real_log_value_deriv``) from one evaluation."""
+    """(``real_log_value``, its derivative) from one evaluation: F'/(1 + e^-F) for log g (plain),
+    F'/(1 + 2e^-F) for log((g+1)/2) (half)."""
     f, df = real_log_gap_slope(pair, x, variant)
     e = math.exp(-abs(f))
     return max(f, 0.0) + math.log1p(e), df * math.exp(min(f, 0.0)) / (1.0 + e)

@@ -89,9 +89,7 @@ def affine_beltrami(x_div: float, y_div: float) -> complex:
     scales agree.  It is the constant dilatation that a strip's own chart adds
     to (K-1)/|z|^2, apart from any psi band.
     """
-    alpha = 0.5 * (1.0 / x_div + 1.0 / y_div)
-    beta = 0.5 * (1.0 / x_div - 1.0 / y_div)
-    return complex(beta / alpha, 0.0)
+    return _compose_affine(x_div, y_div, 0.0, 0.0)
 
 
 def _compose_affine(x_div: float, y_div: float, a: float, b: float) -> complex:
@@ -357,10 +355,14 @@ class _StripSystem:
     transition, and ``psi_read`` reads them stacked on one node grid.  The
     tables, their exact band included, solve on solvers of their own, so
     sharing a table moves no solve; each strip's psi serves the exact solves.
+
+    The lower half-plane is the conjugated mirror image of ``below``: the
+    system itself on plain strips, the plain lower system on mixed and power
+    maps.  ``read(y)`` is the one place that picks a system by the sign of y.
     """
 
     def __init__(self, m_seq, n_seq, side: str, l: int, heights: str,
-                 variant_rule: Callable[[int], str], tag: str):
+                 variant_rule: Callable[[int], str], tag: str, below: Optional["_StripSystem"] = None):
         if heights not in ("slope", "unit"):
             raise ValueError("heights must be 'slope' or 'unit'")
         self._m, self._n = m_seq, n_seq
@@ -369,6 +371,7 @@ class _StripSystem:
         self.heights = heights
         self.variant_rule = variant_rule
         self.tag = tag
+        self.below = self if below is None else below
         self._lock = threading.Lock()
         self._strips: list[_Strip] = []
         self._tops: list[float] = [0.0]
@@ -416,6 +419,11 @@ class _StripSystem:
         s = self._strips[bisect_right(self._tops, y) - 1]
         return s, (y - s.lo) / (TWO_PI * s.y_div)
 
+    def read(self, y: float) -> tuple["_StripSystem", _Strip, float]:
+        """(system, strip, t) at local height y: this system above the axis, ``below`` at |y| under it."""
+        sys = self if y >= 0 else self.below
+        return (sys, *sys.locate(abs(y)))
+
     def columns(self) -> dict:
         """The strips grown so far as arrays indexed by k - 1, rebuilt after growth."""
         n = len(self._tops) - 1  # _grow appends each record before its top
@@ -438,11 +446,11 @@ class _StripSystem:
         xt = x if s.psi is None else x + t * (s.psi(x) - x)
         return eval_model_turns(s.pair, xt / s.x_div + s.shift, t, s.variant)
 
-    def eval_xy(self, x: float, y: float) -> ScaledComplex:
-        """Value at local (x, y); below the axis, the conjugate of the mirror image."""
-        s, t = self.locate(abs(y))
-        v = self.value(s, x, t)
-        return v if y >= 0 else v.conj()
+    def eval_at(self, q: complex) -> ScaledComplex:
+        """Value at local q = x + i y; below the axis, the conjugate of ``below`` at the mirror image."""
+        sys, s, t = self.read(q.imag)
+        v = sys.value(s, q.real, t)
+        return v if q.imag >= 0 else v.conj()
 
     # -- dilatation ------------------------------------------------------
     def mu_parts(self, s: _Strip, x: float, t: float, quad: bool, conj: bool) -> tuple:
@@ -476,8 +484,7 @@ class _StripSystem:
 
     def active_windows(self, y_max: float) -> list[tuple[float, float]]:
         """(y_lo, y_hi) of the strips with dilatation, up to the first strip that reaches y_max."""
-        while self._tops[-1] < y_max:
-            self.strip(len(self._strips) + 1)
+        self.locate(y_max)  # grows the system past y_max
         cols = self.columns()
         k = int(np.searchsorted(cols["tops"], y_max))  # Y_k is the first top >= y_max
         on = cols["active"][:k]
@@ -696,7 +703,8 @@ class _Engine:
 
     Each engine decides where a point lands (chart, sheet, strip system,
     strip record, height t, conjugation) in one private ``_locate`` step,
-    which ``classify`` and ``mu_parts`` read.
+    which ``classify`` and ``mu_parts`` read.  Strips, mixed, sectors and power
+    take the strip system from ``_StripSystem.read``, the one mirror rule.
 
     - :class:`GluedMap` calls ``eval(z)``, ``classify(z)``,
       ``seam_residuals(samples, strips)`` and ``to_dict()``.
@@ -748,7 +756,7 @@ class _Engine:
 
 
 class _StripsEngine(_Engine):
-    """Half-plane strip assembly; upper and lower systems per side.
+    """Half-plane strip assembly; one system per side, whose ``below`` reads the lower half-plane.
 
     The plain flavor commutes with conjugation, so the lower half-plane
     reuses the upper systems; the mixed flavor runs half-model pieces above
@@ -772,38 +780,34 @@ class _StripsEngine(_Engine):
         else:
             upper_rule = _plain_rule
 
-        def systems(rule: Callable[[int], str]) -> dict:
-            return {side: _StripSystem(self.m_seq, self.n_seq, side, self.l, "slope", rule, tag)
-                    for side, tag in ((RIGHT, "R"), (LEFT, "L"))}
+        def system(side: str, tag: str, rule: Callable[[int], str], below: Optional[_StripSystem] = None):
+            return _StripSystem(self.m_seq, self.n_seq, side, self.l, "slope", rule, tag, below)
 
-        self.up = systems(upper_rule)
-        self.lo = systems(_plain_rule) if mixed else self.up
+        self.sides = {side: system(side, tag, upper_rule, system(side, tag, _plain_rule) if mixed else None)
+                      for side, tag in ((RIGHT, "R"), (LEFT, "L"))}
 
     def _systems(self) -> list[_StripSystem]:
-        tables = (self.up, self.lo) if self.mixed else (self.up,)
-        return [table[side] for table in tables for side in (RIGHT, LEFT)]
+        ups = list(self.sides.values())  # then each side's ``below`` where it is a system of its own
+        return ups + [sys.below for sys in ups if sys.below is not sys]
 
     def _locate(self, z: complex) -> tuple[_StripSystem, _Strip, float]:
         """(system, strip, t) of z; below the real axis, of its mirror image."""
-        x, y = z.real, z.imag
-        sys = (self.up if y >= 0 else self.lo)[RIGHT if x >= 0 else LEFT]
-        return (sys, *sys.locate(abs(y)))
+        return self.sides[RIGHT if z.real >= 0 else LEFT].read(z.imag)
 
     def _located(self, zc: np.ndarray):
-        """``_locate`` over an array: (system, columns, cell mask, strip indices k - 1) per system."""
-        x, y = zc.real, zc.imag
-        for table, half in ((self.up, y >= 0), (self.lo, ~(y >= 0))):
+        """``_locate`` over an array: (system, columns, cell mask, strip indices k - 1) per system and half."""
+        x, y, up = zc.real, zc.imag, zc.imag >= 0
+        for half, mirror in ((up, False), (~up, True)):
             for side, sel in ((RIGHT, half & (x >= 0)), (LEFT, half & ~(x >= 0))):
-                sys, ay = table[side], np.abs(y[sel])
-                if len(ay) and sys._tops[-1] <= ay.max():
+                sys = self.sides[side].below if mirror else self.sides[side]
+                ay = np.abs(y[sel])
+                if len(ay):
                     sys.locate(float(ay.max()))  # grows the system past the highest cell
                 cols = sys.columns()
                 yield sys, cols, sel, np.searchsorted(cols["tops"], ay, side="right") - 1  # as locate bisects
 
     def eval(self, z: complex) -> ScaledComplex:
-        sys, s, t = self._locate(z)
-        v = sys.value(s, z.real, t)
-        return v if z.imag >= 0 else v.conj()
+        return self.sides[RIGHT if z.real >= 0 else LEFT].eval_at(z)
 
     def mu_parts(self, z: complex, quad: bool = False):
         sys, s, t = self._locate(z)
@@ -884,19 +888,17 @@ class _StripsEngine(_Engine):
         checks = []
         xs_r = np.linspace(0.5, 6.0, samples)
         xs_l = np.linspace(-40.0, -0.5, samples)
-        for table, hemi in ((self.up, "upper"), (self.lo, "lower")) if self.mixed else ((self.up, "upper"),):
-            for sys, xs in ((table[RIGHT], xs_r), (table[LEFT], xs_l)):
+        right, left = self.sides[RIGHT], self.sides[LEFT]
+        for hemi, pair in (("upper", (right, left)), ("lower", (right.below, left.below)))[:2 if self.mixed else 1]:
+            for sys, xs in zip(pair, (xs_r, xs_l)):
                 checks += sys.seam_checks(xs, strips, 400,
                                           lambda k, tag=sys.tag: f"{hemi}:{tag}{k}|{tag}{k+1}")
         # the imaginary axis: both sides reduce to the same turn evaluation
-        mids = [complex(0.0, 0.5 * (s.lo + s.hi)) for s in map(self.up[RIGHT].strip, range(1, strips + 1))]
-        checks.append(_sweep("axis", mids,
-                             lambda p: _log_gap(self.up[RIGHT].eval_xy(0.0, p.imag),
-                                                self.up[LEFT].eval_xy(0.0, p.imag))))
+        mids = [complex(0.0, 0.5 * (s.lo + s.hi)) for s in map(right.strip, range(1, strips + 1))]
+        checks.append(_sweep("axis", mids, lambda p: _log_gap(right.eval_at(p), left.eval_at(p))))
         if self.mixed:
             checks.append(_sweep("real-axis", [complex(x, 0.0) for x in np.linspace(-8.0, 8.0, samples)],
-                                 lambda p: _log_gap(self.eval(p), self.lo[RIGHT if p.real >= 0 else LEFT]
-                                                    .eval_xy(p.real, 0.0))))
+                                 lambda p: _log_gap(self.eval(p), (right if p.real >= 0 else left).below.eval_at(p))))
         return checks
 
     def to_dict(self) -> dict:
@@ -919,10 +921,10 @@ class _SectorEngine(_Engine):
         if n < 2:
             raise ValueError("sector extension needs n >= 2")
         for k in (1, 2):
-            if base.up[RIGHT].strip(k).pair != PairIndex(0, 0):
+            if base.sides[RIGHT].strip(k).pair != PairIndex(0, 0):
                 raise ValueError("sector extension requires a plain (0,0) prefix")
         self.base = base
-        self._sheet = base.up[RIGHT].strip(1)  # the plain (0,0) model of the flipped sheet
+        self._sheet = base.sides[RIGHT].strip(1)  # the plain (0,0) model of the flipped sheet
         self.n = int(n)
         self.case = base.case
         self.l = base.l
@@ -1204,11 +1206,11 @@ class _PowerEngine(_Engine):
         def upper_rule(k: int) -> str:
             return HALF if k >= 3 else PLAIN
 
-        def systems(side: str, heights: str, tag: str) -> dict:
-            return {"up": _StripSystem(self.m_seq, self.n_seq, side, 1, heights, upper_rule, tag),
-                    "lo": _StripSystem(self.m_seq, self.n_seq, side, 1, heights, _plain_rule, tag)}
+        def system(side: str, heights: str, tag: str) -> _StripSystem:
+            below = _StripSystem(self.m_seq, self.n_seq, side, 1, heights, _plain_rule, tag)
+            return _StripSystem(self.m_seq, self.n_seq, side, 1, heights, upper_rule, tag, below)
 
-        self.U, self.V = systems(RIGHT, "unit", "U"), systems(LEFT, "slope", "V")
+        self.U, self.V = system(RIGHT, "unit", "U"), system(LEFT, "slope", "V")
         self.ray = math.pi / (2.0 * self.rho)
 
     # -- the radial interpolation Q --------------------------------------
@@ -1222,7 +1224,7 @@ class _PowerEngine(_Engine):
         if y < 0.0:
             raise ValueError("g is defined on [0, infinity)")
         t = y**self.gamma
-        s, _ = self.V["up"].locate(t)
+        s, _ = self.V.locate(t)
         return TWO_PI * (s.k - 1) + (t - s.lo) / s.y_div, self.gamma * y ** (self.gamma - 1.0) / s.y_div
 
     def _q(self, w: complex) -> tuple[str, complex]:
@@ -1270,26 +1272,19 @@ class _PowerEngine(_Engine):
     def _v(self, z: complex) -> complex:
         return -cmath.exp(self.sigma * cmath.log(-z))
 
-    def _sys_value(self, table, q: complex) -> ScaledComplex:
-        return table["up" if q.imag >= 0 else "lo"].eval_xy(q.real, q.imag)
-
     def _locate(self, z: complex) -> tuple:
         """(w, piece of Q, q, system, strip, t) of z != 0.
 
         The right wedge reads U at q = Q(w), w = z^rho; the left wedge reads
         V at q = -(-z)^sigma and has no w or piece (None).  Below the real
-        axis the system reads the mirror image of q.
+        axis ``read`` gives the ``below`` system at the mirror image of q.
         """
         if abs(math.atan2(z.imag, z.real)) <= self.ray:
             w = self._w(z)
             piece, q = self._q(w)
-            table = self.U
-        else:
-            w = piece = None
-            q = self._v(z)
-            table = self.V
-        sys = table["up" if q.imag >= 0 else "lo"]
-        return (w, piece, q, sys, *sys.locate(abs(q.imag)))
+            return (w, piece, q, *self.U.read(q.imag))
+        q = self._v(z)
+        return (None, None, q, *self.V.read(q.imag))
 
     def _located(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, list]:
         """``_locate`` over an array of nonzero points: right wedge (bools), |Im q|, pieces of Q and strips."""
@@ -1300,7 +1295,7 @@ class _PowerEngine(_Engine):
     def eval(self, z: complex) -> ScaledComplex:
         z = complex(z)
         if z == 0:
-            return self._sys_value(self.U, 0j)
+            return self.U.eval_at(0j)
         _, _, q, sys, s, t = self._locate(z)
         v = sys.value(s, q.real, t)
         return v if q.imag >= 0 else v.conj()
@@ -1356,8 +1351,8 @@ class _PowerEngine(_Engine):
         """Corner test: the rays, the circle |z| = 1 in the right wedge, and the
         strip seams at the height |Im q| of the point q that the system reads."""
         top = r_max ** self.rho  # |w| <= top, so |Im Q(w)| <= max(top, g(top))
-        seams_u = np.array(_seam_heights(self.U.values(), max(top, self._g(top)[0])) + [math.inf])
-        seams_v = np.array(_seam_heights(self.V.values(), r_max ** self.sigma) + [math.inf])
+        seams_u = np.array(_seam_heights((self.U, self.U.below), max(top, self._g(top)[0])) + [math.inf])
+        seams_v = np.array(_seam_heights((self.V, self.V.below), r_max ** self.sigma) + [math.inf])
 
         def test(z0, z1) -> np.ndarray:
             (right0, hq0, *_), (right1, hq1, *_) = self._located(z0), self._located(z1)
@@ -1389,20 +1384,20 @@ class _PowerEngine(_Engine):
         checks = []
         # imaginary-axis identity U(i g(y)) = V(i y^gamma)
         checks.append(_sweep("axis-identity", [complex(0.0, y) for y in np.linspace(0.37, 9.11, 32)],
-                             lambda p: _log_gap(self._sys_value(self.U, complex(0.0, self._g(p.imag)[0])),
-                                                self._sys_value(self.V, complex(0.0, p.imag ** self.gamma)))))
+                             lambda p: _log_gap(self.U.eval_at(complex(0.0, self._g(p.imag)[0])),
+                                                self.V.eval_at(complex(0.0, p.imag ** self.gamma)))))
         # the glued rays
         for sgn, name in ((1.0, "ray+"), (-1.0, "ray-")):
             checks.append(_sweep(name, [r * cmath.exp(1j * sgn * self.ray)
                                         for r in np.linspace(1.1, 7.3, samples).tolist()],
-                                 lambda zr: _log_gap(self._sys_value(self.U, self._q(self._w(zr))[1]),
-                                                     self._sys_value(self.V, self._v(zr)))))
+                                 lambda zr: _log_gap(self.U.eval_at(self._q(self._w(zr))[1]),
+                                                     self.V.eval_at(self._v(zr)))))
         # strip seams of both wedge systems
         xs_r = np.linspace(0.5, 6.0, samples)
         xs_l = np.linspace(-40.0, -0.5, samples)
-        for table, xs, tag in ((self.U, xs_r, "U"), (self.V, xs_l, "V")):
-            for key in ("up", "lo"):
-                checks += table[key].seam_checks(xs, strips, 200, lambda k, key=key: f"{tag}:{key}:{k}|{k+1}")
+        for sys, xs in ((self.U, xs_r), (self.V, xs_l)):
+            for half, key in ((sys, "up"), (sys.below, "lo")):
+                checks += half.seam_checks(xs, strips, 200, lambda k, key=key: f"{sys.tag}:{key}:{k}|{k+1}")
         return checks
 
     def to_dict(self) -> dict:
@@ -1473,7 +1468,7 @@ def _as_pair(value) -> PairIndex:
     return PairIndex(_whole("m", m), _whole("n", n))
 
 
-def assemble(flavor: str, params: Optional[dict] = None, **kw) -> GluedMap:
+def assemble(flavor: str, **opts) -> GluedMap:
     """Build a glued map.
 
     Parameters by flavor:
@@ -1484,8 +1479,6 @@ def assemble(flavor: str, params: Optional[dict] = None, **kw) -> GluedMap:
     - ``power``: ``rho`` in (1/2, 1), ``delta``; gamma = 1/(2 rho - 1) and
       sigma = rho/(2 rho - 1) follow from rho (``params_dict`` reports both)
     """
-    opts = dict(params or {})
-    opts.update(kw)
     if flavor == SPIRAL:
         lower = _as_pair(_take(flavor, opts, "lower"))
         upper = _as_pair(_take(flavor, opts, "upper"))

@@ -23,7 +23,7 @@ from banklaine.diffeo import (
     r0_constant,
     solve_shift,
 )
-from banklaine.specfun import HALF, PLAIN, PairIndex, build_coefficients, real_log_gap_deriv
+from banklaine.specfun import HALF, PLAIN, PairIndex, build_coefficients, real_log_gap_slope
 
 P00, P10, P11 = PairIndex(0, 0), PairIndex(1, 0), PairIndex(1, 1)
 
@@ -274,6 +274,51 @@ def test_root_finders_evaluate_once_per_iterate():
     assert 3 <= len(calls) == len(set(calls))
 
 
+# ---- root-finder fallbacks ----------------------------------------------------------
+
+@pytest.mark.parametrize("root,edges", [(10.0, [2.0, 4.0, 8.0, 16.0]), (-10.0, [-1.0, -3.0, -7.0, -15.0])])
+def test_bisect_newton_expands_a_bracket_that_misses_the_root(root, edges):
+    # [0, 1] misses the root of x - root: the bracket grows by its own width
+    # on the side that misses, four times, then the solve lands on the root
+    calls = []
+
+    def fdf(x):
+        calls.append(x)
+        return x - root, 1.0
+
+    assert _bisect_newton(fdf, 0.0, 1.0)[:2] == (root, 0.0)
+    assert calls[:6] == [0.0, 1.0] + edges
+
+
+def test_bisect_newton_fails_loudly_without_a_sign_change():
+    calls = []
+    with pytest.raises(RuntimeError, match="bracketing failure"):
+        _bisect_newton(lambda x: calls.append(x) or (1.0, 0.0), 0.0, 1.0)
+    assert len(calls) == 2 + 121  # the two ends, then 121 expansions of the lower one
+
+
+def test_polish_fallbacks():
+    polish = PhiSolver(DiffeoSpec(P00, P11))._polish
+    # F' <= 0: polish stops and gives the iterate back untouched
+    assert polish(1.0, lambda u: (math.cos(u), -math.sin(u))) == 1.0
+    # plain Newton on atan diverges from 2 (2 -> -3.54 -> 13.9 -> ...); the
+    # step that leaves the bracket [-3.54, 2] is replaced by its midpoint
+    seen = []
+
+    def atan(u):
+        seen.append(u)
+        return math.atan(u), 1.0 / (1.0 + u * u)
+
+    assert abs(polish(2.0, atan)) < 1e-13
+    assert seen[2] == 0.5 * (seen[0] + seen[1])
+    # a derivative that underflows makes the Newton step infinite; while one
+    # end of the bracket is open, the iterate moves by 2 toward the root
+    for u0, path in ((5.0, [5.0, 3.0, 1.0]), (-3.0, [-3.0, -1.0, 1.0])):
+        seen = []
+        assert polish(u0, lambda u: seen.append(u) or (u - 1.0, 1e-320)) == 1.0
+        assert seen == path
+
+
 def test_phi_deriv_is_the_ratio_of_gap_slopes():
     # deriv(x) re-solves phi(x) from the warm start value(x) left, as
     # value(x) on a twin solver does, and divides F_dst'(x) by F_src'(phi)
@@ -281,10 +326,10 @@ def test_phi_deriv_is_the_ratio_of_gap_slopes():
     solver, twin = PhiSolver(spec), PhiSolver(spec)
     for x in (-12.0, -11.8, 3.0, 0.5, 0.7, 9.0, -2.0):
         assert solver.value(x) == twin.value(x)
-        want = real_log_gap_deriv(spec.dst, x) / real_log_gap_deriv(spec.src, twin.value(x))
+        want = real_log_gap_slope(spec.dst, x)[1] / real_log_gap_slope(spec.src, twin.value(x))[1]
         assert solver.deriv(x) == want
     for x in (20.0, -6.0, -5.9):  # cold: no value(x) before
-        want = real_log_gap_deriv(spec.dst, x) / real_log_gap_deriv(spec.src, twin.value(x))
+        want = real_log_gap_slope(spec.dst, x)[1] / real_log_gap_slope(spec.src, twin.value(x))[1]
         assert solver.deriv(x) == want
 
 

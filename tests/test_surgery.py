@@ -241,6 +241,26 @@ def test_mixed_seam_residuals():
         assert c.max_gap < 1e-9, c
 
 
+@pytest.mark.parametrize("lam2", [1.0, 0.9])
+def test_mixed_map_is_the_strips_map_below_the_axis(lam2):
+    # the mixed flavor runs half-model pieces above the real axis only: below
+    # it each side reads its plain ``below`` system, which is what the strips
+    # map reads there, in the scalar and the array hooks alike
+    mixed, strips = (assemble(flavor, lam1=0.5, lam2=lam2) for flavor in ("mixed", "strips"))
+    rng = random.Random(29)
+    zs = [cmath.rect(rng.uniform(1.0, 60.0), rng.uniform(-math.pi, 0.0)) for _ in range(300)]
+    zs = [z for z in zs if z.imag < 0]
+    for z in zs:
+        assert mixed(z) == strips(z), z
+        assert mixed.classify(z) == strips.classify(z), z
+        assert mixed._impl.mu_quad(z) == strips._impl.mu_quad(z), z
+    for a, b in zip(mixed._impl.cell_states(np.array(zs)), strips._impl.cell_states(np.array(zs))):
+        assert a.tolist() == b.tolist()
+    assert mixed._impl.mu_abs_quad(np.array(zs)).tolist() == strips._impl.mu_abs_quad(np.array(zs)).tolist()
+    # above the axis the two maps differ
+    assert sum(mixed(z.conjugate()) != strips(z.conjugate()) for z in zs) > len(zs) // 2
+
+
 def test_power_seam_residuals(power_map):
     checks = power_map.seam_residuals(samples=16, strips=2)
     names = {c.name for c in checks}
@@ -576,6 +596,24 @@ def test_sector_uninterpolated_core(sectors_map):
     info = sectors_map.classify(z)
     assert info.uninterpolated
     assert not info.conformal or info.uninterpolated
+    # |Im z^3| <= 2 pi: no value, no Beltrami coefficient
+    for z in (1.5, 1.2 + 0.3j, cmath.rect(2.0, math.pi / 3)):
+        assert abs((z ** 3).imag) <= TWO_PI
+        for hook in (sectors_map, sectors_map._impl.mu_parts, lambda z: beltrami_at(sectors_map, z)):
+            with pytest.raises(UninterpolatedRegion):
+                hook(z)
+
+
+def test_sector_map_reads_the_base_map_at_z_cubed(sectors_map):
+    # sectors=3 reads the strips map at z^3; sectors 1 and 6 read its flipped
+    # sheet, the base map half a turn, i pi, nearer the real axis
+    base = assemble("strips", lam1=0.5, lam2=0.5)
+    z = 3j
+    assert sectors_map(z) == base(z ** 3)
+    assert sectors_map.classify(z).label == f"sector2:base:{base.classify(z ** 3).label}"
+    z = cmath.rect(3.0, math.pi / 6)
+    assert sectors_map(z) == base(z ** 3 - 1j * math.pi)
+    assert sectors_map.classify(z).label == f"sector1:flipped:{base.classify(z ** 3 - 1j * math.pi).label}"
 
 
 def test_sector_dilatation_skips_the_core(sectors_map):
@@ -1088,7 +1126,7 @@ def test_psi_cache_hermite_array_reads_match_eval():
     surgery._psi_table.cache_clear()
     eng = assemble("strips", lam1=0.5, lam2=0.5)._impl
     for side in (RIGHT, LEFT):
-        sys_ = eng.up[side]
+        sys_ = eng.sides[side]
         with_psi = [sys_.strip(k) for k in range(1, 9) if sys_.strip(k).psi is not None]
         free = next(sys_.strip(k) for k in range(1, 9) if sys_.strip(k).psi is None)
         repeat = next(sys_.strip(k) for k in range(9, 60) if sys_.strip(k).psi is not None
@@ -1145,7 +1183,7 @@ def test_psi_tables_are_shared_per_transition():
     eng = assemble("mixed", lam1=0.5, lam2=0.9)._impl
     for side in (RIGHT, LEFT):
         up, lo = ({_transition(sys_, s): s.psi_table for s in map(sys_.strip, range(1, 120)) if s.psi is not None}
-                  for sys_ in (eng.up[side], eng.lo[side]))
+                  for sys_ in (eng.sides[side], eng.sides[side].below))
         assert len(up.keys() & lo.keys()) == 1
         assert all((up[k] is lo[k2]) == (k == k2) for k in up for k2 in lo)
 
@@ -1253,6 +1291,37 @@ def test_straddle_mask_tests_the_point_the_map_reads(name, z, flagged, sectors_m
     th = cmath.phase(z) + np.array([-h, h])
     z0, z1 = ((r + d) * np.cos(th) + 1j * ((r + d) * np.sin(th)) for d in (-h, h))
     assert eng.straddle_mask(2.0 * r)(z0, z1).tolist() == [flagged]
+
+
+POWER_SHOWN = {"rho": 0.75, "gamma": 2.0, "sigma": 1.5, "delta": 0.5}
+
+
+@pytest.mark.parametrize("flavor,params,want", [
+    ("strips", {"lam1": 0.5, "lam2": 0.5}, {"params": {"lam1": 0.5, "lam2": 0.5}, "case": "I", "l": 1}),
+    ("mixed", {"lam1": 0.5, "lam2": 1.0}, {"params": {"lam1": 0.5, "lam2": 1.0}, "case": "II", "l": 3}),
+    ("strips", {"lam1": 0.5, "lam2": 0.5, "sectors": 3},
+     {"params": {"lam1": 0.5, "lam2": 0.5, "sectors": 3}, "case": "I", "l": 1, "sectors": 3}),
+    ("power", {"rho": 0.75, "delta": 0.5}, {"params": POWER_SHOWN, **POWER_SHOWN}),
+], ids=["strips", "mixed", "sectors", "power"])
+def test_every_flavor_serializes(flavor, params, want):
+    gm = assemble(flavor, **params)
+    assert gm.to_dict() == dict(want, flavor=flavor)
+    assert json.loads(gm.to_json()) == dict(want, flavor=flavor)
+
+
+def test_origin_is_its_own_piece(power_map, spiral_map):
+    # the power map reads U at q = 0 there: strip 1's plain model at its
+    # shift, where g = 2, the limit of the map from either wedge
+    v = power_map(0)
+    assert v.phase == 0.0 and v.log_modulus == pytest.approx(math.log(2.0), abs=1e-14)
+    for z in (1e-6, 1e-6j, -1e-6j, -1e-6, cmath.rect(1e-6, 2.5)):
+        u = power_map(z)
+        assert abs(u.log_modulus - v.log_modulus) < 1e-8 and abs(u.phase) < 1e-8, z
+    assert power_map._impl.mu_parts(0) == (0j, 0j, 0.0, 0.0, None, None)
+    assert beltrami_at(power_map, 0).indeterminate
+    for gm in (power_map, spiral_map):
+        info = gm.classify(0)
+        assert (info.label, info.seam_distance) == ("origin", 0.0)
 
 
 def test_map_serialization(spiral_map):
