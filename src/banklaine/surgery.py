@@ -33,7 +33,7 @@ import math
 import numbers
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -713,7 +713,7 @@ class _Engine:
     - :func:`dilatation_integral` calls ``fine_size(r_max)``,
       ``theta_windows(r0, r1)`` and ``straddle_mask(r_max)``, then once per
       block of radial shells ``cell_states`` and ``mu_abs_quad``.  Every engine
-      implements the two classifying hooks as the array form of its own
+      defines all of them, the classifying hooks as the array form of its own
       ``_locate``; there are no defaults.
 
       - ``straddle_mask(r_max)`` returns ``test(z0, z1)``, a bool per cell
@@ -723,9 +723,10 @@ class _Engine:
         midpoints zc, the cheap ``classify``: labels key ``strip_sums``, and
         ``conformal`` promises mu == 0.
       - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
-        cells that straddle or are not conformal: a loop over ``mu_quad`` on
-        sectors and power (the default), arrays elsewhere; the spiral forms h
-        with libm (``charts.h_array``).
+        cells that straddle or are not conformal, read in the chart each map
+        pulls back (a conformal pre-composition multiplies mu by a unit):
+        arrays on strips, sectors (at z^n) and the spiral (|mu_band| at h,
+        formed with libm); a loop over ``mu_quad`` on power.
 
     Array code must take the scalar code's decisions, since grid nodes sit on
     seams, and give |mu| bit for bit.  np.sin, np.cos, np.fmod and np.hypot agree
@@ -749,10 +750,6 @@ class _Engine:
     def mu_quad(self, z: complex) -> complex:
         """Beltrami coefficient at z to quadrature accuracy (Hermite tables)."""
         return self.mu_parts(z, quad=True)[0]
-
-    def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
-        """|mu_quad| at each point of zc."""
-        return np.array([abs(self.mu_quad(z)) for z in zc.tolist()], float)
 
 
 class _StripsEngine(_Engine):
@@ -857,14 +854,8 @@ class _StripsEngine(_Engine):
 
     def theta_windows(self, r0: float, r1: float) -> list[tuple[float, float]]:
         out: list[tuple[float, float]] = []
-        for lo, hi in self._all_windows(r1):
-            if lo >= r1:
-                continue
-            s_lo = min(1.0, lo / r1)
-            s_hi = min(1.0, hi / r0)
-            if s_lo >= s_hi and s_lo >= 1.0:
-                continue
-            a, b = math.asin(s_lo), math.asin(s_hi)
+        for lo, hi in self._all_windows(r1):  # every window starts below r1, as active_windows(r1) stops there
+            a, b = math.asin(lo / r1), math.asin(min(1.0, hi / r0))
             out += ((a, b), (math.pi - b, math.pi - a), (-b, -a), (-math.pi + a, -math.pi + b))
         return out
 
@@ -912,7 +903,7 @@ class _SectorEngine(_Engine):
     G_1 (equal to 1/G_0 on the base strip 0 <= Im <= 2 pi); everything
     within |Im z^n| <= 2 pi stays uninterpolated by design.  Outside that
     core the flipped sheet is the half-turn translate of the base map, so
-    every hook reads the base engine at the translated point.
+    the engine has no model of its own: every hook reads the base engine.
     """
 
     flavor = STRIPS
@@ -924,27 +915,14 @@ class _SectorEngine(_Engine):
             if base.sides[RIGHT].strip(k).pair != PairIndex(0, 0):
                 raise ValueError("sector extension requires a plain (0,0) prefix")
         self.base = base
-        self._sheet = base.sides[RIGHT].strip(1)  # the plain (0,0) model of the flipped sheet
         self.n = int(n)
         self.case = base.case
         self.l = base.l
-
-    def _chi1(self, w: complex) -> complex:
-        if w.real >= 0:
-            return complex(w.real / self.l, w.imag)
-        return w
 
     @staticmethod
     def _half_turn(w: complex) -> complex:
         # the flipped sheet away from the real axis: G_1(w) = G_0(w -+ i pi)
         return w + complex(0.0, -math.pi if w.imag > 0 else math.pi)
-
-    def flipped_value(self, w: complex) -> ScaledComplex:
-        if abs(w.imag) >= math.pi:
-            return self.base.eval(self._half_turn(w))
-        zeta = self._chi1(w)
-        return eval_model_turns(self._sheet.pair, zeta.real + self._sheet.shift,
-                                zeta.imag / TWO_PI, PLAIN).recip()
 
     def _locate(self, z: complex) -> tuple[int, complex, bool]:
         """(sector j, base-engine point, uninterpolated) of z.
@@ -986,14 +964,10 @@ class _SectorEngine(_Engine):
                              conformal=False, uninterpolated=True)
         info = self.base.classify(w)
         sheet = "flipped" if j in (1, 2 * self.n) else "base"
-        return PieceInfo(
-            label=f"sector{j}:{sheet}:{info.label}", region=f"sector{j}",
-            pair=info.pair, variant=info.variant, k=info.k, t=info.t,
-            x_div=info.x_div, y_div=info.y_div, band=info.band,
-            conformal=info.conformal,
+        return replace(
+            info, label=f"sector{j}:{sheet}:{info.label}", region=f"sector{j}",
             # back to the z-plane through |d z^n/dz|
-            seam_distance=info.seam_distance / max(1e-300, self.n * abs(z) ** (self.n - 1)),
-        )
+            seam_distance=info.seam_distance / max(1e-300, self.n * abs(z) ** (self.n - 1)))
 
     def _located(self, zs: np.ndarray) -> tuple[tuple, np.ndarray, tuple]:
         """``_locate`` over an array: sectors, base-engine points (an array), uninterpolated flags."""
@@ -1007,6 +981,13 @@ class _SectorEngine(_Engine):
                   for j, label, u in zip(js, base_labels.tolist(), uninterp)]
         uninterp = np.array(uninterp, bool)
         return np.array(labels, dtype=object), conformal & ~uninterp, uninterp
+
+    def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
+        """The base engine's |mu_quad| at the base-engine points of zc: z^n is conformal, so |mu| is the base's."""
+        _, ws, uninterp = self._located(zc)
+        if any(uninterp):
+            raise UninterpolatedRegion(f"uninterpolated at z={zc[uninterp.index(True)]:.6g}")
+        return self.base.mu_abs_quad(ws)
 
     def fine_size(self, r_max: float) -> float:
         # pullback strip thickness ~ 2 pi / (n r^{n-1})
@@ -1026,12 +1007,12 @@ class _SectorEngine(_Engine):
 
     def seam_residuals(self, samples: int = 64, strips: int = 6) -> list[SeamCheck]:
         checks = self.base.seam_residuals(samples, strips)
-        # the two sheets are reciprocal on the base strip 0 <= Im w <= 2 pi
+        # the half-turn is the flipped sheet: base(w - i pi) = 1/base(w) on the (0,0) strip pi < Im w < 2 pi
         def gap(w: complex) -> float:
-            prod = self.base.eval(w).mul(self.flipped_value(w))
+            prod = self.base.eval(w).mul(self.base.eval(self._half_turn(w)))
             return max(abs(prod.log_modulus), abs(wrap_phase(prod.phase)))
 
-        checks.append(_sweep("sheet-inverse", [complex(x, 1.0 + 0.007 * x)
+        checks.append(_sweep("sheet-inverse", [complex(x, math.pi + 1.0 + 0.007 * x)
                                                for x in np.linspace(-6.0, 6.0, samples).tolist()], gap))
         return checks
 
@@ -1044,7 +1025,7 @@ class _SectorEngine(_Engine):
 # ---------------------------------------------------------------------------
 
 class _SpiralEngine(_Engine):
-    """Two models glued across a logarithmic spiral by the chart z^mu; ``mu_abs_quad`` is ``mu_parts``' array form."""
+    """Two models glued across a logarithmic spiral by the chart z^mu; ``mu_abs_quad`` reads |mu| in the chart h."""
 
     flavor = SPIRAL
 
@@ -1087,17 +1068,14 @@ class _SpiralEngine(_Engine):
         return mu_band * hp.conjugate() / hp, mu_band, a, b, None, None
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
-        """abs(mu_quad(w)) at each w of zc in ``mu_parts``' operations as arrays, bit for bit; 0.0 off the band."""
+        """abs(mu_quad(w)) at each w of zc: |mu_band| at h(w), as conj(h')/h' is a unit; 0.0 off the band."""
         hr, hi = self.charts.h_array(np.where(zc == 0, 1.0, zc))  # h(1) = 1 is off the band, as h(0) = 0
         band, out = (-1.0 < hi) & (hi < 0.0), np.zeros(len(zc))  # _locate's test on the bits of h itself
         if not band.any():
             return out  # reading builds the table, which mu_parts does at its first band cell
-        hr, hi, w, mu = hr[band], hi[band], zc[band], self.charts.mu
-        u_x, u_y, _, _ = _shear_jacobian(hr, hi, *self._qcache.read(hr))
+        u_x, u_y, _, _ = _shear_jacobian(hr[band], hi[band], *self._qcache.read(hr[band]))
         a, b = 0.5 * (u_x - 1.0), 0.5 * u_y
-        mr, mi = _c_quot(a, b, 1.0 + a, -b)  # _band_mu; then h' = h / (mu w)
-        hpr, hpi = _c_quot(hr, hi, mu.real * w.real - mu.imag * w.imag, mu.real * w.imag + mu.imag * w.real)
-        out[band] = np.hypot(*_c_quot(mr * hpr - mi * -hpi, mr * -hpi + mi * hpr, hpr, hpi))  # mu_band conj(hp)/hp
+        out[band] = np.hypot(*_c_quot(a, b, 1.0 + a, -b))  # abs(_band_mu(a, b))
         return out
 
     def classify(self, w: complex) -> PieceInfo:
@@ -1340,6 +1318,10 @@ class _PowerEngine(_Engine):
         conformal = [self._conformal(piece, s) for piece, s in zip(pieces, strips)]
         return np.array(labels, dtype=object), np.array(conformal, bool), np.zeros(len(zc), bool)
 
+    def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
+        """|mu_quad| at each point of zc, one ``mu_parts`` call per point: Q's composition has no array form."""
+        return np.array([abs(self.mu_quad(z)) for z in zc.tolist()], float)
+
     def fine_size(self, r_max: float) -> float:
         spacing = TWO_PI * r_max ** (1.0 - self.rho) / self.rho
         return min(TWO_PI, spacing) / 8.0
@@ -1557,8 +1539,10 @@ def beltrami_at(gmap: GluedMap, z: complex) -> BeltramiSample:
 class DilatationReport:
     """Midpoint-rule account of int (K-1)/|z|^2 over an annulus.
 
-    ``strip_sums`` aggregates by gluing strip, ``shell_sums`` by radial
-    shell and ``shell_strip_sums`` by (shell index, strip); ``cumulative``
+    ``strip_sums`` aggregates by the ``cell_states`` label (strips such as
+    ``R3``, the spiral's ``cut-band``, Q's pieces and ``V`` strips on power,
+    ``sector{j}:``-prefixed base labels), ``shell_sums`` by radial shell and
+    ``shell_strip_sums`` by (shell index, label); ``cumulative``
     runs over the shells, whose increments serve as the Cauchy tail
     diagnostic.  The four cell counts say how each cell was handled:
     conformal cells are classified analytically and skipped, and only the

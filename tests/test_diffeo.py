@@ -228,6 +228,11 @@ def test_psi_rejects_bad_side():
         build_psi([(P00, PLAIN), (P11, PLAIN)], "upper", 1)
 
 
+def test_psi_rejects_a_scale_below_one():
+    with pytest.raises(ValueError, match="^l must be a positive integer$"):
+        build_psi([(P00, PLAIN), (P11, PLAIN)], RIGHT, l=0)
+
+
 # ---- fixed points ------------------------------------------------------------
 
 def test_fixed_point_of_00_to_11_is_log6():

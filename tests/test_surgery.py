@@ -100,6 +100,17 @@ def test_cut_edges_are_identified():
         assert ch.boundary_gap(float(x)) < 1e-6
 
 
+@pytest.mark.parametrize("kappa", [0.0, -2.0, math.inf, math.nan])
+def test_charts_reject_a_stretch_that_is_not_positive_and_finite(kappa):
+    with pytest.raises(ValueError, match=f"^kappa must be positive and finite, got {kappa}$"):
+        spiral_charts(kappa)
+
+
+def test_boundary_gap_lives_on_the_negative_reals():
+    with pytest.raises(ValueError, match="^the edge identification lives on x < 0$"):
+        spiral_charts(4.0).boundary_gap(0.0)
+
+
 @pytest.mark.parametrize("kappa", [1 / 3, 4.0])
 def test_h_inverts_p_off_the_cut(kappa):
     ch = spiral_charts(kappa)
@@ -546,6 +557,25 @@ def test_coarse_grid_is_rejected(strips_map):
         dilatation_integral(strips_map, 1.0, 60.0, resolution=20.0)
 
 
+@pytest.mark.parametrize("r_min, r_max, resolution, message", [
+    (0.0, 60.0, None, "need 0 < r_min < r_max"),
+    (-1.0, 60.0, None, "need 0 < r_min < r_max"),
+    (60.0, 60.0, None, "need 0 < r_min < r_max"),
+    (61.0, 60.0, None, "need 0 < r_min < r_max"),
+    (1.0, 60.0, 0.0, "cell size must be positive"),
+    (1.0, 60.0, -0.5, "cell size must be positive"),
+])
+def test_dilatation_integral_rejects_a_bad_annulus_or_cell(r_min, r_max, resolution, message, strips_map):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dilatation_integral(strips_map, r_min, r_max, resolution)
+
+
+def test_strip_systems_cover_the_upper_half_only(strips_map):
+    # below the axis read() mirrors; locate itself takes y >= 0 only
+    with pytest.raises(ValueError, match="^strip systems cover y >= 0$"):
+        strips_map._impl.sides[RIGHT].locate(-1.0)
+
+
 def test_halving_the_cell_size_barely_moves_the_total(strips_map):
     fine = strips_map._impl.fine_size(60.0)
     coarse = dilatation_integral(strips_map, 1.0, 60.0)
@@ -625,17 +655,33 @@ def test_sector_dilatation_skips_the_core(sectors_map):
 
 def test_sector_sheets_are_reciprocal(sectors_map):
     eng = sectors_map._impl
-    # below |Im w| = pi the flipped sheet is assembled from the exact
-    # exponential-reciprocal formula: the product is bit-for-bit 1
-    for w in (2.0 + 1.5j, 0.7 + 0.4j):
-        prod = eng.base.eval(w).mul(eng.flipped_value(w))
-        assert prod.log_modulus == 0.0
-        assert prod.phase == 0.0
-    # above, the half-turn translate takes over and rounding enters
+    # the flipped sheet is the base map half a turn away, which is 1/base on
+    # the (0,0) strip pi < Im w < 2 pi; rounding enters through the two reads
     for w in (2.0 + 4.0j, 3.0 + 6.0j):
-        prod = eng.base.eval(w).mul(eng.flipped_value(w))
+        prod = eng.base.eval(w).mul(eng.base.eval(w - 1j * math.pi))
         assert abs(prod.log_modulus) < 1e-14
         assert abs(prod.phase) < 1e-14
+
+
+def test_sector_mu_abs_quad_is_the_base_maps(sectors_map):
+    # z^n is conformal, so |mu| at z is the base map's at the point it reads:
+    # the hook gives abs(base.mu_quad(w)) to the last bit on both sheets, and
+    # abs(mu_quad(z)), which twists mu by the unit conj(n z^(n-1))/(n z^(n-1)),
+    # within 4 ulps; on the core there is no mu to read
+    eng = sectors_map._impl
+    rng = np.random.default_rng(23)
+    zs = rng.uniform(2.0, 5.0, 3000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3000))
+    locs = [eng._locate(z) for z in zs.tolist()]
+    zc = np.array([z for z, (_, _, core) in zip(zs.tolist(), locs) if not core])
+    sheets = [j in (1, 2 * eng.n) for j, _, core in locs if not core]
+    assert len(zc) >= 2000 and 200 <= sum(sheets) <= len(zc) - 200
+    got = eng.mu_abs_quad(zc).tolist()
+    want = [abs(eng.base.mu_quad(w)) for _, w, core in locs if not core]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert all(abs(g - abs(eng.mu_quad(z))) <= 4 * math.ulp(g) for z, g in zip(zc.tolist(), got))
+    assert sum(g > 0.0 for g in got) >= 500
+    with pytest.raises(UninterpolatedRegion):
+        eng.mu_abs_quad(np.array([zc[0], 1.5 + 0j]))
 
 
 def test_sector_seam_residuals(sectors_map):
@@ -1189,9 +1235,8 @@ def test_psi_tables_are_shared_per_transition():
 
 
 @pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
-def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
-    # the array hook must give abs(mu_quad(z)) to the last bit on every path,
-    # as arrays, and never fall back to the scalar _Engine.mu_abs_quad:
+def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams):
+    # the array hook must give abs(mu_quad(z)) to the last bit on every path:
     # frozen psi tails on both sides, strips without psi, Hermite cells and
     # the exact band of right tables (0 <= x <= 2), which each table solves
     # once per x from a fixed seed.  The tables are rebuilt before every map,
@@ -1212,24 +1257,18 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams, monkeypatch):
         else:
             paths.append("exact" if 0.0 <= z.real <= 2.0 else "hermite")
     assert set(paths) == {"psi-free", "tail-high", "tail-low", "exact", "hermite"}
-    scalar, reached = surgery._Engine.mu_abs_quad, []
-
-    def counted(self, zs):
-        reached.extend(zs.tolist())
-        return scalar(self, zs)
-
-    monkeypatch.setattr(surgery._Engine, "mu_abs_quad", counted)
     for cuts in ([], [1700]):
         surgery._psi_table.cache_clear()
-        eng, reached[:] = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl, []
+        eng = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
         got = np.concatenate([eng.mu_abs_quad(part) for part in np.split(zc, cuts)])
         differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got.tolist(), want) if g.hex() != w.hex()]
-        assert differ == [] and reached == [], cuts
+        assert differ == [], cuts
 
 
-def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell(monkeypatch):
-    # the spiral's array hook gives abs(mu_quad(w)) of a fresh twin map to the
-    # last bit and never falls back to _Engine.mu_abs_quad: band cells on the
+def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell():
+    # the spiral's array hook gives |mu_band| = abs(mu_parts(w, quad=True)[1])
+    # of a fresh twin map to the last bit, and abs(mu_quad(w)), which twists
+    # mu_band by the unit conj(h')/h', within 4 ulps: band cells on the
     # Hermite table and its two frozen tails, Im h within a few ulp of -1
     # and of 0 (xi = 0 and +-pi), exact 0.0 off the band and at w = 0.  A call
     # with no band cell leaves the table unbuilt, as mu_parts does
@@ -1242,7 +1281,8 @@ def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell(monkeypatch):
     w = np.exp(eng.charts.mu * np.log(z))
     r = np.hypot(w.real, w.imag)
     zc = np.concatenate([pts, w[np.log(r) != np.array(list(map(math.log, r.tolist())))], [0j]])
-    want = [abs(twin.mu_quad(z)) for z in zc.tolist()]
+    parts = [twin.mu_parts(z, quad=True) for z in zc.tolist()]
+    want = [abs(mu_band) for _, mu_band, *_ in parts]
     paths = []
     for z in zc.tolist():
         h, band = twin._locate(z)
@@ -1254,19 +1294,13 @@ def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell(monkeypatch):
         {"off-band": True, "tail-low": True, "tail-high": True, "hermite": True}
     assert (band & (im > -4 * math.ulp(1.0))).sum() >= 20 and (im[~band] == 0.0).sum() >= 100
     assert (band & (im < -1.0 + 4 * math.ulp(1.0))).sum() >= 50 and len(edge) > 100
-    scalar, reached = surgery._Engine.mu_abs_quad, []
-
-    def counted(self, zs):
-        reached.extend(zs.tolist())
-        return scalar(self, zs)
-
-    monkeypatch.setattr(surgery._Engine, "mu_abs_quad", counted)
     off = zc[~band]
     assert eng.mu_abs_quad(off).tolist() == [0.0] * len(off) and eng._qcache._table is None
     got = eng.mu_abs_quad(zc).tolist()
     differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got, want) if g.hex() != w.hex()]
-    assert differ == [] and reached == []
+    assert differ == []
     assert [g for g, b in zip(got, band.tolist()) if not b] == [0.0] * int((~band).sum())
+    assert all(abs(g - abs(mu)) <= 4 * math.ulp(g) for (mu, *_), g in zip(parts, got))
 
 
 SECTOR_SEAM = 12.0 * math.pi  # the first seam height of the sectors map's base strips
