@@ -279,8 +279,8 @@ class AsymptoticReport:
     decay_intercept: Optional[float]
     kappa_hat: Optional[float]
     c_hat: Optional[float]
-    deriv_right: Optional[float]  # central-difference phi' at the right end
-    deriv_left: Optional[float]
+    deriv_right: Optional[float]  # phi' at the right end of the grid, from PhiSolver.deriv
+    deriv_left: Optional[float]   # phi' at the left end, likewise
     residual_max: float
     n_right: int = 0
     n_left: int = 0
@@ -310,7 +310,8 @@ def asymptotic_report(spec: DiffeoSpec, grid: Sequence[float]) -> AsymptoticRepo
     Deviations below 1e-13 are machine noise and are discarded before
     fitting.  The left window ends at -15 because the O(e^{delta x})
     remainder is still ~1e-4 at x=-5 and would contaminate a 1e-4
-    acceptance band on c_hat.
+    acceptance band on c_hat.  The slopes at the grid ends are the closed
+    form phi' = F_dst'/F_src'(phi) of ``PhiSolver.deriv``.
     """
     xs = np.asarray(sorted(grid), dtype=float)
     if spec.is_identity:
@@ -332,9 +333,7 @@ def asymptotic_report(spec: DiffeoSpec, grid: Sequence[float]) -> AsymptoticRepo
         raise ValueError(f"degenerate left fit: only {n_left} usable points")
     khat, chat = _ols_line(xs[lmask], phis[lmask])
 
-    h = 1e-3  # solver noise ~1e-12 dominates truncation at the window ends
-    dr = (solver.value(xs[-1]) - solver.value(xs[-1] - 2 * h)) / (2 * h)
-    dl = (solver.value(xs[0] + 2 * h) - solver.value(xs[0])) / (2 * h)
+    dr, dl = solver.deriv(float(xs[-1])), solver.deriv(float(xs[0]))
     return AsymptoticReport(
         spec, "fitted", dslope, dint, khat, chat, dr, dl, residual_max, n_right, n_left
     )
@@ -414,7 +413,7 @@ class FixedPointReport:
 
 
 def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
-    """Scan D(x) = F_dst(x) - F_src(x) for sign changes and bisect each crossing.
+    """Scan D(x) = F_dst(x) - F_src(x) for sign changes and solve each crossing with ``_bisect_newton``.
 
     F_src increases and F_src(phi(x)) = F_dst(x), so phi(x) - x has the sign
     of D, and the scan solves for phi only once per crossing, to keep the
@@ -425,31 +424,25 @@ def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
     if spec.is_identity:
         return FixedPointReport(spec, "identity", [], [], [], step)
 
-    def gap(x: float) -> float:
-        return (real_log_gap_slope(spec.dst, x, spec.variant_dst)[0]
-                - real_log_gap_slope(spec.src, x, spec.variant_src)[0])
+    def gap(x: float, sign: float = 1.0) -> tuple[float, float]:
+        """sign * (D(x), D'(x)); sign = -1 turns a falling crossing into a rising one."""
+        (fd, dd), (fs, ds) = (real_log_gap_slope(spec.dst, x, spec.variant_dst),
+                              real_log_gap_slope(spec.src, x, spec.variant_src))
+        return sign * (fd - fs), sign * (dd - ds)
 
     lo, hi = -5.0, 2.0 * math.log(max(spec.src.N, spec.dst.N)) + 10.0
     solver = PhiSolver(spec)
     xs = np.arange(lo, hi + step, step).tolist()
     points: list[float] = []
-    d_prev = gap(xs[0])
+    d_prev = gap(xs[0])[0]
     for x_prev, x in zip(xs[:-1], xs[1:]):
-        d = gap(x)
+        d = gap(x)[0]
         if d_prev == 0.0:
             points.append(x_prev)
         elif d_prev * d < 0:
-            a, b, da = x_prev, x, d_prev
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                dm = gap(mid)
-                if dm == 0.0 or b - a < 1e-13:
-                    break
-                if (dm < 0) == (da < 0):
-                    a, da = mid, dm
-                else:
-                    b = mid
-            p = 0.5 * (a + b)
+            sign = math.copysign(1.0, d)
+            v = real_log_gap_slope(spec.dst, x, spec.variant_dst)[0]  # scales the tolerance, as in PhiSolver._solve
+            p, _, _ = _bisect_newton(lambda u: gap(u, sign), x_prev, x, tol=1e-13 * max(1.0, abs(v)))
             if abs(solver.value(p) - p) < 1e-10:
                 points.append(p)
         d_prev = d
@@ -459,12 +452,4 @@ def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
 
 def r0_constant() -> float:
     """The unique real root of e^r + r + 1 = 0."""
-    r = -1.278
-    for _ in range(60):
-        f = math.exp(r) + r + 1.0
-        fp = math.exp(r) + 1.0
-        step = f / fp
-        r -= step
-        if abs(step) < 1e-16:
-            break
-    return r
+    return _bisect_newton(lambda r: (math.exp(r) + r + 1.0, math.exp(r) + 1.0), -2.0, -1.0)[0]

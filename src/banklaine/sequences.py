@@ -253,12 +253,13 @@ class ProfileBundle:
         if np.any(xs < 0):
             raise ValueError("g is defined on [0, infinity)")
         t = xs**self.target_exponent
-        # grow the materialized range until H's range covers every target
+        # grow the materialized range until H's range covers every target;
+        # past MAX_ENTRIES the sequences' ensure raises
         kmax = max(8, int(np.max(xs) // TWO_PI) + 2)
         while True:
             slopes = self.slopes_N(kmax).astype(float)
             cum = np.concatenate([[0.0], TWO_PI * np.cumsum(slopes)])
-            if cum[-1] >= np.max(t) or kmax >= MAX_ENTRIES:
+            if cum[-1] >= np.max(t):
                 break
             kmax *= 2
         idx = np.searchsorted(cum, t, side="right") - 1

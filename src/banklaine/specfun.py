@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lgamma
 from threading import Lock
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -477,7 +477,7 @@ def real_log_value_slope(pair: PairIndex, x: float, variant: str = PLAIN) -> tup
 
 
 # ---------------------------------------------------------------------------
-# roots, handles, residual diagnostics
+# roots and residual diagnostics
 # ---------------------------------------------------------------------------
 
 _ROOT_DEGREE_CAP = 64
@@ -545,23 +545,6 @@ def solve_value_negative_one(pair: PairIndex, w_seed: complex) -> complex | None
     return None
 
 
-@dataclass
-class FunctionHandle:
-    """An evaluatable function plus the analyticity facts callers may rely on.
-
-    ``eval`` returns ScaledComplex.  ``logderiv`` (if given) returns plain
-    complex values of f'/f.  ``poles_in``/``zeros_in`` (if given) list exact
-    singularity positions inside a rectangle (x0, x1, y0, y1) and give the
-    counting machinery its second, independent route.
-    """
-
-    eval: Callable[[complex], ScaledComplex]
-    name: str = ""
-    logderiv: Optional[Callable[[complex], complex]] = None
-    poles_in: Optional[Callable[[tuple[float, float, float, float]], list[complex]]] = None
-    zeros_in: Optional[Callable[[tuple[float, float, float, float]], list[complex]]] = None
-
-
 def _instances_in_rect(wroots: Sequence[complex], rect: tuple[float, float, float, float]) -> list[complex]:
     x0, x1, y0, y1 = rect
     out = []
@@ -574,20 +557,6 @@ def _instances_in_rect(wroots: Sequence[complex], rect: tuple[float, float, floa
         for k in range(k_lo, k_hi + 1):
             out.append(base + 2j * math.pi * k)
     return out
-
-
-def model_handle(pair: PairIndex, variant: str = PLAIN) -> FunctionHandle:
-    """FunctionHandle for the model pair; registries are exact root images."""
-    zeros = None
-    if variant == PLAIN:
-        zeros = lambda rect: _instances_in_rect(numer_roots(pair), rect)
-    return FunctionHandle(
-        eval=lambda z: eval_model(pair, z, variant),
-        name=f"g{pair}" if variant == PLAIN else f"ghalf{pair}",
-        logderiv=lambda z: log_derivative(pair, z, variant),
-        poles_in=lambda rect: _instances_in_rect(denom_roots(pair), rect),
-        zeros_in=zeros,
-    )
 
 
 def tail_expansion_residual(pair: PairIndex, y: float) -> float:
@@ -615,14 +584,14 @@ def tail_expansion_residual(pair: PairIndex, y: float) -> float:
 # differential operators through contour derivatives
 # ---------------------------------------------------------------------------
 
-def apply_B(handle: FunctionHandle, z: complex) -> complex:
-    """The coefficient functional -2E''/E + (E'/E)^2 - 1/E^2 at z.
+def apply_B(E: Callable[[complex], ScaledComplex], z: complex) -> complex:
+    """The coefficient functional -2E''/E + (E'/E)^2 - 1/E^2 of a ScaledComplex-valued E at z.
 
     Derivatives come from Cauchy integrals on |zeta - z| = 0.25; if the
     winding of E around that circle is nonzero the disk contains a zero or
     pole of E and the request violates the benign-point contract.
     """
-    (e0, e1, e2), winding = contour.circle_derivatives(lambda c: handle.eval(c).to_complex(), z, 0.25, 2)
+    (e0, e1, e2), winding = contour.circle_derivatives(lambda c: E(c).to_complex(), z, 0.25, 2)
     if winding != 0:
         raise ValueError(f"disk of radius 0.25 at {z} contains a zero/pole (winding {winding})")
     return -2.0 * e2 / e0 + (e1 / e0) ** 2 - 1.0 / (e0 * e0)

@@ -13,7 +13,7 @@ from banklaine.contour import (
     winding_number,
 )
 from banklaine.scaledcx import ScaledComplex
-from banklaine.specfun import PairIndex, eval_model, model_handle
+from banklaine.specfun import PairIndex, _instances_in_rect, eval_model, numer_roots
 
 
 def test_circle_derivatives_of_exp():
@@ -93,12 +93,11 @@ def test_logderiv_loop_integral_on_model():
     assert abs(got - (-1.0)) < 1e-9
 
 
-def test_handle_registries_agree_with_winding():
+def test_root_registries_agree_with_winding():
     pair = PairIndex(1, 1)
-    h = model_handle(pair)
     rect = (-0.2, 1.4, -1.2, 1.2)  # contains the two primary zeros of g
-    zs = h.zeros_in(rect)
-    w = winding_number(h.eval, rect_path(*rect))
+    zs = _instances_in_rect(numer_roots(pair), rect)
+    w = winding_number(lambda z: eval_model(pair, z), rect_path(*rect))
     assert len(zs) == 2
     assert w == pytest.approx(2.0, abs=1e-9)
 
@@ -116,3 +115,22 @@ def test_winding_follows_fast_turning_edges(pair, x1, per_side, periods):
     box = rect_path(-3.0, x1, 0.3, 2.0 * math.pi * periods - 0.3, per_side)
     w = winding_number(lambda z: eval_model(PairIndex(m, n), z), box)
     assert w == pytest.approx(periods * (2 * n - m), abs=1e-9)
+
+
+def test_circle_derivatives_fail_loudly_when_they_do_not_stabilize():
+    # a jump on the circle: the trapezoid sums converge like 1/n, not geometrically
+    calls = []
+
+    def step(p):
+        calls.append(p)
+        return 1.0 if p.imag > 0.1 else 0.0
+
+    with pytest.raises(RuntimeError, match=r"^circle_derivatives did not stabilize to 1e-10 within 4096 points$"):
+        circle_derivatives(step, 0.1j, 0.5, 2)
+    assert len(calls) == 4096  # every sample of the last pass, once
+
+
+def test_logderiv_loop_integral_fails_loudly_when_it_does_not_stabilize():
+    # a jump inside the first edge, off every panel boundary, keeps Gauss-Legendre from converging
+    with pytest.raises(RuntimeError, match="^logderiv_loop_integral did not stabilize$"):
+        logderiv_loop_integral(lambda z: 1.0 if z.real > 0.3 and z.imag == 0.0 else 0.0, [0.0, 1.0, 1.0j])

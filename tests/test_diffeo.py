@@ -156,8 +156,8 @@ def test_report_fits_closed_form():
     assert rep.kappa_hat == pytest.approx(4.0, abs=1e-4)
     assert rep.c_hat == pytest.approx(-math.log(72.0), abs=1e-4)
     assert rep.residual_max < 1e-11
-    assert rep.deriv_left == pytest.approx(4.0, abs=1e-6)
-    assert rep.deriv_right == pytest.approx(1.0, abs=1e-6)
+    assert rep.deriv_left == pytest.approx(4.0, abs=1e-12)
+    assert rep.deriv_right == pytest.approx(1.0, abs=1e-12)
     d = rep.to_dict()
     assert d["kappa"] == 4.0 and d["tag"] == "fitted"
 
@@ -240,7 +240,21 @@ def test_fixed_point_of_00_to_11_is_log6():
     fp = find_fixed_points(DiffeoSpec(P00, P11))
     assert fp.tag == "scan"
     assert len(fp.points) == 1
-    assert fp.points[0] == pytest.approx(math.log(6.0), abs=1e-9)
+    assert fp.points[0] == pytest.approx(math.log(6.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("src, dst, count", [
+    (PairIndex(2, 3), PairIndex(1, 5), 1),  # one crossing, near x = 1.655819
+    (PairIndex(0, 2), PairIndex(3, 1), 0),  # D keeps one sign on the whole window
+])
+def test_fixed_points_are_roots_of_phi_minus_x(src, dst, count):
+    spec = DiffeoSpec(src, dst)
+    fp = find_fixed_points(spec)
+    assert len(fp.points) == count
+    solver = PhiSolver(spec)
+    assert all(abs(solver.value(p) - p) <= 1e-15 for p in fp.points)
+    if count:
+        assert fp.points[0] == pytest.approx(1.655819, abs=1e-6)
 
 
 def test_fixed_point_sandwich():

@@ -109,3 +109,8 @@ def test_add_complex_phases():
     b = ScaledComplex.from_complex(cmath.exp(-2.1j) * 0.4)
     want = cmath.exp(0.7j) * 3.0 + cmath.exp(-2.1j) * 0.4
     assert close(a.add(b).to_complex(), want, 1e-13)
+
+
+def test_times_real_rejects_zero():
+    with pytest.raises(ValueError, match="^scale factor must be nonzero$"):
+        ScaledComplex.from_complex(1.5 - 0.5j).times_real(0.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from banklaine import sequences
 from banklaine.sequences import (
     MAX_ENTRIES,
     TWO_PI,
@@ -141,6 +142,12 @@ def test_paired_prefix_and_parity():
     assert list(N[:3]) == [1, 1, 1]
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_paired_rejects_gamma_at_most_one(gamma):
+    with pytest.raises(ValueError, match=f"^gamma must exceed 1, got {gamma}$"):
+        build_paired_slopes(gamma, build_graded_slopes(1.5, 1.0))
+
+
 def test_paired_slope_ratio_gamma_two():
     m = build_graded_slopes(2.0, 1.0)
     n = build_paired_slopes(2.0, m)
@@ -213,6 +220,16 @@ def test_profile_omega_nonnegative_and_additive():
     assert np.all(om >= 0)
     assert np.allclose(om, b.h1(xs) + b.h2(xs), atol=1e-8)
     assert np.allclose(b.H(xs), xs + om, atol=1e-8)
+
+
+@pytest.mark.parametrize("x", [14.5 * TWO_PI, np.array([1.0, 14.5 * TWO_PI])], ids=["scalar", "array"])
+def test_profile_inverse_fails_loudly_at_the_entry_cap(monkeypatch, x):
+    # case III: H grows like 8 pi k, so x^3 = 7.5e5 needs about 30,000 strips,
+    # past a cap of 1024; g must raise there, not extend the last slope
+    monkeypatch.setattr(sequences, "MAX_ENTRIES", 1024)
+    cs = select_case(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^k = 2048 outside \[0, 1024\]$"):
+        ProfileBundle(cs.m_seq, cs.n_seq, 3.0).g(x)
 
 
 def test_profile_rejects_negative_argument():

@@ -26,7 +26,6 @@ from banklaine.specfun import (
     _series_end,
     HALF,
     PLAIN,
-    FunctionHandle,
     PairIndex,
     apply_B,
     bank_laine_A,
@@ -591,10 +590,10 @@ def bank_laine_E(pair: PairIndex):
 def test_bank_laine_coefficient_is_twice_the_schwarzian(pair):
     # E'' + A E = 0 with 4A = apply_B(E) = 2 S(g): the contour functional
     # against the closed forms S(g) = -e^{2z}/2 + (m-2n) e^z - N^2/2 and A = S/2
-    handle = FunctionHandle(eval=bank_laine_E(pair))
+    E = bank_laine_E(pair)
     for z in (0.3 + 0.5j, -0.4 + 2.0j, 0.9 - 1.2j, -1.5 - 0.3j):
         S, A = model_schwarzian(pair, z), bank_laine_A(pair, z)
-        assert abs(apply_B(handle, z) - 4 * A) <= 1e-12 * max(1.0, abs(S))
+        assert abs(apply_B(E, z) - 4 * A) <= 1e-12 * max(1.0, abs(S))
 
 
 @given(m=st.integers(0, 7), n=st.integers(0, 5),
@@ -605,7 +604,7 @@ def test_bank_laine_identity_over_pairs(m, n, x, y):
     # disks around z that hold a zero or pole of E
     pair, z = PairIndex(m, n), complex(x, y)
     try:
-        B = apply_B(FunctionHandle(eval=bank_laine_E(pair)), z)
+        B = apply_B(bank_laine_E(pair), z)
     except ValueError as exc:
         assume("zero/pole" not in str(exc))
         raise
@@ -642,3 +641,49 @@ def test_bank_laine_derivative_over_pairs(m, n, at_pole, k, data):
     d = (E(z0 - 2 * h).to_complex() - 8 * E(z0 - h).to_complex()
          + 8 * E(z0 + h).to_complex() - E(z0 + 2 * h).to_complex()) / (12 * h)
     assert abs(d - (-1.0 if at_pole else 1.0)) < 1e-9
+
+
+def test_apply_B_rejects_a_disk_around_a_zero_of_E():
+    # E = g/g' vanishes where g does; a disk of radius 0.25 around z0 + 0.05 holds that zero
+    pair = PairIndex(1, 1)
+    z0 = cmath.log(numer_roots(pair)[0])
+    with pytest.raises(ValueError, match=r"contains a zero/pole \(winding 1\)$"):
+        apply_B(bank_laine_E(pair), z0 + 0.05)
+
+
+# ---- loud failures -----------------------------------------------------------
+
+def test_root_registry_cap_fails_loudly():
+    # P of (0, 33) has degree 66, past the registry's degree-64 cap
+    with pytest.raises(NotImplementedError, match="^root registry capped at degree 64$"):
+        numer_roots(PairIndex(0, 33))
+
+
+@pytest.mark.parametrize("m, n, name, bad", [
+    (-1, 0, "m", "-1"),
+    (0, specfun.PAIR_CAP + 1, "n", str(specfun.PAIR_CAP + 1)),
+    (1.0, 0, "m", "1.0"),
+    (0, "2", "n", "'2'"),
+])
+def test_pair_index_rejects_out_of_range_or_non_integer(m, n, name, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, {specfun.PAIR_CAP}\], got {bad}$"):
+        PairIndex(m, n)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_eval_model_rejects_a_non_finite_real_part(x):
+    with pytest.raises(EvalDomainError, match=rf"^non-finite Re z: {x!r}$"):
+        eval_model(PairIndex(1, 1), complex(x, 0.3))
+
+
+def test_unknown_variants_are_rejected():
+    pair = PairIndex(1, 1)
+    with pytest.raises(ValueError, match="^unknown variant 'third'$"):
+        eval_model_turns(pair, 0.5, 0.1, "third")
+    with pytest.raises(ValueError, match="^unknown variant 'third'$"):
+        eval_model_derivative(pair, 0.5 + 0.6j, "third")
+
+
+def test_tail_expansion_residual_needs_positive_y():
+    with pytest.raises(ValueError, match=r"^tail residual needs y > 0$"):
+        tail_expansion_residual(PairIndex(1, 1), 0.0)

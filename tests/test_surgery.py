@@ -727,6 +727,11 @@ def test_assemble_rejects_non_whole_numbers():
         assert assemble("spiral", lower=(0, 0), upper=upper).params_dict["upper"] == (1, 1)
 
 
+def test_power_radial_map_is_defined_on_the_half_line(power_map):
+    with pytest.raises(ValueError, match=r"^g is defined on \[0, infinity\)$"):
+        power_map._impl._g(-1.0)
+
+
 def test_pair_cap_fails_loudly_where_a_strip_system_stops():
     # the graded slopes for rho = 0.6 jump from 0 to m_4 = 157,607, past
     # PAIR_CAP: the map assembles and evaluates below that strip, and a
