@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,6 +85,7 @@ class ShiftConstant:
 
 _NEWTON_WIDTH = 1e-3  # _bisect_newton bisects down to this bracket width, then runs Newton
 _STEP_CAP = 200  # bracket expansions, bisections and Newton steps of one _bisect_newton call
+_FIXED_POINT_CAP = 200  # max(N, M) up to which find_fixed_points' coefficients stay below 1e258 (1e308 near 238)
 
 
 def _bisect_newton(
@@ -405,49 +406,52 @@ def build_psi(chain: Sequence[tuple[PairIndex, str]], side: str, l: int = 1) -> 
 @dataclass
 class FixedPointReport:
     spec: DiffeoSpec
-    tag: str                    # "identity" or "scan"
+    tag: str  # "identity" or "closed-form"
     points: list[float]
-    ratios_log_src: list[float]  # p / log N_src for the classification readout
-    ratios_log_dst: list[float]
-    scan_step: float
+    cuts: list[float]  # where D was read: the window ends and the cuts between them
 
 
 def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
-    """Scan D(x) = F_dst(x) - F_src(x) for sign changes and solve each crossing with ``_bisect_newton``.
+    """The fixed points of phi in [-5, 2 log max(N,M) + 10], the window of every one the fixed-point dichotomy allows.
 
-    F_src increases and F_src(phi(x)) = F_dst(x), so phi(x) - x has the sign
-    of D, and the scan solves for phi only once per crossing, to keep the
-    points with |phi(p) - p| < 1e-10.  The window [-5, 2 log max(N,M) + 10]
-    covers every location the fixed-point dichotomy can produce.
+    phi(x) - x has the sign of D = F_dst - F_src: at w = e^x, of e^w A - c B with g = e^w P/Q, c = a_src - a_dst (a = 1
+    plain, 2 half), the exact A = a_src P_dst Q_src - a_dst P_src Q_dst (less w^k, k > 0 only where c = A(0) = 0) and
+    B = Q_dst Q_src.  In u = w/s it turns at most once between the positive real parts of the roots of A' and of
+    s A B + A' B - A B' (s A B times (w + log|A/B|)'); D is read there, and ``_bisect_newton`` solves each change.
     """
-    step = 1e-3  # the scan's grid spacing
     if spec.is_identity:
-        return FixedPointReport(spec, "identity", [], [], [], step)
+        return FixedPointReport(spec, "identity", [], [])
+    s = max(spec.src.N, spec.dst.N)  # P and Q have roots at |w| ~ N: in u their coefficients keep to float range
+    if s > _FIXED_POINT_CAP:
+        raise NotImplementedError(f"fixed points capped at max(N, M) = {_FIXED_POINT_CAP}, got {s}")
+    p_src, q_src, p_dst, q_dst = (np.array([c * s**k for k, c in enumerate(cs)][::-1], dtype=object)
+                                  for t in map(build_coefficients, (spec.src, spec.dst)) for cs in (t.numer, t.denom))
+    a_src, a_dst = (2 if v == HALF else 1 for v in (spec.variant_src, spec.variant_dst))
+    A = np.trim_zeros(np.polysub(a_src * np.polymul(p_dst, q_src), a_dst * np.polymul(p_src, q_dst)), "b")
+    B, dA = np.polymul(q_dst, q_src), np.polyder(A)
+    C = np.polysub(np.polymul(np.polyadd(s * A, dA), B), np.polymul(A, np.polyder(B)))
+    roots = np.concatenate([np.roots(poly.astype(float)) for poly in (dA, C)]).real
+    lo, hi = -5.0, 2.0 * math.log(s) + 10.0
+    xs = np.unique(np.r_[lo, np.log(s * roots[roots > 0]).clip(lo, hi), hi]).tolist()
+    solver = PhiSolver(spec)
 
     def gap(x: float, sign: float = 1.0) -> tuple[float, float]:
-        """sign * (D(x), D'(x)); sign = -1 turns a falling crossing into a rising one."""
-        (fd, dd), (fs, ds) = (real_log_gap_slope(spec.dst, x, spec.variant_dst),
-                              real_log_gap_slope(spec.src, x, spec.variant_src))
-        return sign * (fd - fs), sign * (dd - ds)
+        """sign (D, D') / max(1, |F_dst|) at x: the scale makes ``_bisect_newton``'s tolerance relative to F."""
+        (fd, dd), (fs, ds) = solver._slope("dst", x), solver._slope("src", x)
+        scale = sign / max(1.0, abs(fd))
+        return scale * (fd - fs), scale * (dd - ds)
 
-    lo, hi = -5.0, 2.0 * math.log(max(spec.src.N, spec.dst.N)) + 10.0
-    solver = PhiSolver(spec)
-    xs = np.arange(lo, hi + step, step).tolist()
+    gaps = [gap(x)[0] for x in xs]
     points: list[float] = []
-    d_prev = gap(xs[0])[0]
-    for x_prev, x in zip(xs[:-1], xs[1:]):
-        d = gap(x)[0]
+    for x_prev, x, d_prev, d in zip(xs, xs[1:], gaps, gaps[1:]):
         if d_prev == 0.0:
             points.append(x_prev)
-        elif d_prev * d < 0:
-            sign = math.copysign(1.0, d)
-            v = real_log_gap_slope(spec.dst, x, spec.variant_dst)[0]  # scales the tolerance, as in PhiSolver._solve
-            p, _, _ = _bisect_newton(lambda u: gap(u, sign), x_prev, x, tol=1e-13 * max(1.0, abs(v)))
+        elif d_prev * d < 0:  # sign = -1 turns a falling crossing into a rising one
+            fdf = partial(gap, sign=math.copysign(1.0, d))
+            p = solver._polish(_bisect_newton(fdf, x_prev, x)[0], fdf)  # the polish stops on the step, not on D
             if abs(solver.value(p) - p) < 1e-10:
                 points.append(p)
-        d_prev = d
-    lsrc, ldst = math.log(spec.src.N) if spec.src.N > 1 else 1.0, math.log(spec.dst.N) if spec.dst.N > 1 else 1.0
-    return FixedPointReport(spec, "scan", points, [p / lsrc for p in points], [p / ldst for p in points], step)
+    return FixedPointReport(spec, "closed-form", points, xs)
 
 
 def r0_constant() -> float:

@@ -253,15 +253,17 @@ class ProfileBundle:
         if np.any(xs < 0):
             raise ValueError("g is defined on [0, infinity)")
         t = xs**self.target_exponent
-        # grow the materialized range until H's range covers every target;
-        # past MAX_ENTRIES the sequences' ensure raises
-        kmax = max(8, int(np.max(xs) // TWO_PI) + 2)
+        # double the materialized range, up to MAX_ENTRIES, until H's range covers every target
+        kmax = min(max(8, int(np.max(xs) // TWO_PI) + 2), MAX_ENTRIES)
         while True:
             slopes = self.slopes_N(kmax).astype(float)
             cum = np.concatenate([[0.0], TWO_PI * np.cumsum(slopes)])
             if cum[-1] >= np.max(t):
                 break
-            kmax *= 2
+            if kmax == MAX_ENTRIES:
+                raise ValueError(
+                    f"H(2 pi k) = {cum[-1]:.6g} at the cap k = {MAX_ENTRIES} stays below x^gamma = {np.max(t):.6g}")
+            kmax = min(2 * kmax, MAX_ENTRIES)
         idx = np.searchsorted(cum, t, side="right") - 1
         idx = np.clip(idx, 0, len(slopes) - 1)
         out = TWO_PI * idx + (t - cum[idx]) / slopes[idx]

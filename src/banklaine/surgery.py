@@ -43,7 +43,7 @@ import numpy as np
 from .diffeo import LEFT, RIGHT, DiffeoSpec, PhiSolver, PsiMap, psi_link
 from .scaledcx import ScaledComplex, wrap_phase
 from .sequences import build_graded_slopes, build_paired_slopes, select_case
-from .specfun import HALF, PAIR_CAP, PLAIN, PairIndex, eval_model, eval_model_turns
+from .specfun import HALF, PAIR_CAP, PLAIN, EvalDomainError, PairIndex, eval_model, eval_model_turns
 
 TWO_PI = 2.0 * math.pi
 
@@ -1403,9 +1403,9 @@ class GluedMap:
     bracketed solve.
 
     Calling the map returns a :class:`~banklaine.scaledcx.ScaledComplex`
-    (poles are tagged, not raised).  Points whose chart coordinate exceeds
-    the double-exponential overflow horizon raise
-    :class:`~banklaine.specfun.EvalDomainError`; sector assemblies raise
+    (poles are tagged, not raised).  Points with a NaN or infinite part, and
+    points whose chart coordinate exceeds the double-exponential overflow
+    horizon, raise :class:`~banklaine.specfun.EvalDomainError`; sector assemblies raise
     :class:`UninterpolatedRegion` inside |Im z^n| <= 2 pi.
     """
 
@@ -1414,10 +1414,10 @@ class GluedMap:
     _impl: object = field(repr=False, compare=False)
 
     def __call__(self, z: complex) -> ScaledComplex:
-        return self._impl.eval(complex(z))
+        return self._impl.eval(_finite(z))
 
     def classify(self, z: complex) -> PieceInfo:
-        return self._impl.classify(complex(z))
+        return self._impl.classify(_finite(z))
 
     def seam_residuals(self, samples: int = 64, **kw) -> list[SeamCheck]:
         """Log-space residual sweeps across every declared seam."""
@@ -1436,9 +1436,17 @@ class GluedMap:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _finite(z) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise EvalDomainError(f"z = {z} is not a finite point")
+    return z
+
+
 def _whole(name: str, value) -> int:
-    """``value`` as an int: ints and whole floats such as 3.0 pass, 2.7 raises."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer()):
+    """``value`` as an int: ints and whole floats such as 3.0 pass, 2.7 and bools raise."""
+    if not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
@@ -1641,7 +1649,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     call; one ``mu_abs_quad`` call gives |mu| on its cells that are not skipped
     and straddle or are not conformal.  Cells keep their order, shell by shell.
     """
-    if not (0 < r_min < r_max):
+    if not (0 < r_min < r_max < math.inf):
         raise ValueError("need 0 < r_min < r_max")
     eng = gmap._impl
     fine = float(resolution) if resolution is not None else eng.fine_size(r_max)

@@ -5,11 +5,13 @@ import math
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from banklaine import diffeo
 from banklaine.diffeo import (
     LEFT,
     RIGHT,
@@ -23,7 +25,7 @@ from banklaine.diffeo import (
     r0_constant,
     solve_shift,
 )
-from banklaine.specfun import HALF, PLAIN, PairIndex, build_coefficients, real_log_gap_slope
+from banklaine.specfun import HALF, PLAIN, PairIndex, _horner, build_coefficients, real_log_gap_slope
 
 P00, P10, P11 = PairIndex(0, 0), PairIndex(1, 0), PairIndex(1, 1)
 
@@ -238,9 +240,77 @@ def test_psi_rejects_a_scale_below_one():
 def test_fixed_point_of_00_to_11_is_log6():
     # phi(p) = p forces P(w) = Q(w): here w^2/6 = w, i.e. w = 6
     fp = find_fixed_points(DiffeoSpec(P00, P11))
-    assert fp.tag == "scan"
+    assert fp.tag == "closed-form"
     assert len(fp.points) == 1
-    assert fp.points[0] == pytest.approx(math.log(6.0), abs=1e-15)
+    assert abs(fp.points[0] - math.log(6.0)) <= math.ulp(math.log(6.0))
+
+
+def test_fixed_points_of_41_to_70_are_0_and_log2():
+    # plain ends: phi(p) = p where A = P_dst Q_src - P_src Q_dst vanishes, and A(1) = A(2) = 0 exactly
+    src, dst = PairIndex(4, 1), PairIndex(7, 0)
+    (p_src, q_src), (p_dst, q_dst) = ((build_coefficients(pr).numer, build_coefficients(pr).denom) for pr in (src, dst))
+    value = lambda cs, w: sum(c * w**k for k, c in enumerate(cs))
+    for w in (Fraction(1), Fraction(2)):
+        assert value(p_dst, w) * value(q_src, w) == value(p_src, w) * value(q_dst, w)
+    fp = find_fixed_points(DiffeoSpec(src, dst))
+    assert len(fp.points) == 2
+    assert fp.points[0] == pytest.approx(0.0, abs=1e-14)
+    assert fp.points[1] == pytest.approx(math.log(2.0), abs=1e-14)
+
+
+def test_fixed_point_of_plain_00_to_half_01():
+    # mixed variants: G_dst = (g_dst + 1)/2 meets G_src = g_src where e^w A = c B with c = 1 - 2 = -1
+    spec = DiffeoSpec(P00, PairIndex(0, 1), PLAIN, HALF)
+    fp = find_fixed_points(spec)
+    assert len(fp.points) == 1
+    assert fp.points[0] == pytest.approx(0.9904725132719643, abs=1e-12)
+    assert abs(PhiSolver(spec).value(fp.points[0]) - fp.points[0]) <= 1e-15
+
+
+def test_fixed_point_search_reads_no_grid(monkeypatch):
+    # D is read at the window ends and the cuts from the exact polynomials, not on a grid
+    calls = []
+    monkeypatch.setattr(diffeo, "real_log_gap_slope", lambda *a: calls.append(a) or real_log_gap_slope(*a))
+    fp = find_fixed_points(DiffeoSpec(PairIndex(2, 3), PairIndex(1, 5)))
+    assert len(fp.points) == 1 and len(calls) <= 1000  # 39,973 on the 1e-3 grid
+    assert [f.name for f in dataclasses.fields(fp)] == ["spec", "tag", "points", "cuts"]
+    assert len(fp.cuts) <= 20
+
+
+def test_fixed_point_cuts_sit_at_the_turns_of_h():
+    # mixed variants with s = max(N, M) = 13: the cuts are solved in u = w/13, yet every turn of A and of
+    # h = w + log|A/B| in the window, found from the exact signs of A' and A B + A' B - A B' in w itself, is one
+    spec = DiffeoSpec(PairIndex(3, 0), PairIndex(8, 2), HALF, PLAIN)
+    tables = [build_coefficients(pr) for pr in (spec.src, spec.dst)]
+
+    def turns(w: Fraction) -> tuple[Fraction, Fraction]:
+        """(A', A B + A' B - A B') at w, with A = 2 P_dst Q_src - P_src Q_dst and B = Q_dst Q_src."""
+        (ps, dps), (qs, dqs), (pd, dpd), (qd, dqd) = (_horner(cs, w) for t in tables for cs in (t.numer, t.denom))
+        a, da = 2 * pd * qs - ps * qd, 2 * (dpd * qs + pd * dqs) - dps * qd - ps * dqd
+        b, db = qd * qs, dqd * qs + qd * dqs
+        return da, a * b + da * b - a * db
+
+    fp = find_fixed_points(spec)
+    xs = np.linspace(fp.cuts[0], fp.cuts[-1], 2001)
+    signs = np.array([[np.sign(v) for v in turns(Fraction(math.exp(x)))] for x in xs])
+    turning = []
+    for i, j in zip(*np.nonzero(signs[:-1] * signs[1:] < 0)):
+        lo, hi = xs[i], xs[i + 1]
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(turns(Fraction(math.exp(mid)))[j]) == signs[i, j] else (lo, mid)
+        turning.append(lo)
+    assert len(turning) == 5  # A' turns at x = 0.791, 3.071 and 6.044, h at 3.174 and 6.173
+    assert all(min(abs(c - x) for c in fp.cuts) < 1e-9 for x in turning)
+
+
+def test_fixed_points_reach_the_cap_and_fail_loudly_above_it():
+    # at max(N, M) = 200 the coefficients of the cut polynomials keep below 1e258; they pass 1e308 near 238
+    spec = DiffeoSpec(PairIndex(1, 99), PairIndex(0, 1), PLAIN, HALF)
+    fp = find_fixed_points(spec)
+    assert len(fp.points) == 1 and abs(PhiSolver(spec).value(fp.points[0]) - fp.points[0]) <= 1e-15
+    with pytest.raises(NotImplementedError, match=r"^fixed points capped at max\(N, M\) = 200, got 201$"):
+        find_fixed_points(DiffeoSpec(PairIndex(0, 100), P00))
 
 
 @pytest.mark.parametrize("src, dst, count", [

@@ -228,8 +228,16 @@ def test_profile_inverse_fails_loudly_at_the_entry_cap(monkeypatch, x):
     # past a cap of 1024; g must raise there, not extend the last slope
     monkeypatch.setattr(sequences, "MAX_ENTRIES", 1024)
     cs = select_case(1.0, 1.0)
-    with pytest.raises(ValueError, match=r"^k = 2048 outside \[0, 1024\]$"):
+    with pytest.raises(ValueError, match=r"^H\(2 pi k\) = 25679\.4 at the cap k = 1024 stays below x\^gamma = 756212$"):
         ProfileBundle(cs.m_seq, cs.n_seq, 3.0).g(x)
+
+
+def test_profile_inverse_reaches_targets_up_to_the_entry_cap(monkeypatch):
+    # x^2 = 22,620 needs about 900 strips and H(2 pi 1000) = 25,076 covers it, though doubling k from 25 jumps to 1600
+    monkeypatch.setattr(sequences, "MAX_ENTRIES", 1000)
+    cs = select_case(1.0, 1.0)
+    b = ProfileBundle(cs.m_seq, cs.n_seq, 2.0)
+    assert b.H(b.g(150.4)) == pytest.approx(150.4**2, rel=1e-12)
 
 
 def test_profile_rejects_negative_argument():

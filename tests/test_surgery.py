@@ -562,6 +562,7 @@ def test_coarse_grid_is_rejected(strips_map):
     (-1.0, 60.0, None, "need 0 < r_min < r_max"),
     (60.0, 60.0, None, "need 0 < r_min < r_max"),
     (61.0, 60.0, None, "need 0 < r_min < r_max"),
+    (1.0, math.inf, None, "need 0 < r_min < r_max"),
     (1.0, 60.0, 0.0, "cell size must be positive"),
     (1.0, 60.0, -0.5, "cell size must be positive"),
 ])
@@ -725,6 +726,21 @@ def test_assemble_rejects_non_whole_numbers():
         assert assemble("strips", lam1=0.5, lam2=0.5, sectors=sectors).params_dict["sectors"] == 3
     for upper in ((1, 1), (np.int64(1), 1.0)):
         assert assemble("spiral", lower=(0, 0), upper=upper).params_dict["upper"] == (1, 1)
+    # a bool is no count, though Python's bool is an int
+    with pytest.raises(ValueError, match=r"^sectors must be a whole number, got True$"):
+        assemble("strips", lam1=0.5, lam2=0.5, sectors=True)
+    with pytest.raises(ValueError, match=r"^m must be a whole number, got True$"):
+        assemble("spiral", lower=(True, 1), upper=(1, 1))
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(1.0, math.nan), complex(1.0, math.inf),
+                               complex(-3.0, -math.inf)], ids=["nan+1j", "1+nanj", "1+infj", "-3-infj"])
+@pytest.mark.parametrize("flavor", ["strips_map", "spiral_map", "power_map", "sectors_map"])
+def test_non_finite_points_fail_loudly(flavor, z, request):
+    gm = request.getfixturevalue(flavor)
+    for read in (gm, gm.classify, lambda p: beltrami_at(gm, p)):
+        with pytest.raises(specfun.EvalDomainError, match=r"^z = .* is not a finite point$"):
+            read(z)
 
 
 def test_power_radial_map_is_defined_on_the_half_line(power_map):
