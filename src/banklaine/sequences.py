@@ -199,8 +199,8 @@ class _PLProfile:
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs < 0):
-            raise ValueError("profiles are defined on [0, infinity)")
+        if not np.all((xs >= 0) & (xs < math.inf)):  # NaN fails both
+            raise ValueError(f"profiles are defined on [0, infinity), got x = {x!r}")
         kmax = int(np.max(xs) // TWO_PI) + 1
         slopes = self._slopes_of(kmax)
         cum = np.concatenate([[0.0], TWO_PI * np.cumsum(slopes)])
@@ -250,8 +250,8 @@ class ProfileBundle:
     def g(self, x: ArrayLike) -> ArrayLike:
         """The exact piecewise-linear inverse: H(g(x)) = x^target_exponent."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs < 0):
-            raise ValueError("g is defined on [0, infinity)")
+        if not np.all((xs >= 0) & (xs < math.inf)):  # NaN fails both
+            raise ValueError(f"g is defined on [0, infinity), got x = {x!r}")
         t = xs**self.target_exponent
         # double the materialized range, up to MAX_ENTRIES, until H's range covers every target
         kmax = min(max(8, int(np.max(xs) // TWO_PI) + 2), MAX_ENTRIES)

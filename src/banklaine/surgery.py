@@ -32,7 +32,7 @@ import json
 import math
 import numbers
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -425,14 +425,11 @@ class _StripSystem:
         return (sys, *sys.locate(abs(y)))
 
     def columns(self) -> dict:
-        """The strips grown so far as arrays indexed by k - 1, rebuilt after growth."""
+        """``x_div``, ``y_div``, ``active`` of the strips grown so far by k - 1, and ``tops``; rebuilt after growth."""
         n = len(self._tops) - 1  # _grow appends each record before its top
         if self._cols[0] != n:
-            recs = self._strips[:n]
-            cols = {a: np.array([getattr(s, a) for s in recs]) for a in ("x_div", "y_div", "active")}
-            cols["psi"] = np.array([s.psi is not None for s in recs], bool)
+            cols = {a: np.array([getattr(s, a) for s in self._strips[:n]]) for a in ("x_div", "y_div", "active")}
             cols["tops"] = np.array(self._tops[:n + 1])
-            cols["label"] = np.array([f"{self.tag}{s.k}" for s in recs], object)
             self._cols = n, cols
         return self._cols[1]
 
@@ -482,19 +479,18 @@ class _StripSystem:
             d = min(d, abs(x))  # the imaginary axis separates the two sides
         return d
 
-    def active_windows(self, y_max: float) -> list[tuple[float, float]]:
-        """(y_lo, y_hi) of the strips with dilatation, up to the first strip that reaches y_max."""
+    def reach(self, y_max: float) -> int:
+        """The k of the first strip that reaches y_max (Y_k is the first top >= y_max), grown if need be."""
         self.locate(y_max)  # grows the system past y_max
-        cols = self.columns()
-        k = int(np.searchsorted(cols["tops"], y_max))  # Y_k is the first top >= y_max
-        on = cols["active"][:k]
-        return list(zip(cols["tops"][:k][on].tolist(), cols["tops"][1:k + 1][on].tolist()))
+        return bisect_left(self._tops, y_max)
+
+    def active_windows(self, k: int) -> list[tuple[float, float]]:
+        """(y_lo, y_hi) of the strips 1..k with dilatation."""
+        return [(s.lo, s.hi) for s in self._strips[:k] if s.active]
 
     def seam_ys(self, y_max: float) -> list[float]:
         """Heights Y_k <= y_max of the seams."""
-        self.locate(y_max)  # grows the system past y_max
-        cols = self.columns()
-        return cols["tops"][1:][cols["psi"] & (cols["tops"][1:] <= y_max)].tolist()
+        return [s.hi for s in self._strips[:self.reach(y_max)] if s.psi is not None and s.hi <= y_max]
 
     def seam_checks(self, xs, strips: int, k_cap: int, name: Callable[[int], str]) -> list[SeamCheck]:
         """Log-space gaps across the first ``strips`` seams below strip k_cap, sampled at xs."""
@@ -719,9 +715,9 @@ class _Engine:
       - ``straddle_mask(r_max)`` returns ``test(z0, z1)``, a bool per cell
         saying whether a seam separates the corners of cell j: z0[j],
         z0[j+1] on the inner circle and z1[j], z1[j+1] on the outer.
-      - ``cell_states(zc)`` is ``(labels, conformal, uninterpolated)`` at the
-        midpoints zc, the cheap ``classify``: labels key ``strip_sums``, and
-        ``conformal`` promises mu == 0.
+      - ``cell_states(zc)`` is ``(codes, names, conformal, uninterpolated)`` at the
+        midpoints zc, the cheap ``classify``: cell c has the label ``names[codes[c]]``,
+        each name once, which keys ``strip_sums``; ``conformal`` promises mu == 0.
       - ``mu_abs_quad(zc)`` is ``abs(mu_quad(z))`` at the midpoints zc of the
         cells that straddle or are not conformal, read in the chart each map
         pulls back (a conformal pre-composition multiplies mu by a unit):
@@ -782,6 +778,7 @@ class _StripsEngine(_Engine):
 
         self.sides = {side: system(side, tag, upper_rule, system(side, tag, _plain_rule) if mixed else None)
                       for side, tag in ((RIGHT, "R"), (LEFT, "L"))}
+        self._windows: dict = {}  # each system's reach -> _all_windows
 
     def _systems(self) -> list[_StripSystem]:
         ups = list(self.sides.values())  # then each side's ``below`` where it is a system of its own
@@ -823,11 +820,12 @@ class _StripsEngine(_Engine):
             seam_distance=sys.seam_distance(s, x, abs(y)),
         )
 
-    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        labels, active = np.empty(len(zc), dtype=object), np.empty(len(zc), bool)
-        for _, cols, sel, j in self._located(zc):
-            labels[sel], active[sel] = cols["label"][j], cols["active"][j]
-        return labels, ~active, np.zeros(len(zc), bool)
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+        codes, active, n = np.empty(len(zc), int), np.empty(len(zc), bool), 0
+        for sys, cols, sel, j in self._located(zc):  # a side's mirror shares its tag, so its labels and codes
+            codes[sel], active[sel], n = 2 * j + (sys.side == LEFT), cols["active"][j], max(n, len(cols["active"]))
+        names = [f"{self.sides[side].tag}{k}" for k in range(1, n + 1) for side in (RIGHT, LEFT)]  # R1, L1, R2, ...
+        return codes, names, ~active, np.zeros(len(zc), bool)
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
         """|mu_quad| at zc as arrays from ``psi_read``, bit for bit."""
@@ -845,16 +843,17 @@ class _StripsEngine(_Engine):
         return TWO_PI / 8.0
 
     def _all_windows(self, y_max: float) -> list[tuple[float, float]]:
-        wins: list[tuple[float, float]] = []
-        margin = 4.0 * self.fine_size(y_max)
-        for sys in self._systems():
-            for lo, hi in sys.active_windows(y_max):
-                wins.append((max(0.0, lo - margin), hi + margin))
-        return _merged(wins)
+        """The active windows of every system below y_max, widened by 4 cells and merged; one list per reach."""
+        reach = tuple((sys, sys.reach(y_max)) for sys in self._systems())
+        if reach not in self._windows:
+            margin = 4.0 * self.fine_size(y_max)
+            self._windows[reach] = _merged((max(0.0, lo - margin), hi + margin)
+                                           for sys, k in reach for lo, hi in sys.active_windows(k))
+        return self._windows[reach]
 
     def theta_windows(self, r0: float, r1: float) -> list[tuple[float, float]]:
         out: list[tuple[float, float]] = []
-        for lo, hi in self._all_windows(r1):  # every window starts below r1, as active_windows(r1) stops there
+        for lo, hi in self._all_windows(r1):  # every window starts below r1, as the reach of r1 stops there
             a, b = math.asin(lo / r1), math.asin(min(1.0, hi / r0))
             out += ((a, b), (math.pi - b, math.pi - a), (-b, -a), (-math.pi + a, -math.pi + b))
         return out
@@ -974,13 +973,13 @@ class _SectorEngine(_Engine):
         js, ws, uninterp = zip(*map(self._locate, zs.tolist())) if len(zs) else ((), (), ())
         return js, np.array(ws, complex), uninterp
 
-    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
         js, ws, uninterp = self._located(zc)
-        base_labels, conformal, _ = self.base.cell_states(ws)
-        labels = [f"sector{j}:{'uninterpolated' if u else label}"
-                  for j, label, u in zip(js, base_labels.tolist(), uninterp)]
-        uninterp = np.array(uninterp, bool)
-        return np.array(labels, dtype=object), conformal & ~uninterp, uninterp
+        codes, base, conformal, _ = self.base.cell_states(ws)
+        names = [f"sector{j}:{name}" for j in range(1, 2 * self.n + 1) for name in base + ["uninterpolated"]]
+        stride, uninterp = len(base) + 1, np.array(uninterp, bool)  # sector j's names from (j - 1) stride on
+        codes = (np.array(js, int) - 1) * stride + np.where(uninterp, stride - 1, codes)
+        return codes, names, conformal & ~uninterp, uninterp
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
         """The base engine's |mu_quad| at the base-engine points of zc: z^n is conformal, so |mu| is the base's."""
@@ -1101,7 +1100,7 @@ class _SpiralEngine(_Engine):
         band = (-1.0 < h_im) & (h_im < 0.0)
         for j in np.flatnonzero(np.minimum(np.abs(h_im + 1.0), np.abs(h_im)) < DECISION_SLACK * (1.0 + mod)):
             band[j] = self._locate(complex(zc[j]))[1]
-        return np.where(band, "cut-band", "regular"), ~band, np.zeros(len(zc), bool)
+        return band.astype(int), ["regular", "cut-band"], ~band, np.zeros(len(zc), bool)
 
     def fine_size(self, _r_max: float) -> float:
         return 0.125
@@ -1312,11 +1311,12 @@ class _PowerEngine(_Engine):
             seam_distance=self._seam_distance(z, loc),
         )
 
-    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
         _, _, pieces, strips = self._located(zc)  # the midpoints are nonzero
-        labels = [f"V{s.k}" if piece is None else piece for piece, s in zip(pieces, strips)]
+        index: dict = {}
+        codes = [index.setdefault(f"V{s.k}" if p is None else p, len(index)) for p, s in zip(pieces, strips)]
         conformal = [self._conformal(piece, s) for piece, s in zip(pieces, strips)]
-        return np.array(labels, dtype=object), np.array(conformal, bool), np.zeros(len(zc), bool)
+        return np.array(codes, int), list(index), np.array(conformal, bool), np.zeros(len(zc), bool)
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
         """|mu_quad| at each point of zc, one ``mu_parts`` call per point: Q's composition has no array form."""
@@ -1547,7 +1547,7 @@ def beltrami_at(gmap: GluedMap, z: complex) -> BeltramiSample:
 class DilatationReport:
     """Midpoint-rule account of int (K-1)/|z|^2 over an annulus.
 
-    ``strip_sums`` aggregates by the ``cell_states`` label (strips such as
+    ``strip_sums`` aggregates by the label ``names[code]`` of ``cell_states`` (strips such as
     ``R3``, the spiral's ``cut-band``, Q's pieces and ``V`` strips on power,
     ``sector{j}:``-prefixed base labels), ``shell_sums`` by radial shell and
     ``shell_strip_sums`` by (shell index, label); ``cumulative``
@@ -1625,6 +1625,14 @@ def _merged(spans, tol: float = 0.0) -> list[tuple[float, float]]:
     return out
 
 
+def _fsums(groups) -> dict:
+    """{key: the exactly rounded sum of the arrays filed under key} over (key, array) pairs, in any order."""
+    by_key: dict = {}
+    for key, vals in groups:
+        by_key.setdefault(key, []).append(vals)
+    return {key: math.fsum(np.concatenate(vs).tolist()) for key, vs in by_key.items()}
+
+
 def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
     out = _merged(((max(lo, -math.pi), min(hi, math.pi)) for lo, hi in spans if hi > lo), 1e-12)
     return [(lo, hi) for lo, hi in out if hi > lo]
@@ -1647,7 +1655,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     Consecutive radial shells form blocks of at most ``BLOCK_CELLS`` nodes,
     each classified as numpy arrays by one straddle test and one ``cell_states``
     call; one ``mu_abs_quad`` call gives |mu| on its cells that are not skipped
-    and straddle or are not conformal.  Cells keep their order, shell by shell.
+    and straddle or are not conformal.  One stable sort groups them by (shell, label).
     """
     if not (0 < r_min < r_max < math.inf):
         raise ValueError("need 0 < r_min < r_max")
@@ -1664,7 +1672,6 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     straddle_area = 0.0
     straddled = evaluated = conformal = skipped = 0
     contribs: dict = {}  # (shell index, strip label) -> array of cell contributions
-    shell_sums = np.zeros(n_r)
 
     def blocks():
         """Consecutive shells' arc pieces (shell, start, step, nodes, cell area), coarse gaps and fine windows."""
@@ -1701,7 +1708,7 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         zc = rc * np.cos(tc) + 1j * (rc * np.sin(tc))  # both parts exact, as in complex()
         is_straddle = straddle_fn(r0 * cos_t + 1j * (r0 * sin_t), r1 * cos_t + 1j * (r1 * sin_t))[cell]
         zc, area, rc, shell = zc[cell], area[cell], rc[cell], shell[cell]
-        labels, conf, uninterp = eng.cell_states(zc)
+        codes, names, conf, uninterp = eng.cell_states(zc)
         straddled += int(is_straddle.sum())
         for a in area[is_straddle].tolist():
             straddle_area += a  # one cell at a time, in cell order: the same rounding
@@ -1712,19 +1719,13 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         km1 = np.divide(1.0 + m, 1.0 - m, out=np.ones_like(m), where=m < 1.0) - 1.0  # 0 where K = inf
         contrib = km1 / (rc[todo] * rc[todo]) * area[todo]
         evaluated += len(m)
-        ids, at = np.unique(shell[todo], return_index=True)  # a shell's cells are consecutive
-        for i, c in zip(ids.tolist(), np.split(contrib, at[1:])):
-            shell_sums[i] = math.fsum(c.tolist())  # exactly rounded: any grouping gives these bits
-        # (shell, label) groups by one stable sort of an integer key, keys in first-appearance order
-        index: dict = {}
-        code = np.array([index.setdefault(lab, len(index)) for lab in labels[todo].tolist()], int)
-        key = shell[todo] * len(index) + code
+        key = shell[todo] * len(names) + codes[todo]
         order = np.argsort(key, kind="stable")
-        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-        groups, heads, names = np.split(contrib[order], starts[1:]), order[starts], list(index)
-        for g in np.argsort(heads).tolist():
-            i, lab = divmod(int(key[heads[g]]), len(names))
-            contribs[(i, names[lab])] = groups[g]
+        vals, key = contrib[order], key[order]
+        at = np.flatnonzero(np.diff(key, prepend=-1)).tolist()  # where each run of one (shell, label) starts
+        for lo, hi in zip(at, at[1:] + [len(key)]):
+            i, c = divmod(int(key[lo]), len(names))
+            contribs[(i, names[c])] = vals[lo:hi]
 
     straddle_fraction = straddle_area / annulus_area
     if straddle_fraction > 0.20:
@@ -1732,17 +1733,16 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
             f"straddling cells cover {straddle_fraction:.1%} of the annulus; "
             "refine the grid (>20% is past the reliability cutoff)")
 
-    by_strip: dict = {}
-    for (_, label), vals in contribs.items():
-        by_strip.setdefault(label, []).append(vals)
+    per_shell = _fsums((i, vals) for (i, _), vals in contribs.items())
+    shell_sums = np.array([per_shell.get(i, 0.0) for i in range(n_r)])
     return DilatationReport(
         flavor=gmap.flavor, r_min=r_min, r_max=r_max,
         total=math.fsum(shell_sums.tolist()),
-        strip_sums={label: math.fsum(np.concatenate(vs).tolist()) for label, vs in by_strip.items()},
+        strip_sums=_fsums((label, vals) for (_, label), vals in contribs.items()),
         shell_edges=edges, shell_sums=shell_sums,
         cumulative=np.cumsum(shell_sums),
         straddle_fraction=straddle_fraction,
         straddled_cells=straddled, evaluated_cells=evaluated,
         conformal_cells=conformal, skipped_cells=skipped,
-        shell_strip_sums={k: math.fsum(v.tolist()) for k, v in contribs.items()},
+        shell_strip_sums=_fsums(contribs.items()),
     )

@@ -248,6 +248,18 @@ def test_profile_rejects_negative_argument():
         b.g(np.array([3.0, -2.0]))
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.array([1.0, math.nan]), np.array([math.inf, 1.0])],
+                         ids=["nan", "inf", "-inf", "array-nan", "array-inf"])
+def test_profiles_reject_non_finite_arguments(x):
+    # NaN and inf fail at the domain check, which shows the argument, before
+    # any floor division by 2 pi (a RuntimeWarning at inf, a failed int() at NaN)
+    b = select_case(1.0, 1.0).bundle
+    for name, fn in (("g is", b.g), ("profiles are", b.H), ("profiles are", b.h1), ("profiles are", b.omega)):
+        with pytest.raises(ValueError) as err:
+            fn(x)
+        assert str(err.value) == f"{name} defined on [0, infinity), got x = {x!r}"
+
+
 def test_omega_growth_double_log_case():
     # both sequences on the squared-log law: omega ~ 3 (log x)^2
     cs = select_case(0.0, 0.0)

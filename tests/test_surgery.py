@@ -62,6 +62,12 @@ def sectors_map():
     return assemble("strips", lam1=0.5, lam2=0.5, sectors=3)
 
 
+def _cell_labels(eng, zs) -> tuple[list, np.ndarray, np.ndarray]:
+    """``cell_states`` at zs with each code read as its name: (labels, conformal, uninterpolated)."""
+    codes, names, conformal, uninterpolated = eng.cell_states(np.asarray(zs, complex))
+    return [names[c] for c in codes.tolist()], conformal, uninterpolated
+
+
 @pytest.fixture(scope="module")
 def strips_report(strips_map):
     return dilatation_integral(strips_map, 1.0, 450.0)
@@ -265,8 +271,9 @@ def test_mixed_map_is_the_strips_map_below_the_axis(lam2):
         assert mixed(z) == strips(z), z
         assert mixed.classify(z) == strips.classify(z), z
         assert mixed._impl.mu_quad(z) == strips._impl.mu_quad(z), z
-    for a, b in zip(mixed._impl.cell_states(np.array(zs)), strips._impl.cell_states(np.array(zs))):
-        assert a.tolist() == b.tolist()
+    (labels, *flags), (want, *flags_want) = (_cell_labels(gm._impl, zs) for gm in (mixed, strips))
+    assert labels == want
+    assert [a.tolist() for a in flags] == [b.tolist() for b in flags_want]
     assert mixed._impl.mu_abs_quad(np.array(zs)).tolist() == strips._impl.mu_abs_quad(np.array(zs)).tolist()
     # above the axis the two maps differ
     assert sum(mixed(z.conjugate()) != strips(z.conjugate()) for z in zs) > len(zs) // 2
@@ -377,7 +384,7 @@ def test_power_eval_and_classify_do_not_differentiate_q():
     z = complex(1e-180, 0.0)
     assert gm(z).kind == "finite"
     assert gm.classify(z).label == "U1|q-disk"
-    assert gm._impl.cell_states(np.array([z]))[0].tolist() == ["q-disk"]
+    assert _cell_labels(gm._impl, [z])[0] == ["q-disk"]
 
 
 def test_power_disk_mu_near_the_origin_is_the_closed_form():
@@ -978,8 +985,8 @@ def test_cell_state_agrees_with_classify_and_mu(strips_map, spiral_map, power_ma
                                                 ("sectors", sectors_map, 2.0, 5.0, math.pi / 3, 800)):
         eng = gm._impl
         zs = [cmath.rect(rng.uniform(r_lo, r_hi), rng.uniform(-th_max, th_max)) for _ in range(count)]
-        labels, conformal, uninterpolated = eng.cell_states(np.array(zs))
-        digest = hashlib.sha256("\n".join(labels.tolist()).encode()).hexdigest()[:16]
+        labels, conformal, uninterpolated = _cell_labels(eng, zs)
+        digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()[:16]
         assert digest == PINS["cell_state_labels"][name], name
         for z, conf, uninterp in zip(zs, conformal.tolist(), uninterpolated.tolist()):
             info = gm.classify(z)
@@ -987,6 +994,30 @@ def test_cell_state_agrees_with_classify_and_mu(strips_map, spiral_map, power_ma
             assert info.uninterpolated == uninterp, (name, z)
             if conf:
                 assert eng.mu(z) == eng.mu_quad(z) == 0, (name, z)
+
+
+def test_cell_state_codes_follow_labels_not_systems(strips_map, spiral_map, power_map, sectors_map):
+    # cell_states gives one integer code per label and the list of names
+    # they index, with no name twice.  A side's upper half and its mirror
+    # image (two systems on the mixed map) hold the same labels R1, R2, ...,
+    # so they share codes: a code per (system, half) would name R1 twice.
+    # On strips and mixed the names are classify's labels, in all four
+    # quadrants and on both axes
+    rng = random.Random(31)
+    mixed_map = assemble("mixed", lam1=0.5, lam2=1.0)
+    for name, gm, r_lo, r_hi in (("strips", strips_map, 1.0, 60.0), ("mixed", mixed_map, 1.0, 60.0),
+                                 ("spiral", spiral_map, 1.0, 60.0), ("power", power_map, 0.5, 8.0),
+                                 ("sectors", sectors_map, 2.0, 5.0)):
+        zs = [cmath.rect(rng.uniform(r_lo, r_hi), (q + rng.random()) * math.pi / 2) for q in range(-2, 2)
+              for _ in range(100)]
+        zs += [complex(x, y) * r_hi / 2 for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        codes, names, *_ = gm._impl.cell_states(np.array(zs))
+        assert len(set(names)) == len(names), name
+        assert codes.dtype.kind == "i" and ((0 <= codes) & (codes < len(names))).all(), name
+        if name in ("strips", "mixed"):
+            labels = [names[c] for c in codes.tolist()]
+            assert labels == [gm.classify(z).label for z in zs], name
+            assert {lab[0] for lab in labels} == {"R", "L"}, name
 
 
 @pytest.mark.parametrize("name", sorted(PINS["reports"]))
@@ -1097,9 +1128,9 @@ def test_spiral_seam_decisions_match_the_scalar_path(ulps, spiral_map, monkeypat
     lo, hi = _cell_range(xi_want, np.roll(xi_want, 1))
     assert got.tolist() == ((lo < 0.0) & (0.0 < hi)).tolist()
     assert np.sign(eng.charts.xi_logr(pts)[0]).tolist() == np.sign(xi_want).tolist()
-    labels, conformal, uninterp = eng.cell_states(pts)
+    labels, conformal, uninterp = _cell_labels(eng, pts)
     assert conformal.tolist() == (~band_want).tolist() and not uninterp.any()
-    assert labels.tolist() == np.where(band_want, "cut-band", "regular").tolist()
+    assert labels == np.where(band_want, "cut-band", "regular").tolist()
     assert scalar["xi"] > 0 and scalar["locate"] > 0  # the scalar branches ran
 
 
