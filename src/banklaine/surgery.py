@@ -53,6 +53,8 @@ TWO_PI = 2.0 * math.pi
 # (< 1300) and xi move by ~1e-12, bar the jumps of fmod and wrap_phase at xi = 0,
 # +-pi; lm = order log r - beta0 xi (order < 4) by ~1e-11, and Im h by ~1e-11 |h|.
 DECISION_SLACK = 1e-9
+# The spiral's quiet_arc keeps xi this far from 0, +-pi and |Im h| from 1: far above DECISION_SLACK and ~1e-12.
+QUIET_MARGIN = 1e-6
 
 SPIRAL = "spiral"
 STRIPS = "strips"
@@ -707,14 +709,18 @@ class _Engine:
     - :func:`beltrami_at` calls ``classify(z)``, whose ``seam_distance`` is
       a z-plane distance in every flavor, and ``mu_parts(z)``.
     - :func:`dilatation_integral` calls ``fine_size(r_max)``,
-      ``theta_windows(r0, r1)`` and ``straddle_mask(r_max)``, then once per
-      block of radial shells ``cell_states`` and ``mu_abs_quad``.  Every engine
-      defines all of them, the classifying hooks as the array form of its own
-      ``_locate``; there are no defaults.
+      ``theta_windows(r0, r1)``, ``straddle_mask(r_max)`` and ``quiet_arc`` on each
+      coarse arc between the windows, then once per block of radial shells
+      ``cell_states`` and ``mu_abs_quad``.  Every engine defines all of them, the
+      classifying hooks as the array form of its own ``_locate``; there are no
+      defaults.  Sectors and power lack ``quiet_arc``: their windows cover the circle.
 
       - ``straddle_mask(r_max)`` returns ``test(z0, z1)``, a bool per cell
         saying whether a seam separates the corners of cell j: z0[j],
         z0[j+1] on the inner circle and z1[j], z1[j+1] on the outer.
+      - ``quiet_arc(r0, r1, a, b)`` is True only where it is proved, with ``QUIET_MARGIN``
+        to spare, that every cell of a <= theta <= b, r0 <= |z| <= r1 is conformal and
+        straddles nothing; no node is built there.  Strips says False (see there).
       - ``cell_states(zc)`` is ``(codes, names, conformal, uninterpolated)`` at the
         midpoints zc, the cheap ``classify``: cell c has the label ``names[codes[c]]``,
         each name once, which keys ``strip_sums``; ``conformal`` promises mu == 0.
@@ -857,6 +863,9 @@ class _StripsEngine(_Engine):
             a, b = math.asin(lo / r1), math.asin(min(1.0, hi / r0))
             out += ((a, b), (math.pi - b, math.pi - a), (-b, -a), (-math.pi + a, -math.pi + b))
         return out
+
+    def quiet_arc(self, _r0: float, _r1: float, _a: float, _b: float) -> bool:
+        return False  # the seams of inactive strips cross the coarse arcs
 
     def straddle_mask(self, r_max: float):
         """Corner test: |y| seam crossings, and axis crossings inside the active windows."""
@@ -1092,7 +1101,7 @@ class _SpiralEngine(_Engine):
             seam_distance=abs(h.imag) / abs(h / (self.charts.mu * w)),  # / |h_prime(w)|
         )
 
-    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
         # _locate's band test -1 < Im h < 0, retaken where Im h is within DECISION_SLACK (1 + |h|) of one end
         xi, logr = self.charts.xi_logr(zc)
         mod = np.exp(self.charts.order * logr - self.charts.beta0 * xi)
@@ -1116,6 +1125,20 @@ class _SpiralEngine(_Engine):
             b = a + (xi_hi - xi_lo)
             wins += [(a, math.pi), (-math.pi, b - TWO_PI)] if b > math.pi else [(a, b)]
         return wins
+
+    def quiet_arc(self, r0: float, r1: float, a: float, b: float) -> bool:
+        """True where every cell of a <= theta <= b, r0 <= |w| <= r1 is proved conformal and unstraddled: wrapped,
+        xi = theta + beta0 log r in [a + min beta0 log r, b + max beta0 log r] keeps QUIET_MARGIN from 0 and +-pi,
+        and on xi < 0 |Im h| = |h| |sin xi| >= r0^order e^(-max beta0 xi) min |sin xi| passes 1 + QUIET_MARGIN."""
+        q0, q1 = sorted((self.charts.beta0 * math.log(r0), self.charts.beta0 * math.log(r1)))
+        lo = math.remainder(a + q0, TWO_PI)
+        hi = lo + ((b + q1) - (a + q0))
+        if QUIET_MARGIN <= lo and hi <= math.pi - QUIET_MARGIN:
+            return True
+        if lo < QUIET_MARGIN - math.pi or hi > -QUIET_MARGIN:
+            return False
+        lm = self.charts.order * math.log(r0) - max(self.charts.beta0 * lo, self.charts.beta0 * hi)
+        return math.exp(lm) * min(-math.sin(lo), -math.sin(hi)) > 1.0 + QUIET_MARGIN
 
     def straddle_mask(self, _r_max: float):
         """Corner test: the cut xi = 0 separates corners; on (-pi, pi] sin xi has the sign of xi."""
@@ -1554,7 +1577,8 @@ class DilatationReport:
     runs over the shells, whose increments serve as the Cauchy tail
     diagnostic.  The four cell counts say how each cell was handled:
     conformal cells are classified analytically and skipped, and only the
-    evaluated ones contribute.
+    evaluated ones contribute.  ``certified_cells`` are the conformal cells
+    of coarse arcs that ``quiet_arc`` proved quiet, whose nodes were never built.
     """
 
     flavor: str
@@ -1570,6 +1594,7 @@ class DilatationReport:
     evaluated_cells: int
     conformal_cells: int
     skipped_cells: int
+    certified_cells: int
     shell_strip_sums: dict = field(default_factory=dict, repr=False)
 
     def tail_increment(self, r0: float) -> float:
@@ -1600,6 +1625,7 @@ class DilatationReport:
             "evaluated_cells": self.evaluated_cells,
             "conformal_cells": self.conformal_cells,
             "skipped_cells": self.skipped_cells,
+            "certified_cells": self.certified_cells,
             "tail_ok": self.tail_ok,
         }
 
@@ -1638,7 +1664,7 @@ def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, floa
     return [(lo, hi) for lo, hi in out if hi > lo]
 
 
-# nodes per engine call: 8192 adds under 3% to peak RSS, 32,768 adds 18% (7 MiB on spiral 1..200)
+# nodes per engine call: 8192 adds ~4% to peak RSS over a shell per call, 32,768 adds 19% (7 MiB on spiral 1..200)
 BLOCK_CELLS = 8192
 
 
@@ -1652,7 +1678,9 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     seam-straddling cells exceed 20% of the annulus area raise
     :class:`ResolutionError`.
 
-    Consecutive radial shells form blocks of at most ``BLOCK_CELLS`` nodes,
+    A coarse arc that the engine's ``quiet_arc`` certifies builds no nodes: its
+    cells count as conformal and as ``certified_cells``.  The other arcs of
+    consecutive radial shells form blocks of at most ``BLOCK_CELLS`` nodes,
     each classified as numpy arrays by one straddle test and one ``cell_states``
     call; one ``mu_abs_quad`` call gives |mu| on its cells that are not skipped
     and straddle or are not conformal.  One stable sort groups them by (shell, label).
@@ -1670,19 +1698,23 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
     straddle_fn = eng.straddle_mask(r_max)
     annulus_area = math.pi * (r_max * r_max - r_min * r_min)
     straddle_area = 0.0
-    straddled = evaluated = conformal = skipped = 0
+    straddled = evaluated = conformal = skipped = certified = 0
     contribs: dict = {}  # (shell index, strip label) -> array of cell contributions
 
     def blocks():
-        """Consecutive shells' arc pieces (shell, start, step, nodes, cell area), coarse gaps and fine windows."""
+        """Consecutive shells' pieces (shell, start, step, nodes, cell area): fine windows, uncertified coarse arcs."""
+        nonlocal certified
         block, nodes = [], 0  # nodes: the running sum of p[3] over block + pieces
         for i in range(n_r):
             r0, r1 = float(edges[i]), float(edges[i + 1])
             rc, cursor, pieces = 0.5 * (r0 + r1), -math.pi, []
             for lo, hi in _merge_intervals(eng.theta_windows(r0, r1)) + [(math.pi, math.pi)]:
-                for a, b, target in ((cursor, lo, coarse_arc), (lo, hi, fine)):
+                for a, b, target, coarse in ((cursor, lo, coarse_arc, True), (lo, hi, fine, False)):
                     if b > a:
                         m = max(1, int(math.ceil((b - a) * rc / target)))
+                        if coarse and eng.quiet_arc(r0, r1, a, b):
+                            certified += m  # conformal and unstraddled: no nodes, no contribution
+                            continue
                         dth = (b - a) / m
                         pieces.append((i, a, dth, m + 1, 0.5 * (r1 * r1 - r0 * r0) * dth))
                         nodes += m + 1
@@ -1709,6 +1741,8 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         is_straddle = straddle_fn(r0 * cos_t + 1j * (r0 * sin_t), r1 * cos_t + 1j * (r1 * sin_t))[cell]
         zc, area, rc, shell = zc[cell], area[cell], rc[cell], shell[cell]
         codes, names, conf, uninterp = eng.cell_states(zc)
+        if len(set(names)) < len(names):  # one (shell, label) group would overwrite another in contribs
+            raise RuntimeError(f"cell_states repeats the labels {sorted({n for n in names if names.count(n) > 1})}")
         straddled += int(is_straddle.sum())
         for a in area[is_straddle].tolist():
             straddle_area += a  # one cell at a time, in cell order: the same rounding
@@ -1743,6 +1777,6 @@ def dilatation_integral(gmap: GluedMap, r_min: float, r_max: float,
         cumulative=np.cumsum(shell_sums),
         straddle_fraction=straddle_fraction,
         straddled_cells=straddled, evaluated_cells=evaluated,
-        conformal_cells=conformal, skipped_cells=skipped,
+        conformal_cells=conformal + certified, skipped_cells=skipped, certified_cells=certified,
         shell_strip_sums=_fsums(contribs.items()),
     )

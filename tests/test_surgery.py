@@ -1036,10 +1036,11 @@ def test_dilatation_reports_are_bit_identical(name):
 def test_dilatation_blocks_do_not_change_the_report(name, monkeypatch):
     # consecutive shells share one engine call per block of BLOCK_CELLS
     # nodes; one shell per block, and the whole annulus as one block, give
-    # every figure of the report to the last bit
+    # every figure of the report to the last bit, with or without the coarse
+    # arcs that quiet_arc certifies (the spiral's)
     case = PINS["reports"][name]
 
-    def report(block_cells):
+    def report(block_cells, certify=True):
         monkeypatch.setattr(surgery, "BLOCK_CELLS", block_cells)
         gm, calls = assemble(case["flavor"], **case["params"]), [0]
         cell_states = gm._impl.cell_states
@@ -1049,21 +1050,142 @@ def test_dilatation_blocks_do_not_change_the_report(name, monkeypatch):
             return cell_states(zc)
 
         monkeypatch.setattr(gm._impl, "cell_states", counted)
-        rep = dilatation_integral(gm, case["r_min"], case["r_max"])
-        sums = {key: [v.hex() for v in getattr(rep, key).tolist()] for key in ("shell_sums", "cumulative")}
-        sums.update(strip_sums={k: v.hex() for k, v in rep.strip_sums.items()},
-                    shell_strip_sums={k: v.hex() for k, v in rep.shell_strip_sums.items()})
-        return (rep.total.hex(), rep.straddle_fraction.hex(),
-                {key: getattr(rep, key) for key in case["cells"]}, sums), calls[0], len(rep.shell_sums)
+        if not certify:  # sectors and power have no coarse arcs, so never ask
+            monkeypatch.setattr(gm._impl, "quiet_arc", lambda *arc: False, raising=False)
+        return _report_bits(dilatation_integral(gm, case["r_min"], case["r_max"])), calls[0]
 
-    want, blocks, shells = report(surgery.BLOCK_CELLS)
-    assert want[0] == case["total"]
+    want, blocks = report(surgery.BLOCK_CELLS)
+    shells = len(want["shell_sums"])
+    assert want["total"] == case["total"]
+    assert want["certified_cells"] > 0 if name == "spiral" else want["certified_cells"] == 0
     for block_cells in (1, 10 ** 9):
-        got, calls, _ = report(block_cells)
-        assert got == want, block_cells
-        assert calls == (shells if block_cells == 1 else 1)
+        for certify in (True, False):
+            got, calls = report(block_cells, certify)
+            assert got == (want if certify else dict(want, certified_cells=0)), (block_cells, certify)
+            assert calls == (shells if block_cells == 1 else 1)
     if name == "strips":
         assert 2 <= blocks < shells  # blocks meet inside the annulus, and a block joins several shells
+
+
+def _report_bits(rep) -> dict:
+    """Every figure of a report, floats as hex: its dict, the shell and shell-strip sums, the cumulative run."""
+    out = dict(rep.to_dict(), total=rep.total.hex(), straddle_fraction=rep.straddle_fraction.hex(),
+               strip_sums={k: v.hex() for k, v in rep.strip_sums.items()},
+               shell_strip_sums={k: v.hex() for k, v in rep.shell_strip_sums.items()})
+    out.update({key: [v.hex() for v in getattr(rep, key).tolist()] for key in ("shell_sums", "cumulative")})
+    return out
+
+
+# spiral (lower, upper) pairs and their edge stretch kappa: kappa < 1 makes beta0 < 0
+SPIRAL_KAPPAS = pytest.mark.parametrize("lower, upper, kappa",
+                                        [((0, 0), (1, 1), 4.0), ((0, 0), (2, 3), 9.0), ((3, 1), (0, 0), 1 / 6)],
+                                        ids=["kappa4", "kappa9", "kappa1/6"])
+
+
+@SPIRAL_KAPPAS
+def test_quiet_arcs_are_conformal_and_unstraddled(lower, upper, kappa, monkeypatch):
+    # the spiral certifies a coarse arc only where it proves every cell
+    # conformal and unstraddled, so the driver may skip its nodes: each cell
+    # of each certified arc, built as the driver builds it, must pass
+    # straddle_mask and cell_states, and certifying nothing must give every
+    # figure of the report to the last bit
+    gm = assemble("spiral", lower=lower, upper=upper)
+    eng = gm._impl
+    assert eng.charts.kappa == pytest.approx(kappa, rel=1e-15)
+    quiet = eng.quiet_arc
+    for r_min, r_max, resolution in ((1.0, 200.0, None), (0.3, 40.0, None), (0.3, 40.0, 0.05)):
+        arcs = []
+
+        def recorded(r0, r1, a, b):
+            if quiet(r0, r1, a, b):
+                arcs.append((r0, r1, a, b))
+                return True
+            return False
+
+        monkeypatch.setattr(eng, "quiet_arc", recorded)
+        rep = dilatation_integral(gm, r_min, r_max, resolution)
+        fine = resolution or eng.fine_size(r_max)
+        coarse = max(8.0 * fine, (r_max - r_min) / 48.0)  # the driver's coarse cell size
+        z0, z1, zc, last = [], [], [], []
+        for r0, r1, a, b in arcs:
+            rc = 0.5 * (r0 + r1)
+            m = max(1, math.ceil((b - a) * rc / coarse))
+            th = a + np.arange(m + 1) * ((b - a) / m)
+            tc = 0.5 * (th[:-1] + th[1:])
+            z0.append(r0 * np.cos(th) + 1j * (r0 * np.sin(th)))
+            z1.append(r1 * np.cos(th) + 1j * (r1 * np.sin(th)))
+            zc.append(rc * np.cos(tc) + 1j * (rc * np.sin(tc)))
+            last.append(m + 1)
+        join = np.cumsum(last)[:-1] - 1  # node pairs that join two arcs are no cells
+        straddles = np.delete(eng.straddle_mask(r_max)(np.concatenate(z0), np.concatenate(z1)), join)
+        _, _, conformal, uninterpolated = eng.cell_states(np.concatenate(zc))
+        case = (lower, upper, r_min, r_max, resolution)
+        assert len(conformal) == len(straddles) == rep.certified_cells > 0, case
+        assert conformal.all() and not uninterpolated.any() and not straddles.any(), case
+        assert rep.certified_cells < rep.conformal_cells, case
+        if (lower, upper, r_min, r_max) == ((0, 0), (1, 1), 1.0, 200.0):  # the spiral-quad inputs
+            assert (rep.certified_cells, rep.conformal_cells) == (238_612, 428_816)
+            assert (rep.straddled_cells, rep.evaluated_cells) == (3_898, 17_420)
+
+        monkeypatch.setattr(eng, "quiet_arc", lambda *arc: False)
+        none = _report_bits(dilatation_integral(gm, r_min, r_max, resolution))
+        assert none == dict(_report_bits(rep), certified_cells=0), case
+
+
+@SPIRAL_KAPPAS
+def test_quiet_arc_refuses_arcs_near_the_cut_and_the_band(lower, upper, kappa):
+    # the quadrature's coarse arcs keep well away from the cut and the band,
+    # so arcs drawn here also end just short of or past xi = 0, +-pi and
+    # |Im h| = 1: wherever quiet_arc certifies one, its node cells on both
+    # circles straddle nothing and a 65 x 5 (theta, r) grid over it, corners
+    # included, is conformal
+    eng = assemble("spiral", lower=lower, upper=upper)._impl
+    ch, rng = eng.charts, random.Random(11)
+    assert ch.kappa == pytest.approx(kappa, rel=1e-15)
+    arcs = []
+    for n in range(1500):
+        r0 = math.exp(rng.uniform(math.log(0.3), math.log(200.0)))
+        r1 = r0 * (1.0 + rng.uniform(0.0, 0.3))
+        if n % 3 == 0:  # anywhere
+            a = rng.uniform(-math.pi, math.pi)
+            b = a + rng.uniform(0.01, 2.0)
+        elif n % 3 == 1:  # one end within 0.05 of xi = 0 or pi
+            b = wrap_phase(rng.choice((0.0, math.pi)) - ch.beta0 * math.log(r0)) + rng.uniform(-0.05, 0.05)
+            a = b - rng.uniform(0.05, 1.0)
+        else:  # about the circle through |Im h| = 1 at xi0 < 0
+            xi0 = rng.uniform(-math.pi + 0.1, -0.1)
+            r0 = math.exp((ch.beta0 * xi0 - math.log(-math.sin(xi0))) / ch.order + rng.uniform(-0.1, 0.1))
+            r1 = r0 * (1.0 + rng.uniform(0.0, 0.1))
+            a = wrap_phase(xi0 - ch.beta0 * math.log(r0)) - rng.uniform(0.0, 0.3)
+            b = a + rng.uniform(0.01, 0.6)
+        a, b = max(a, -math.pi), min(b, math.pi)
+        if b > a:
+            arcs.append((r0, r1, a, b))
+    quiet = [arc for arc in arcs if eng.quiet_arc(*arc)]
+    assert 0.2 * len(arcs) < len(quiet) < 0.8 * len(arcs)
+    th = np.array([np.linspace(a, b, 65) for _, _, a, b in quiet])
+    r0, r1 = np.array([arc[:2] for arc in quiet]).T
+    corners = [(r[:, None] * np.cos(th) + 1j * (r[:, None] * np.sin(th))).ravel() for r in (r0, r1)]
+    straddles = np.append(eng.straddle_mask(200.0)(*corners), False).reshape(th.shape)[:, :-1]  # rows join
+    assert not straddles.any()
+    r = r0[:, None] + np.linspace(0.0, 1.0, 5) * (r1 - r0)[:, None]
+    pts = (r[:, :, None] * np.exp(1j * th[:, None, :])).ravel()
+    assert eng.cell_states(pts)[2].all()
+
+
+def test_dilatation_rejects_cell_states_that_repeat_a_label(spiral_map, monkeypatch):
+    # each (shell, label) group of contributions is filed once; a label named
+    # twice would let one group overwrite another, and its cells drop out of every sum
+    eng = spiral_map._impl
+    cell_states = eng.cell_states
+
+    def repeated(zc):
+        codes, names, conformal, uninterpolated = cell_states(zc)
+        return codes, [names[0]] * len(names), conformal, uninterpolated
+
+    monkeypatch.setattr(eng, "cell_states", repeated)
+    with pytest.raises(RuntimeError, match=r"^cell_states repeats the labels \['regular'\]$"):
+        dilatation_integral(spiral_map, 1.0, 5.0)
 
 
 def _spiral_decision_points(eng):
