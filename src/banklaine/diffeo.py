@@ -159,25 +159,20 @@ class PhiSolver:
     Threads may share one solver without a lock.  The warm start ``_warm`` is
     one immutable (x, phi) pair, read once per solve, and only a seed: one
     that does not converge falls back to the bracketed cold solve.  A fixed
-    seed passed to ``_solve`` replaces it (``PsiMap.anchored``).  ``_last``
-    keeps each model's last pure (F, F') as immutable pairs too.
+    seed passed to ``_solve`` replaces it (``PsiMap.anchored``).  F comes
+    from ``real_log_gap_slope``, whose memo every solver shares.
     """
 
     def __init__(self, spec: DiffeoSpec):
         self.spec = spec
         self._warm: Optional[tuple[float, float]] = None  # (x, phi)
-        self._last = {"src": (math.nan, None), "dst": (math.nan, None)}  # (u, (F(u), F'(u))) per model
         if not spec.is_identity:
             # left asymptote intercept of F_src for cold-start guesses
             self._logc_src = -_log_intercept(spec.src, spec.variant_src)
 
     def _slope(self, side: str, u: float) -> tuple[float, float]:
         """(F, F') of the ``side`` ("src" or "dst") model at u."""
-        point, fdf = self._last[side]
-        if u != point:
-            fdf = real_log_gap_slope(getattr(self.spec, side), u, getattr(self.spec, "variant_" + side))
-            self._last[side] = (u, fdf)
-        return fdf
+        return real_log_gap_slope(getattr(self.spec, side), u, getattr(self.spec, "variant_" + side))
 
     def _f_src(self, u: float) -> tuple[float, float]:
         return self._slope("src", u)
@@ -234,7 +229,7 @@ class PhiSolver:
         v, d_dst = self._slope("dst", x)
 
         def fdf(u: float) -> tuple[float, float]:
-            fu, du = self._f_src(u)  # _last repeats bisection's last point for polish, and polish's for the check
+            fu, du = self._f_src(u)  # the memo repeats bisection's last point for polish, and polish's for the check
             return fu - v, du
 
         warm = self._warm

@@ -18,7 +18,6 @@ from math import lgamma
 from threading import Lock
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from . import contour
@@ -28,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 LOG2 = math.log(2.0)
 
 PAIR_CAP = 10_000
-_MP_LOCK = Lock()  # mpmath's working precision is one process-wide setting
+_MP_LOCK = Lock()  # mpmath's working precision is one process-wide setting; mpmath loads at its first use
 SINGULAR_TOL = 1e-13  # Newton distance |T/(dT/dz)| below this => root hit (zero/pole)
 CANCEL_TOL = 1e-4     # |T|/max-term of the double sum kept below this => redo it in mpmath
 
@@ -202,6 +201,7 @@ def _poly_logsum(
 @lru_cache(maxsize=64)
 def _mp_coefficients(pair: PairIndex, numer: bool, dps: int) -> tuple:
     """The exact coefficients of P (numer) or Q as mpf, each rounded at dps digits."""
+    import mpmath as mp
     table = build_coefficients(pair)
     with mp.workdps(dps):
         return tuple(mp.mpf(c.numerator) / c.denominator for c in (table.numer if numer else table.denom))
@@ -217,6 +217,7 @@ def _poly_logsum_mp(
     digits to spare it is redone at loss + 30 digits.  A sum that needs more
     than 300 digits raises EvalDomainError.
     """
+    import mpmath as mp
     dps = 30 + int(lost_digits)
     if dps > 300:
         raise EvalDomainError(f"polynomial sum at x={x} needs {dps} digits (cap 300)")
@@ -434,8 +435,9 @@ def _series_end(pair: PairIndex) -> int:
     return max(4 * pair.n * (pair.m + 1), 2 * pair.N)
 
 
+@lru_cache(maxsize=256)  # F is pure; 256 entries keep a strip system's sweep until its mirror system repeats it
 def _real_gap(pair: PairIndex, x: float) -> tuple[float, float]:
-    """(F(x), F'(x)) with F = log(g - 1) at real x."""
+    """(F(x), F'(x)) with F = log(g - 1) at real x, one memo for every real-axis caller (-0.0 and 0.0 share it)."""
     _check_re(x)
     table = build_coefficients(pair)
     w = math.exp(x)
@@ -458,7 +460,7 @@ def real_log_gap(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
 
 def real_log_gap_slope(pair: PairIndex, x: float, variant: str = PLAIN) -> tuple[float, float]:
     """(F(x), F'(x)): ``real_log_gap`` and F' = g'/(g - 1) >= 2n + 1, which both variants share."""
-    f, df = _real_gap(pair, x)
+    f, df = _real_gap(pair, float(x))  # a numpy scalar would share a float's key and leave its own type in the memo
     return (f - LOG2 if variant == HALF else f), df
 
 
@@ -566,6 +568,7 @@ def tail_expansion_residual(pair: PairIndex, y: float) -> float:
     y + N log y - log(binom(m+2n,m) N!) - 2 log Q(y) - log(1 + y/N).
     Evaluated at 40 significant digits so the caller can trust ~1e-20.
     """
+    import mpmath as mp
     if y <= 0:
         raise ValueError("tail residual needs y > 0")
     m, n, N = pair.m, pair.n, pair.N

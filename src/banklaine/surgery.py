@@ -1423,7 +1423,7 @@ class GluedMap:
     their exact-band memo: it is pure), slopes by the ``SlopeSequence`` lock
     and mpmath's process-wide precision by ``specfun._MP_LOCK``.  A ``PhiSolver`` warm start needs no lock: it is
     one immutable pair, and a seed that does not converge falls back to the
-    bracketed solve.
+    bracketed solve; nor does ``specfun._real_gap``'s memo of F = log(g - 1), an ``lru_cache`` of a pure function.
 
     Calling the map returns a :class:`~banklaine.scaledcx.ScaledComplex`
     (poles are tagged, not raised).  Points with a NaN or infinite part, and

@@ -422,47 +422,42 @@ def test_phi_deriv_is_the_ratio_of_gap_slopes():
         assert solver.deriv(x) == want
 
 
-def test_phi_solver_memo_keeps_the_bits(monkeypatch):
-    # deriv(x) after value(x) re-solves x from the warm start value(x) left;
-    # the solver's last (F, F') of each model spares F_dst(x) and F_src at
-    # the phi that value(x) checked.  F is pure, so a psi table swept as
-    # _PsiCache sweeps it has the bits of a twin whose memo is reset before
-    # every call
-    from banklaine import diffeo
+def test_phi_solver_memo_keeps_the_bits():
+    # every real-axis caller reads F = log(g - 1) through specfun._real_gap's
+    # memo: deriv(x) after value(x) re-solves x from the warm start value(x)
+    # left and finds F_dst(x) and F_src at the checked phi there.  F is pure,
+    # so a psi table swept as _PsiCache sweeps it has the bits of a sweep that
+    # clears the memo before every call, with fewer evaluations (misses)
+    from banklaine import specfun
     from banklaine.surgery import _PsiCache
 
-    calls = [0]
-    gap_slope = diffeo.real_log_gap_slope
-
-    def counted(*args):
-        calls[0] += 1
-        return gap_slope(*args)
-
-    monkeypatch.setattr(diffeo, "real_log_gap_slope", counted)
+    memo = specfun._real_gap
     chain = [(P11, PLAIN), (PairIndex(1, 3), HALF), (PairIndex(2, 5), PLAIN)]
     for side, lo, hi in ((RIGHT, 0.0, _PsiCache.SPAN), (LEFT, -_PsiCache.SPAN, 0.0)):
         for pm in build_psi(chain, side, l=2):
             xs = _PsiCache(pm, pm.deriv, lo, hi).xs.tolist()
             sweeps = []
-            for reset in (False, True):
-                psi, out = dataclasses.replace(pm, solver=None), []  # a fresh solver
-                calls[0] = 0
+            for clear in (False, True):
+                psi, out, misses = dataclasses.replace(pm, solver=None), [], 0  # a fresh solver
+                memo.cache_clear()
                 for x in xs:
                     for f in (psi, psi.deriv):
-                        if reset:
-                            psi.solver._last = dict.fromkeys(psi.solver._last, (math.nan, None))
+                        if clear:
+                            misses += memo.cache_info().misses
+                            memo.cache_clear()
                         out.append(f(x).hex())
-                sweeps.append((out, calls[0]))
-            (got, n_memo), (want, n_reset) = sweeps
+                sweeps.append((out, misses + memo.cache_info().misses))
+            (got, n_memo), (want, n_clear) = sweeps
             assert got == want, side
-            assert n_memo < 0.9 * n_reset, (side, n_memo, n_reset)
+            assert n_memo < 0.9 * n_clear, (side, n_memo, n_clear)
 
 
 # ---- sharing one solver ----------------------------------------------------------
 
 def test_concurrent_phi_solver_matches_serial():
-    # every value reads and rewrites the shared warm start, which the
-    # solver's own lock guards; a torn read would polish from another x
+    # every value reads and rewrites the shared warm start, one immutable
+    # pair, and reads F through the process-wide memo, an lru_cache; a torn
+    # read of either would polish from another x
     spec = DiffeoSpec(P00, P11)
     xs = [float(x) for x in np.linspace(-30.0, 20.0, 41)]
     serial = PhiSolver(spec)

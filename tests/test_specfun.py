@@ -352,6 +352,33 @@ def test_real_axis_paper_bounds(m, n, x):
     assert real_log_value_slope(pair, x)[1] == pytest.approx(dF * eF / (1 + eF), rel=1e-15)
 
 
+@pytest.mark.parametrize("pair", [PairIndex(0, 0), PairIndex(1, 1), PairIndex(1, 47), PairIndex(3, 5)])
+def test_real_gap_memo_shares_keys_only_between_equal_values(pair):
+    # lru_cache takes -0.0 and 0.0, 0, and np.float64(x) and x for one key,
+    # so whichever comes first fills the entry the others read
+    memo = specfun._real_gap
+    memo.cache_clear()
+    neg = memo(pair, -0.0)
+    memo.cache_clear()
+    assert [v.hex() for v in memo(pair, 0.0)] == [v.hex() for v in neg]
+    for x in (0.0, -3.25, 1.5, 4.0, 7.0):  # series and direct sums
+        want = None
+        for first in (x, np.float64(x), int(x) if x.is_integer() else x):
+            memo.cache_clear()
+            for arg in (first, x, np.float64(x)):
+                got = real_log_gap_slope(pair, arg)
+                assert all(type(v) is float for v in got), (pair, x, type(first), type(arg))
+                want = want or [v.hex() for v in got]
+                assert [v.hex() for v in got] == want, (pair, x, type(first), type(arg))
+    # a point outside the domain raises on every call: exceptions are not kept
+    memo.cache_clear()
+    for x in (710.0, math.nan):
+        for _ in range(3):
+            with pytest.raises(EvalDomainError):
+                real_log_gap_slope(pair, x)
+    assert memo.cache_info().currsize == 0
+
+
 def test_tail_expansion_residual_frozen():
     # (0,0) at y=1: log(e^e/e - 1) vs 1 + 0 - 0 - log(1+1) exactly
     want = math.log(math.e - 1.0) - 1.0 + math.log(2.0)
@@ -414,7 +441,9 @@ def test_solve_negative_one_returns_none_on_divergence():
 @pytest.mark.parametrize("m,n,x", [(3, 120, 4.5), (1, 90, 4.0), (0, 600, 6.1)])
 def test_mp_fallback_recovers_the_digits_it_lost(m, n, x):
     # the double sum's loss estimate saturates near 16 digits while these
-    # numerator sums lose 42 to 189; the fallback has to see that for itself
+    # numerator sums lose 42 to 189; the fallback has to see that for itself,
+    # here and not in an earlier test whose F the memo kept
+    specfun._real_gap.cache_clear()
     pair = PairIndex(m, n)
     ref = float(mp.log(abs(oracle(pair, complex(x, 0.0), dps=600))))
     got = eval_model_turns(pair, x, 0.0).log_modulus

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -293,9 +294,22 @@ def test_power_seams_need_no_mp_fallback(monkeypatch):
     calls = []
     fallback = specfun._poly_logsum_mp
     monkeypatch.setattr(specfun, "_poly_logsum_mp", lambda *a: calls.append(a[1:]) or fallback(*a))
+    specfun._real_gap.cache_clear()  # F memoized by an earlier test would skip its sums here
     checks = assemble("power", rho=0.75, delta=0.5).seam_residuals(4, strips=1)
     assert max(c.max_gap for c in checks) < 1e-9
     assert calls == []
+
+
+def test_power_seams_load_no_mpmath():
+    # mpmath loads at the first sum that falls back, and power seams have none.
+    # The test modules import mpmath themselves, so this runs in a fresh interpreter
+    code = ("import sys, banklaine; from banklaine.surgery import assemble; "
+            "assemble('power', rho=0.75, delta=0.5).seam_residuals(4, strips=1); "
+            "assert 'mpmath' not in sys.modules, sorted(m for m in sys.modules if 'mpmath' in m)")
+    path = [str(Path(surgery.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_power_map_reaches_large_n_strips():
