@@ -20,8 +20,9 @@ from .specfun import (
     LOG2,
     PLAIN,
     PairIndex,
+    _gap_shift,
+    _real_gap,
     build_coefficients,
-    real_log_gap_slope,
     real_log_value,
     real_log_value_slope,
 )
@@ -32,8 +33,7 @@ def _log_intercept(pair: PairIndex, variant: str) -> float:
 
     F(x) = N x - _log_intercept(pair, variant) + o(1) as x -> -infinity.
     """
-    val = build_coefficients(pair).log_intercept
-    return val + LOG2 if variant == HALF else val
+    return build_coefficients(pair).log_intercept + _gap_shift(variant)
 
 
 def closed_form_c(
@@ -56,6 +56,10 @@ class DiffeoSpec:
     dst: PairIndex
     variant_src: str = PLAIN
     variant_dst: str = PLAIN
+
+    def __post_init__(self):
+        for variant in (self.variant_src, self.variant_dst):
+            _gap_shift(variant)  # an unknown variant raises
 
     @property
     def kappa(self) -> float:
@@ -160,28 +164,30 @@ class PhiSolver:
     one immutable (x, phi) pair, read once per solve, and only a seed: one
     that does not converge falls back to the bracketed cold solve.  A fixed
     seed passed to ``_solve`` replaces it (``PsiMap.anchored``).  F comes
-    from ``real_log_gap_slope``, whose memo every solver shares.
+    from ``specfun._real_gap``, whose memo every solver shares.  The two
+    models are resolved once, in ``_src`` and ``_dst``: (pair, log 2 for the
+    half variant, else 0.0), so a lookup is one memo read and one subtraction.
     """
 
     def __init__(self, spec: DiffeoSpec):
         self.spec = spec
         self._warm: Optional[tuple[float, float]] = None  # (x, phi)
-        if not spec.is_identity:
-            # left asymptote intercept of F_src for cold-start guesses
-            self._logc_src = -_log_intercept(spec.src, spec.variant_src)
+        self._src = (spec.src, _gap_shift(spec.variant_src))
+        self._dst = (spec.dst, _gap_shift(spec.variant_dst))
 
-    def _slope(self, side: str, u: float) -> tuple[float, float]:
-        """(F, F') of the ``side`` ("src" or "dst") model at u."""
-        return real_log_gap_slope(getattr(self.spec, side), u, getattr(self.spec, "variant_" + side))
+    def _slope(self, model: tuple[PairIndex, float], u: float) -> tuple[float, float]:
+        """(F, F') of ``model`` (``_src`` or ``_dst``) at u, as ``real_log_gap_slope`` gives them."""
+        f, df = _real_gap(model[0], float(u))
+        return f - model[1], df
 
     def _f_src(self, u: float) -> tuple[float, float]:
-        return self._slope("src", u)
+        return self._slope(self._src, u)
 
     def _guess(self, v: float) -> float:
         # invert the two asymptotic regimes of F_src
         if v > 3.0:
             return math.log(v)
-        return (v - self._logc_src) / self.spec.src.N
+        return (v + _log_intercept(self.spec.src, self.spec.variant_src)) / self.spec.src.N
 
     def _polish(self, u: float, fdf) -> float:
         # Newton with a step-size stop: |step| ~ |u - u_true|, which stays
@@ -226,7 +232,7 @@ class PhiSolver:
 
     def _solve(self, x: float, seed: Optional[float] = None) -> tuple[float, float, Optional[float]]:
         """(phi(x), F_dst'(x), F_src'(phi(x)) where the solve evaluated it, else None); ``seed`` guesses phi(x)."""
-        v, d_dst = self._slope("dst", x)
+        v, d_dst = self._slope(self._dst, x)
 
         def fdf(u: float) -> tuple[float, float]:
             fu, du = self._f_src(u)  # the memo repeats bisection's last point for polish, and polish's for the check
@@ -432,7 +438,7 @@ def find_fixed_points(spec: DiffeoSpec) -> FixedPointReport:
 
     def gap(x: float, sign: float = 1.0) -> tuple[float, float]:
         """sign (D, D') / max(1, |F_dst|) at x: the scale makes ``_bisect_newton``'s tolerance relative to F."""
-        (fd, dd), (fs, ds) = solver._slope("dst", x), solver._slope("src", x)
+        (fd, dd), (fs, ds) = solver._slope(solver._dst, x), solver._slope(solver._src, x)
         scale = sign / max(1.0, abs(fd))
         return scale * (fd - fs), scale * (dd - ds)
 

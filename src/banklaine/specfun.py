@@ -40,6 +40,13 @@ class EvalDomainError(ValueError):
     """Evaluation requested outside the representable domain."""
 
 
+def _gap_shift(variant: str) -> float:
+    """log 2 for the half variant, 0.0 for the plain one (F_half = F - log 2); any other variant raises."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return LOG2 if variant == HALF else 0.0
+
+
 @dataclass(frozen=True, order=True)
 class PairIndex:
     """Index (m, n) of a model function; N = m + 2n + 1 is its left slope."""
@@ -48,8 +55,8 @@ class PairIndex:
     n: int
 
     def __post_init__(self):
-        for v, name in ((self.m, "m"), (self.n, "n")):
-            if not isinstance(v, int) or v < 0 or v > PAIR_CAP:
+        for v, name in ((self.m, "m"), (self.n, "n")):  # a bool would equal 0 or 1 and share its memo entries
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0 or v > PAIR_CAP:
                 raise ValueError(f"{name} must be an integer in [0, {PAIR_CAP}], got {v!r}")
 
     @property
@@ -71,7 +78,10 @@ class CoefficientTable:
     first term of g - 1, so F(x) = log(g(x) - 1) = N x - log_intercept + o(1)
     as x -> -infinity.  ``lead_zero`` is log_intercept/N as a sum hi + lo of
     two doubles: N((x - hi) - lo) keeps its digits where N x and
-    log_intercept cancel.
+    log_intercept cancel.  Past w = e^x = ``series_end`` = max(4n(m+1), 2N),
+    F is the direct sum of P e^w / Q: past 4n(m+1) each term of P is at least
+    twice the one before it, so |P| keeps half its top term; past 2N,
+    w Q'/Q <= m < w/2 and g > 2, so neither log(g - 1) nor (log g)' cancels.
     """
 
     pair: PairIndex
@@ -79,6 +89,7 @@ class CoefficientTable:
     log_abs_denom: np.ndarray = field(repr=False)
     log_intercept: float = 0.0
     lead_zero: tuple[float, float] = (0.0, 0.0)
+    series_end: int = 0
 
     @cached_property
     def numer(self) -> tuple[Fraction, ...]:
@@ -103,12 +114,6 @@ class CoefficientTable:
             )
             for i in range(m + 1)
         )
-
-    def identity_holds(self) -> bool:
-        """Exact check of |A_m * B_{2n}| = m!(2n)!/((m+2n)!)^2 in big rationals."""
-        m, n2 = self.pair.m, 2 * self.pair.n
-        s = math.factorial(m + n2)
-        return self.denom[-1] * abs(self.numer[-1]) == Fraction(math.factorial(m) * math.factorial(n2), s * s)
 
 
 @lru_cache(maxsize=256)
@@ -140,7 +145,7 @@ def build_coefficients(pair: PairIndex) -> CoefficientTable:
         log_c = Decimal(math.comb(m + n2, m) * math.factorial(pair.N)).ln()
         hi = float(log_c / pair.N)
         lead_zero = (hi, float(log_c / pair.N - Decimal(hi)))
-    return CoefficientTable(pair, log_num, log_den, float(log_c), lead_zero)
+    return CoefficientTable(pair, log_num, log_den, float(log_c), lead_zero, max(4 * pair.n * (m + 1), 2 * pair.N))
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +170,14 @@ def _horner(cs: Sequence, w):
     return p, dp
 
 
+@lru_cache(maxsize=256)
+def _index_vectors(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j, (-1)^j) for j = 0..deg as read-only float arrays, built once per degree."""
+    jj, sign = np.arange(deg + 1, dtype=float), np.where(np.arange(deg + 1) % 2 == 0, 1.0, -1.0)
+    jj.flags.writeable = sign.flags.writeable = False
+    return jj, sign
+
+
 def _poly_logsum(
     logc: np.ndarray, alternating: bool, x: float, yr: float
 ) -> tuple[complex, complex, float]:
@@ -173,23 +186,24 @@ def _poly_logsum(
     T(w) = sum_j c_j w^j with |c_j| = exp(logc[j]) and signs (+1)^j or (-1)^j.
     Working with log-magnitudes term by term keeps the sum finite for any x;
     returns (logT, ratio, tiny) where tiny = |T| / max_j |c_j w^j|.  A zero
-    polynomial value comes back as tiny == 0.0.
+    polynomial value comes back as tiny == 0.0.  The index and sign vectors
+    come from ``_index_vectors``, one read-only pair per degree.
     """
     deg = len(logc) - 1
     if deg == 0:
         return 0j, 0j, 1.0
-    jj = np.arange(deg + 1, dtype=float)
+    jj, sign = _index_vectors(deg)
     logs = logc + jj * x
-    L = float(np.max(logs))
+    L = float(logs.max())
     mags = np.exp(logs - L)
     if alternating:
-        mags = mags * np.where(np.arange(deg + 1) % 2 == 0, 1.0, -1.0)
+        mags = mags * sign
     if yr == 0.0:
         terms = mags.astype(complex)
     else:
         terms = mags * np.exp(1j * (jj * yr))
-    T = complex(np.sum(terms))
-    D = complex(np.sum(jj * terms))  # = w T'(w) / scale
+    T = complex(terms.sum())
+    D = complex((jj * terms).sum())  # = w T'(w) / scale
     tiny = abs(T)
     if T == 0:
         return complex(-math.inf, 0.0), 0j, 0.0
@@ -287,8 +301,7 @@ def eval_model_turns(
     phase identically zero, where g > 1 has no zero or pole to test for.
     """
     _check_re(x)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    _gap_shift(variant)  # an unknown variant raises
     frac = _reduce_turns(turns)
     if frac == 0.0:
         return ScaledComplex.from_log(real_log_value(pair, x, variant))
@@ -325,8 +338,7 @@ def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> 
     """
     z = complex(z)
     _check_re(z.real)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    _gap_shift(variant)  # an unknown variant raises
     table = build_coefficients(pair)
     zred = complex(z.real, TWO_PI * _reduce_turns(z.imag / TWO_PI))
     logQ, _, qsing = _poly_eval(table, False, z.real, zred.imag)
@@ -343,6 +355,7 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
     """The value g'/g (plain) or g'/(g+1) (half) as an ordinary complex number."""
     z = complex(z)
     _check_re(z.real)
+    _gap_shift(variant)  # an unknown variant raises
     table = build_coefficients(pair)
     zred = complex(z.real, TWO_PI * _reduce_turns(z.imag / TWO_PI))
     ez = cmath.exp(zred)
@@ -374,21 +387,23 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
 # log(g - 1) and F' = w S'/S - w Q'/Q >= 2n+1 do not cancel.  Near the positive
 # axis the largest terms keep one phase, and Q + S keeps what P's sum loses.
 
-def _ratio_sum(pair: PairIndex, w: float, k: int, last: float = math.inf) -> tuple[float, float]:
+def _ratio_sum(w: float, k: float, m: float, n1: float, last: float = math.inf) -> tuple[float, float]:
     """(log sum_j t_j, sum_j j t_j / sum_j t_j) over j = k..last, with t_k = 1.
 
     t_{j+1}/t_j = w (j-m)/((j+1)(j-N+1)), the ratio of consecutive Taylor
-    coefficients of Q (j < m) and of S (j >= N).  The terms rise, then fall,
-    so the sum stops at the first term below 1e-17 of it.  Partial sums past
-    2^800 are scaled down by 2^800 so that they stay finite.
+    coefficients of Q (j < m) and of S (j >= N); n1 = N - 1.  The terms rise,
+    then fall, so the sum stops at the first term below 1e-17 of it.  Partial
+    sums past 2^800 are scaled down by 2^800 so that they stay finite.  j, m
+    and n1 are float integers below 2^53, so j - m and j - n1 are exact, and
+    the one rounded product (j+1)(j-n1) rounds as ``float / int`` rounds the
+    exact integer product.
     """
-    m, N = pair.m, pair.N
     t = s = 1.0
-    ks = float(k)
+    ks = k
     e = 0
     while k < last and t > 1e-17 * s:
-        t *= w * (k - m) / ((k + 1) * (k - N + 1))
-        k += 1
+        t *= w * (k - m) / ((k + 1.0) * (k - n1))
+        k += 1.0
         s += t
         ks += k * t
         if s > 2.0 ** 800:
@@ -425,27 +440,18 @@ def _gap_series(table: CoefficientTable, x: float, yr: float) -> tuple[complex, 
     return (big + cmath.log(v) - w, d / (v * w) - 1.0, abs(v)) if v else (complex(-math.inf, 0.0), 0j, 0.0)
 
 
-def _series_end(pair: PairIndex) -> int:
-    """The w = max(4n(m+1), 2N) past which the direct sum of P e^w / Q takes over.
-
-    Past 4n(m+1) each term of P is at least twice the one before it, so |P|
-    keeps half its top term; past 2N, w Q'/Q <= m < w/2 and g > 2, so neither
-    log(g - 1) nor (log g)' = w + w P'/P - w Q'/Q cancels.
-    """
-    return max(4 * pair.n * (pair.m + 1), 2 * pair.N)
-
-
 @lru_cache(maxsize=256)  # F is pure; 256 entries keep a strip system's sweep until its mirror system repeats it
 def _real_gap(pair: PairIndex, x: float) -> tuple[float, float]:
     """(F(x), F'(x)) with F = log(g - 1) at real x, one memo for every real-axis caller (-0.0 and 0.0 share it)."""
     _check_re(x)
     table = build_coefficients(pair)
     w = math.exp(x)
-    if w <= _series_end(pair):
-        log_s, ks = _ratio_sum(pair, w, pair.N)
-        log_q, kq = _ratio_sum(pair, w, 0, pair.m)
+    if w <= table.series_end:
+        m, N = float(pair.m), pair.N
+        log_s, ks = _ratio_sum(w, float(N), m, N - 1.0)
+        log_q, kq = _ratio_sum(w, 0.0, m, N - 1.0, m)
         hi, lo = table.lead_zero
-        return pair.N * ((x - hi) - lo) + log_s - log_q, ks - kq
+        return N * ((x - hi) - lo) + log_s - log_q, ks - kq
     logP, rP, _ = _poly_eval(table, True, x, 0.0)
     logQ, rQ, _ = _poly_eval(table, False, x, 0.0)
     logg = (w + logP - logQ).real
@@ -461,7 +467,7 @@ def real_log_gap(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
 def real_log_gap_slope(pair: PairIndex, x: float, variant: str = PLAIN) -> tuple[float, float]:
     """(F(x), F'(x)): ``real_log_gap`` and F' = g'/(g - 1) >= 2n + 1, which both variants share."""
     f, df = _real_gap(pair, float(x))  # a numpy scalar would share a float's key and leave its own type in the memo
-    return (f - LOG2 if variant == HALF else f), df
+    return f - _gap_shift(variant), df
 
 
 def real_log_value(pair: PairIndex, x: float, variant: str = PLAIN) -> float:
@@ -545,20 +551,6 @@ def solve_value_negative_one(pair: PairIndex, w_seed: complex) -> complex | None
     except OverflowError:
         return None
     return None
-
-
-def _instances_in_rect(wroots: Sequence[complex], rect: tuple[float, float, float, float]) -> list[complex]:
-    x0, x1, y0, y1 = rect
-    out = []
-    for wr in wroots:
-        base = cmath.log(wr)
-        if not (x0 <= base.real <= x1):
-            continue
-        k_lo = math.ceil((y0 - base.imag) / TWO_PI)
-        k_hi = math.floor((y1 - base.imag) / TWO_PI)
-        for k in range(k_lo, k_hi + 1):
-            out.append(base + 2j * math.pi * k)
-    return out
 
 
 def tail_expansion_residual(pair: PairIndex, y: float) -> float:

@@ -13,7 +13,7 @@ from banklaine.contour import (
     winding_number,
 )
 from banklaine.scaledcx import ScaledComplex
-from banklaine.specfun import PairIndex, _instances_in_rect, eval_model, numer_roots
+from banklaine.specfun import PairIndex, eval_model, numer_roots
 
 
 def test_circle_derivatives_of_exp():
@@ -91,6 +91,19 @@ def test_logderiv_loop_integral_on_model():
     ]
     got = logderiv_loop_integral(lambda z: log_derivative(pair, z), corners)
     assert abs(got - (-1.0)) < 1e-9
+
+
+def _instances_in_rect(wroots, rect):
+    """The points log w + 2 pi i k in rect, over the w-plane roots ``wroots``."""
+    x0, x1, y0, y1 = rect
+    out = []
+    for wr in wroots:
+        base = cmath.log(wr)
+        if x0 <= base.real <= x1:
+            k_lo = math.ceil((y0 - base.imag) / (2 * math.pi))
+            k_hi = math.floor((y1 - base.imag) / (2 * math.pi))
+            out += [base + 2j * math.pi * k for k in range(k_lo, k_hi + 1)]
+    return out
 
 
 def test_root_registries_agree_with_winding():

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from banklaine import diffeo
+from banklaine import diffeo, specfun
 from banklaine.diffeo import (
     LEFT,
     RIGHT,
@@ -235,6 +235,18 @@ def test_psi_rejects_a_scale_below_one():
         build_psi([(P00, PLAIN), (P11, PLAIN)], RIGHT, l=0)
 
 
+def test_solve_shift_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="^unknown variant 'nope'$"):
+        solve_shift(P11, "nope")
+
+
+@pytest.mark.parametrize("variants", [{"variant_src": "x"}, {"variant_dst": "x"}])
+def test_diffeo_spec_rejects_an_unknown_variant(variants):
+    # checked once, at construction: a PhiSolver reads its resolved models per lookup
+    with pytest.raises(ValueError, match="^unknown variant 'x'$"):
+        DiffeoSpec(P00, P11, **variants)
+
+
 # ---- fixed points ------------------------------------------------------------
 
 def test_fixed_point_of_00_to_11_is_log6():
@@ -270,7 +282,7 @@ def test_fixed_point_of_plain_00_to_half_01():
 def test_fixed_point_search_reads_no_grid(monkeypatch):
     # D is read at the window ends and the cuts from the exact polynomials, not on a grid
     calls = []
-    monkeypatch.setattr(diffeo, "real_log_gap_slope", lambda *a: calls.append(a) or real_log_gap_slope(*a))
+    monkeypatch.setattr(diffeo, "_real_gap", lambda *a: calls.append(a) or specfun._real_gap(*a))
     fp = find_fixed_points(DiffeoSpec(PairIndex(2, 3), PairIndex(1, 5)))
     assert len(fp.points) == 1 and len(calls) <= 1000  # 39,973 on the 1e-3 grid
     assert [f.name for f in dataclasses.fields(fp)] == ["spec", "tag", "points", "cuts"]
@@ -428,7 +440,6 @@ def test_phi_solver_memo_keeps_the_bits():
     # left and finds F_dst(x) and F_src at the checked phi there.  F is pure,
     # so a psi table swept as _PsiCache sweeps it has the bits of a sweep that
     # clears the memo before every call, with fewer evaluations (misses)
-    from banklaine import specfun
     from banklaine.surgery import _PsiCache
 
     memo = specfun._real_gap

@@ -23,7 +23,6 @@ from banklaine.specfun import (
     _poly_eval,
     _poly_logsum,
     _poly_logsum_mp,
-    _series_end,
     HALF,
     PLAIN,
     PairIndex,
@@ -86,7 +85,10 @@ def test_truncated_exponential_for_m_zero():
 
 @pytest.mark.parametrize("pair", PAIRS)
 def test_extreme_coefficient_identity(pair):
-    assert build_coefficients(pair).identity_holds()
+    # |A_m * B_{2n}| = m!(2n)!/((m+2n)!)^2, exactly in big rationals
+    table, m, n2 = build_coefficients(pair), pair.m, 2 * pair.n
+    s = math.factorial(m + n2)
+    assert table.denom[-1] * abs(table.numer[-1]) == Fraction(math.factorial(m) * math.factorial(n2), s * s)
 
 
 def test_denominator_coefficients_positive_decreasing():
@@ -288,7 +290,7 @@ def series_oracle(pair: PairIndex, x: float, dps: int = 40) -> tuple[float, floa
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
 def test_real_log_gap_matches_the_series_oracle(m):
-    # both regimes (positive series, then the direct sum past _series_end);
+    # both regimes (positive series, then the direct sum past series_end);
     # near (2,8), x = 1.75, log(g - 1) taken from log g loses 8 digits
     for n in (0, 1, 4, 8, 12):
         pair = PairIndex(m, n)
@@ -302,7 +304,7 @@ def test_real_log_gap_matches_the_series_oracle(m):
 def test_gap_series_sums_past_the_float_range(m, n, x):
     # partial sums of S, and for (700,0) of Q, pass 2^800 and are rescaled
     pair = PairIndex(m, n)
-    assert math.exp(x) <= _series_end(pair)
+    assert math.exp(x) <= build_coefficients(pair).series_end
     F, dF = series_oracle(pair, x)
     assert real_log_gap(pair, x) == pytest.approx(F, rel=1e-13)
     assert real_log_gap_slope(pair, x)[1] == pytest.approx(dF, rel=1e-13)
@@ -330,7 +332,7 @@ def test_series_hands_over_to_the_direct_sum():
     for m in range(0, 30, 3):
         for n in range(0, 30, 3):
             pair = PairIndex(m, n)
-            x = math.log(_series_end(pair))
+            x = math.log(build_coefficients(pair).series_end)
             x_right = math.nextafter(x, math.inf)
             assert real_log_gap(pair, x) > 0.0
             for i, want in enumerate(real_log_gap_slope(pair, x)):
@@ -693,6 +695,8 @@ def test_root_registry_cap_fails_loudly():
     (0, specfun.PAIR_CAP + 1, "n", str(specfun.PAIR_CAP + 1)),
     (1.0, 0, "m", "1.0"),
     (0, "2", "n", "'2'"),
+    (True, 1, "m", "True"),  # True == 1 would share the memo entries of PairIndex(1, 1)
+    (0, False, "n", "False"),
 ])
 def test_pair_index_rejects_out_of_range_or_non_integer(m, n, name, bad):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, {specfun.PAIR_CAP}\], got {bad}$"):
@@ -711,6 +715,16 @@ def test_unknown_variants_are_rejected():
         eval_model_turns(pair, 0.5, 0.1, "third")
     with pytest.raises(ValueError, match="^unknown variant 'third'$"):
         eval_model_derivative(pair, 0.5 + 0.6j, "third")
+    with pytest.raises(ValueError, match="^unknown variant 'third'$"):
+        log_derivative(pair, 0.5 + 0.6j, "third")
+
+
+@pytest.mark.parametrize("read", [real_log_gap, real_log_gap_slope, real_log_value, real_log_value_slope])
+def test_unknown_variants_are_rejected_on_the_real_axis(read):
+    # no variant other than plain and half is read as the plain model
+    for bad in ("halff", "bogus", None):
+        with pytest.raises(ValueError, match=rf"^unknown variant {bad!r}$"):
+            read(PairIndex(1, 1), 0.5, bad)
 
 
 def test_tail_expansion_residual_needs_positive_y():

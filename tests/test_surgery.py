@@ -1046,6 +1046,14 @@ def test_dilatation_reports_are_bit_identical(name):
     assert {key: v.hex() for key, v in rep.strip_sums.items()} == case["strip_sums"]
 
 
+def test_power_seam_gaps_are_bit_identical():
+    # every seam gap of the power map comes from real-axis phi solves and
+    # model sums, so a changed last bit of F = log(g - 1) shows here
+    case = PINS["power_seam_gaps"]
+    checks = assemble("power", **case["params"]).seam_residuals(case["samples"], strips=case["strips"])
+    assert [(c.name, float(c.max_gap).hex()) for c in checks] == list(case["max_gap"].items())
+
+
 @pytest.mark.parametrize("name", sorted(PINS["reports"]))
 def test_dilatation_blocks_do_not_change_the_report(name, monkeypatch):
     # consecutive shells share one engine call per block of BLOCK_CELLS
