@@ -2,11 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .scaledcx import ScaledComplex
 from .specfun import PairIndex, build_coefficients, eval_model, eval_model_derivative
 
 __all__ = [
-    "ScaledComplex",
     "PairIndex",
     "build_coefficients",
     "eval_model",

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .scaledcx import ScaledComplex, wrap_phase
+from .scaledcx import wrap_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,8 +96,8 @@ def rect_path(x0: float, x1: float, y0: float, y1: float, per_side: int = 64) ->
     return pts
 
 
-def winding_number(eval_sc: Callable[[complex], ScaledComplex], path: Sequence[complex]) -> float:
-    """Total phase winding of f along a closed path, in turns.
+def winding_number(eval_log: Callable[[complex], complex], path: Sequence[complex]) -> float:
+    """Total phase winding along a closed path, in turns, of f given by its complex logarithm.
 
     The path is refined by midpoint insertion until, on every segment, the
     phase step is below ``STEP_CAP`` and so is the change of log|f| across
@@ -106,26 +106,26 @@ def winding_number(eval_sc: Callable[[complex], ScaledComplex], path: Sequence[c
     Cauchy-Riemann the argument turns along the path as fast as log|f|
     changes across it, so the second test catches such a segment.  The
     continuous argument is tracked without ever materializing |f|.  Raises
-    BoundarySingularity if a path sample hits a tagged zero/pole.
+    BoundarySingularity if a path sample hits a zero or pole (Re log f infinite).
     """
 
-    def sample(p: complex) -> ScaledComplex:
-        v = eval_sc(p)
-        if v.kind != "finite":
-            raise BoundarySingularity(f"path sample at {p} hits a {v.kind}")
+    def sample(p: complex) -> complex:
+        v = eval_log(p)
+        if math.isinf(v.real):
+            raise BoundarySingularity(f"path sample at {p} hits a {'zero' if v.real < 0 else 'pole'}")
         return v
 
     inserted = 0
 
-    def turn(a: complex, va: ScaledComplex, b: complex, vb: ScaledComplex, depth: int) -> float:
+    def turn(a: complex, va: complex, b: complex, vb: complex, depth: int) -> float:
         nonlocal inserted
-        step = wrap_phase(vb.phase - va.phase)
+        step = wrap_phase(vb.imag - va.imag)
         if depth == MAX_PASSES:
             return step
         mid, across = 0.5 * (a + b), 0.25j * (b - a)
         # a zero or pole beside the path makes the change across infinite or NaN: refine
         if abs(step) < STEP_CAP and abs(
-                eval_sc(mid + across).log_modulus - eval_sc(mid - across).log_modulus) < STEP_CAP:
+                eval_log(mid + across).real - eval_log(mid - across).real) < STEP_CAP:
             return step
         inserted += 1
         if len(pts) + inserted > MAX_POINTS:

@@ -1,20 +1,20 @@
-"""Log-polar complex scalars that stay usable far beyond floating-point range.
+"""Complex values held as complex logarithms, usable far beyond floating-point range.
 
 Values of the model functions reach |w| ~ exp(exp(40)) on the domains we scan,
-so everything downstream works with (log-modulus, phase) pairs and only
-materializes an ordinary complex number on explicit request.
+so everything downstream holds a value w as the Python complex
+L = log|w| + i arg w, with arg w in (-pi, pi], and only materializes w on
+explicit request.  Re L = -inf is an exact zero (``ZERO``) and Re L = +inf a
+pole (``POLE``); both carry phase 0.0.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
-FINITE = "finite"
-ZERO = "zero"
-POLE = "pole"
+ZERO = complex(-math.inf, 0.0)
+POLE = complex(math.inf, 0.0)
 
 # log-moduli beyond this cannot be exponentiated in double precision
 MATERIALIZE_CAP = 700.0
@@ -30,162 +30,42 @@ def wrap_phase(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class ScaledComplex:
-    """A complex value w stored as (log|w|, arg w) plus a kind tag.
+def from_log(logw: complex) -> complex:
+    """A complex logarithm with its phase wrapped to (-pi, pi]."""
+    return complex(logw.real, wrap_phase(logw.imag))
 
-    Parameters
-    ----------
-    log_modulus : float
-        log|w|; ``-inf`` for an exact zero, ``+inf`` for a pole.
-    phase : float
-        arg w in (-pi, pi]; fixed at 0.0 for zeros and poles.
-    kind : str
-        One of ``"finite"``, ``"zero"``, ``"pole"``.
-    """
 
-    log_modulus: float
-    phase: float
-    kind: str = FINITE
+def conj(L: complex) -> complex:
+    """The log of conj(w): a phase of pi stays pi; zeros and poles are returned unchanged."""
+    return L if math.isinf(L.real) else complex(L.real, wrap_phase(-L.imag))
 
-    # -- constructors -------------------------------------------------
 
-    @classmethod
-    def from_complex(cls, w: complex) -> "ScaledComplex":
-        w = complex(w)
-        if w == 0:
-            return cls.zero()
-        # math.atan2, not cmath.phase: the latter can raise a spurious
-        # OverflowError when one component denormalizes (libm errno quirk)
-        return cls(math.log(abs(w)), wrap_phase(math.atan2(w.imag, w.real)), FINITE)
+def log_one_plus(L: complex) -> complex:
+    """The log of 1 + w, without leaving log space: exact zero at w = -1, w itself far above 1."""
+    if L.real == math.inf:
+        return POLE
+    if L.real == -math.inf:
+        return 0j
+    big, small = (L, 0j) if L.real >= 0.0 else (0j, L)
+    d = small.real - big.real  # <= 0
+    if d < -745.0:
+        return big
+    dph = wrap_phase(small.imag - big.imag)
+    if d == 0.0 and (dph == math.pi or dph == -math.pi):
+        # exactly antipodal: exp(i pi) would leave a 1e-16 residue
+        return ZERO
+    s = 1.0 + cmath.exp(complex(d, dph))
+    if s == 0:
+        return ZERO
+    return complex(big.real + math.log(abs(s)), wrap_phase(big.imag + math.atan2(s.imag, s.real)))
 
-    @classmethod
-    def from_log(cls, logw: complex) -> "ScaledComplex":
-        """Build from a complex logarithm (Re = log-modulus, Im = phase)."""
-        return cls(logw.real, wrap_phase(logw.imag), FINITE)
 
-    @classmethod
-    def zero(cls) -> "ScaledComplex":
-        return cls(-math.inf, 0.0, ZERO)
-
-    @classmethod
-    def pole(cls) -> "ScaledComplex":
-        return cls(math.inf, 0.0, POLE)
-
-    # -- queries ------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == ZERO
-
-    @property
-    def is_pole(self) -> bool:
-        return self.kind == POLE
-
-    @property
-    def logpolar(self) -> complex:
-        """The complex logarithm log|w| + i arg w."""
-        return complex(self.log_modulus, self.phase)
-
-    def to_complex(self) -> complex:
-        if self.is_zero:
-            return 0.0 + 0.0j
-        if self.is_pole:
-            raise OverflowError("cannot materialize a pole")
-        if self.log_modulus > MATERIALIZE_CAP:
-            raise OverflowError(
-                f"log-modulus {self.log_modulus:.3g} exceeds double range"
-            )
-        return cmath.exp(complex(self.log_modulus, self.phase))
-
-    # -- arithmetic ---------------------------------------------------
-
-    def mul(self, other: "ScaledComplex") -> "ScaledComplex":
-        if self.is_pole or other.is_pole:
-            return ScaledComplex.pole()
-        if self.is_zero or other.is_zero:
-            return ScaledComplex.zero()
-        return ScaledComplex(
-            self.log_modulus + other.log_modulus,
-            wrap_phase(self.phase + other.phase),
-            FINITE,
-        )
-
-    def div(self, other: "ScaledComplex") -> "ScaledComplex":
-        if other.is_zero or self.is_pole:
-            return ScaledComplex.pole()
-        if other.is_pole or self.is_zero:
-            return ScaledComplex.zero()
-        return ScaledComplex(
-            self.log_modulus - other.log_modulus,
-            wrap_phase(self.phase - other.phase),
-            FINITE,
-        )
-
-    def recip(self) -> "ScaledComplex":
-        if self.is_zero:
-            return ScaledComplex.pole()
-        if self.is_pole:
-            return ScaledComplex.zero()
-        return ScaledComplex(-self.log_modulus, wrap_phase(-self.phase), FINITE)
-
-    def neg(self) -> "ScaledComplex":
-        if self.kind != FINITE:
-            return self
-        return ScaledComplex(self.log_modulus, wrap_phase(self.phase + math.pi), FINITE)
-
-    def conj(self) -> "ScaledComplex":
-        if self.kind != FINITE:
-            return self
-        return ScaledComplex(self.log_modulus, wrap_phase(-self.phase), FINITE)
-
-    def times_real(self, a: float) -> "ScaledComplex":
-        """Multiply by a nonzero real constant."""
-        if a == 0:
-            raise ValueError("scale factor must be nonzero")
-        if self.kind != FINITE:
-            return self
-        lm = self.log_modulus + math.log(abs(a))
-        ph = self.phase if a > 0 else wrap_phase(self.phase + math.pi)
-        return ScaledComplex(lm, ph, FINITE)
-
-    def add(self, other: "ScaledComplex") -> "ScaledComplex":
-        """Sum of two scaled values without leaving log-polar space."""
-        if self.is_pole or other.is_pole:
-            return ScaledComplex.pole()
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        big, small = (self, other) if self.log_modulus >= other.log_modulus else (other, self)
-        d = small.log_modulus - big.log_modulus  # <= 0
-        if d < -745.0:
-            return big
-        dph = wrap_phase(small.phase - big.phase)
-        if d == 0.0 and (dph == math.pi or dph == -math.pi):
-            # exactly antipodal: exp(i pi) would leave a 1e-16 residue
-            return ScaledComplex.zero()
-        s = 1.0 + cmath.exp(complex(d, dph))
-        if s == 0:
-            return ScaledComplex.zero()
-        return ScaledComplex(
-            big.log_modulus + math.log(abs(s)),
-            wrap_phase(big.phase + math.atan2(s.imag, s.real)),
-            FINITE,
-        )
-
-    def add_real(self, a: float) -> "ScaledComplex":
-        if a == 0:
-            return self
-        return self.add(ScaledComplex.from_complex(complex(a, 0.0)))
-
-    def pow_int(self, k: int) -> "ScaledComplex":
-        if self.kind != FINITE:
-            if k == 0:
-                return ScaledComplex.from_complex(1.0)
-            if k > 0:
-                return self
-            return self.recip()
-        return ScaledComplex(
-            k * self.log_modulus, wrap_phase(k * self.phase), FINITE
-        )
+def to_complex(L: complex) -> complex:
+    """The value w = e^L as an ordinary complex number; a pole or |w| > e^700 raises OverflowError."""
+    if L.real == -math.inf:
+        return 0.0 + 0.0j
+    if L.real == math.inf:
+        raise OverflowError("cannot materialize a pole")
+    if L.real > MATERIALIZE_CAP:
+        raise OverflowError(f"log-modulus {L.real:.3g} exceeds double range")
+    return cmath.exp(L)

@@ -2,9 +2,10 @@
 
 The rational factor R = P/Q is indexed by a pair (m, n): Q has degree m with
 positive factorial-ratio coefficients, P has degree 2n with alternating ones.
-Both model families used downstream (plain and half-shifted) evaluate through
-the log-polar ScaledComplex type, so moduli like exp(exp(40)) stay exact in
-log space and phases stay exact on the real axis.
+Both model families used downstream (plain and half-shifted) return each value
+w as its complex logarithm L = log|w| + i arg w (:mod:`banklaine.scaledcx`),
+with Re L = -inf at a zero and +inf at a pole, so moduli like exp(exp(40)) stay
+exact in log space and phases stay exact on the real axis.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import contour
-from .scaledcx import ScaledComplex
+from .scaledcx import POLE, ZERO, from_log, log_one_plus, to_complex
 
 TWO_PI = 2.0 * math.pi
 LOG2 = math.log(2.0)
@@ -154,6 +155,8 @@ def build_coefficients(pair: PairIndex) -> CoefficientTable:
 
 def _reduce_turns(t: float) -> float:
     """Fractional part of t (in turns) in [-1/2, 1/2], snapping seam hits to 0."""
+    if not math.isfinite(t):
+        raise EvalDomainError(f"non-finite Im z: {TWO_PI * t!r}")
     k = round(t)
     frac = t - k
     if abs(frac) <= 1e-12 or abs(frac) <= 8.0 * 2.220446049250313e-16 * abs(t):
@@ -207,7 +210,11 @@ def _poly_logsum(
     tiny = abs(T)
     if T == 0:
         return complex(-math.inf, 0.0), 0j, 0.0
-    ratio = (D / T) * cmath.exp(complex(-x, -yr))  # T'(w)/T(w)
+    if x > -709.78:
+        ratio = (D / T) * cmath.exp(complex(-x, -yr))  # T'(w)/T(w)
+    else:  # e^-x overflows near log(DBL_MAX) = 709.78: sum j c_j w^(j-1) on the same scale instead
+        dterms = np.exp(logs[1:] - L - x) * (sign[1:] if alternating else 1.0) * np.exp(1j * (jj[:-1] * yr))
+        ratio = complex((jj[1:] * dterms).sum()) / T
     logT = L + cmath.log(T)
     return logT, ratio, tiny
 
@@ -293,7 +300,7 @@ def _check_re(x: float) -> None:
 
 def eval_model_turns(
     pair: PairIndex, x: float, turns: float, variant: str = PLAIN
-) -> ScaledComplex:
+) -> complex:
     """Evaluate the model at z = x + 2*pi*i*turns.
 
     Working directly in turn units lets strip assemblies hit their seams
@@ -304,32 +311,33 @@ def eval_model_turns(
     _gap_shift(variant)  # an unknown variant raises
     frac = _reduce_turns(turns)
     if frac == 0.0:
-        return ScaledComplex.from_log(real_log_value(pair, x, variant))
+        return complex(real_log_value(pair, x, variant), 0.0)
     table = build_coefficients(pair)
     yr = TWO_PI * frac
     logP, _, psing = _poly_eval(table, True, x, yr)
     logQ, _, qsing = _poly_eval(table, False, x, yr)
     if qsing:
-        return ScaledComplex.pole()
+        return POLE
     if psing:
         if variant == PLAIN:
-            return ScaledComplex.zero()
-        return ScaledComplex.from_complex(0.5)
+            return ZERO
+        return complex(math.log(0.5), 0.0)
     ez = cmath.exp(complex(x, yr))
-    sc = ScaledComplex.from_log(ez + logP - logQ)
+    L = from_log(ez + logP - logQ)
     if variant == HALF:
-        sc = sc.add_real(1.0).times_real(0.5)
-    return sc
+        L = log_one_plus(L)
+        L = complex(L.real + math.log(0.5), L.imag)
+    return L
 
 
-def eval_model(pair: PairIndex, z: complex, variant: str = PLAIN) -> ScaledComplex:
-    """Evaluate g (plain) or (g+1)/2 (half) at a complex point, log-polar result."""
+def eval_model(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex:
+    """Evaluate g (plain) or (g+1)/2 (half) at a complex point, as its complex logarithm."""
     z = complex(z)
     return eval_model_turns(pair, z.real, z.imag / TWO_PI, variant)
 
 
-def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> ScaledComplex:
-    """dg/dz in log-polar form, via the closed-form monomial identity.
+def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex:
+    """log dg/dz as a complex logarithm, via the closed-form monomial identity.
 
     P'Q - PQ' + PQ collapses to N c_N w^(N-1), so the derivative needs no
     numerator evaluation at all:
@@ -343,12 +351,12 @@ def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> 
     zred = complex(z.real, TWO_PI * _reduce_turns(z.imag / TWO_PI))
     logQ, _, qsing = _poly_eval(table, False, z.real, zred.imag)
     if qsing:
-        return ScaledComplex.pole()
-    sc = ScaledComplex.from_log(cmath.exp(zred) + math.log(pair.N) + pair.N * zred - table.log_intercept
-                                - 2.0 * logQ)
+        return POLE
+    L = from_log(cmath.exp(zred) + math.log(pair.N) + pair.N * zred - table.log_intercept
+                 - 2.0 * logQ)
     if variant == HALF:
-        sc = sc.times_real(0.5)
-    return sc
+        L = complex(L.real + math.log(0.5), L.imag)
+    return L
 
 
 def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex:
@@ -369,11 +377,11 @@ def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex
         return ez * (1.0 + rP - rQ)
     # half: (g+1)'/(g+1) = g'/(g+1), via logs to dodge zeros of g
     log_gp = ez + math.log(pair.N) + pair.N * zred - table.log_intercept - 2.0 * logQ
-    g_sc = eval_model_turns(pair, z.real, z.imag / TWO_PI, PLAIN)
-    gp1 = g_sc.add_real(1.0)
-    if gp1.is_zero:
+    log_g = eval_model_turns(pair, z.real, z.imag / TWO_PI, PLAIN)
+    log_g1 = log_one_plus(log_g)
+    if log_g1.real == -math.inf:
         raise EvalDomainError(f"log-derivative of half variant at its zero near z={z}")
-    expo = log_gp - gp1.logpolar
+    expo = log_gp - log_g1
     if expo.real > 709.0:
         raise EvalDomainError("half-variant log-derivative overflows")
     return cmath.exp(expo)
@@ -579,14 +587,14 @@ def tail_expansion_residual(pair: PairIndex, y: float) -> float:
 # differential operators through contour derivatives
 # ---------------------------------------------------------------------------
 
-def apply_B(E: Callable[[complex], ScaledComplex], z: complex) -> complex:
-    """The coefficient functional -2E''/E + (E'/E)^2 - 1/E^2 of a ScaledComplex-valued E at z.
+def apply_B(E: Callable[[complex], complex], z: complex) -> complex:
+    """The coefficient functional -2E''/E + (E'/E)^2 - 1/E^2 at z of E given as its complex logarithm.
 
     Derivatives come from Cauchy integrals on |zeta - z| = 0.25; if the
     winding of E around that circle is nonzero the disk contains a zero or
     pole of E and the request violates the benign-point contract.
     """
-    (e0, e1, e2), winding = contour.circle_derivatives(lambda c: E(c).to_complex(), z, 0.25, 2)
+    (e0, e1, e2), winding = contour.circle_derivatives(lambda c: to_complex(E(c)), z, 0.25, 2)
     if winding != 0:
         raise ValueError(f"disk of radius 0.25 at {z} contains a zero/pole (winding {winding})")
     return -2.0 * e2 / e0 + (e1 / e0) ** 2 - 1.0 / (e0 * e0)

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diffeo import LEFT, RIGHT, DiffeoSpec, PhiSolver, PsiMap, psi_link
-from .scaledcx import ScaledComplex, wrap_phase
+from .scaledcx import conj, wrap_phase
 from .sequences import build_graded_slopes, build_paired_slopes, select_case
 from .specfun import HALF, PAIR_CAP, PLAIN, EvalDomainError, PairIndex, eval_model, eval_model_turns
 
@@ -139,11 +139,11 @@ def _k_of_mu(mu_abs: float) -> float:
     return (1.0 + mu_abs) / (1.0 - mu_abs)
 
 
-def _log_gap(a: ScaledComplex, b: ScaledComplex) -> float:
-    """Log-space distance between two values; inf across kind mismatches."""
-    if a.is_zero or a.is_pole or b.is_zero or b.is_pole:
-        return 0.0 if (a.is_zero == b.is_zero and a.is_pole == b.is_pole) else math.inf
-    return max(abs(a.log_modulus - b.log_modulus), abs(wrap_phase(a.phase - b.phase)))
+def _log_gap(a: complex, b: complex) -> float:
+    """Log-space distance between two complex logarithms; 0 between two zeros or two poles, else inf at either."""
+    if math.isinf(a.real) or math.isinf(b.real):
+        return 0.0 if a.real == b.real else math.inf
+    return max(abs(a.real - b.real), abs(wrap_phase(a.imag - b.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +441,15 @@ class _StripSystem:
         return _PsiCache.read_rows(self._xs, [self._strips[k].psi_table for k in rows.tolist()], x, r)
 
     # -- evaluation ------------------------------------------------------
-    def value(self, s: _Strip, x: float, t: float) -> ScaledComplex:
+    def value(self, s: _Strip, x: float, t: float) -> complex:
         xt = x if s.psi is None else x + t * (s.psi(x) - x)
         return eval_model_turns(s.pair, xt / s.x_div + s.shift, t, s.variant)
 
-    def eval_at(self, q: complex) -> ScaledComplex:
+    def eval_at(self, q: complex) -> complex:
         """Value at local q = x + i y; below the axis, the conjugate of ``below`` at the mirror image."""
         sys, s, t = self.read(q.imag)
         v = sys.value(s, q.real, t)
-        return v if q.imag >= 0 else v.conj()
+        return v if q.imag >= 0 else conj(v)
 
     # -- dilatation ------------------------------------------------------
     def mu_parts(self, s: _Strip, x: float, t: float, quad: bool, conj: bool) -> tuple:
@@ -806,7 +806,7 @@ class _StripsEngine(_Engine):
                 cols = sys.columns()
                 yield sys, cols, sel, np.searchsorted(cols["tops"], ay, side="right") - 1  # as locate bisects
 
-    def eval(self, z: complex) -> ScaledComplex:
+    def eval(self, z: complex) -> complex:
         return self.sides[RIGHT if z.real >= 0 else LEFT].eval_at(z)
 
     def mu_parts(self, z: complex, quad: bool = False):
@@ -947,7 +947,7 @@ class _SectorEngine(_Engine):
             w = self._half_turn(w)
         return j, w, False
 
-    def eval(self, z: complex) -> ScaledComplex:
+    def eval(self, z: complex) -> complex:
         z = complex(z)
         _, w, uninterpolated = self._locate(z)
         if uninterpolated:
@@ -1016,12 +1016,9 @@ class _SectorEngine(_Engine):
     def seam_residuals(self, samples: int = 64, strips: int = 6) -> list[SeamCheck]:
         checks = self.base.seam_residuals(samples, strips)
         # the half-turn is the flipped sheet: base(w - i pi) = 1/base(w) on the (0,0) strip pi < Im w < 2 pi
-        def gap(w: complex) -> float:
-            prod = self.base.eval(w).mul(self.base.eval(self._half_turn(w)))
-            return max(abs(prod.log_modulus), abs(wrap_phase(prod.phase)))
-
         checks.append(_sweep("sheet-inverse", [complex(x, math.pi + 1.0 + 0.007 * x)
-                                               for x in np.linspace(-6.0, 6.0, samples).tolist()], gap))
+                                               for x in np.linspace(-6.0, 6.0, samples).tolist()],
+                             lambda w: _log_gap(self.base.eval(w), -self.base.eval(self._half_turn(w)))))
         return checks
 
     def to_dict(self) -> dict:
@@ -1056,7 +1053,7 @@ class _SpiralEngine(_Engine):
         h = self.charts.h(w)
         return h, -1.0 < h.imag < 0.0
 
-    def eval(self, w: complex) -> ScaledComplex:
+    def eval(self, w: complex) -> complex:
         h, _ = self._locate(complex(w))
         return eval_model(self.upper, h) if h.imag >= 0 else eval_model(self.lower, self.homeo(h))
 
@@ -1292,13 +1289,13 @@ class _PowerEngine(_Engine):
         return (np.array([w is not None for w, *_ in locs], bool), np.array([abs(loc[2].imag) for loc in locs]),
                 [loc[1] for loc in locs], [loc[4] for loc in locs])
 
-    def eval(self, z: complex) -> ScaledComplex:
+    def eval(self, z: complex) -> complex:
         z = complex(z)
         if z == 0:
             return self.U.eval_at(0j)
         _, _, q, sys, s, t = self._locate(z)
         v = sys.value(s, q.real, t)
-        return v if q.imag >= 0 else v.conj()
+        return v if q.imag >= 0 else conj(v)
 
     def mu_parts(self, z: complex, quad: bool = False):
         z = complex(z)
@@ -1425,10 +1422,12 @@ class GluedMap:
     one immutable pair, and a seed that does not converge falls back to the
     bracketed solve; nor does ``specfun._real_gap``'s memo of F = log(g - 1), an ``lru_cache`` of a pure function.
 
-    Calling the map returns a :class:`~banklaine.scaledcx.ScaledComplex`
-    (poles are tagged, not raised).  Points with a NaN or infinite part, and
-    points whose chart coordinate exceeds the double-exponential overflow
-    horizon, raise :class:`~banklaine.specfun.EvalDomainError`; sector assemblies raise
+    Calling the map returns the complex logarithm log|f| + i arg f of its
+    value f, with arg f in (-pi, pi] (:mod:`banklaine.scaledcx`); a zero
+    reads Re = -inf and a pole Re = +inf, not an error.  Points with a NaN
+    or infinite part, and points whose chart coordinate exceeds the
+    double-exponential overflow horizon, raise
+    :class:`~banklaine.specfun.EvalDomainError`; sector assemblies raise
     :class:`UninterpolatedRegion` inside |Im z^n| <= 2 pi.
     """
 
@@ -1436,7 +1435,7 @@ class GluedMap:
     params: tuple[tuple[str, object], ...]
     _impl: object = field(repr=False, compare=False)
 
-    def __call__(self, z: complex) -> ScaledComplex:
+    def __call__(self, z: complex) -> complex:
         return self._impl.eval(_finite(z))
 
     def classify(self, z: complex) -> PieceInfo:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from banklaine import specfun
+from banklaine.scaledcx import from_log, to_complex
 from banklaine.specfun import (
     CANCEL_TOL,
     EvalDomainError,
@@ -61,7 +62,7 @@ def oracle(pair: PairIndex, z: complex, dps: int = 60) -> mp.mpc:
 
 
 def assert_logpolar_close(sc, ref: mp.mpc, tol=5e-13):
-    lm, ph = sc.logpolar.real, sc.logpolar.imag
+    lm, ph = sc.real, sc.imag
     ref_lm = float(mp.log(abs(ref)))
     ref_ph = float(mp.arg(ref))
     assert abs(lm - ref_lm) <= tol * max(1.0, abs(ref_lm))
@@ -145,9 +146,38 @@ def test_half_variant_is_g_plus_one_over_two():
 
 def test_large_x_does_not_overflow():
     sc = eval_model(PairIndex(2, 1), complex(700.0, 0.4))
-    assert sc.log_modulus > 1e300  # e^700, kept as a log
+    assert sc.real > 1e300  # e^700, kept as a log
     with pytest.raises(EvalDomainError):
         eval_model(PairIndex(2, 1), complex(710.0, 0.0))
+
+
+def oracle_log_derivative(pair: PairIndex, z: complex, dps: int = 60) -> mp.mpc:
+    """g'/g = e^z (1 + P'(w)/P(w) - Q'(w)/Q(w)) at w = e^z, from exact coefficients in mpmath."""
+    t = build_coefficients(pair)
+    with mp.workdps(dps):
+        w = mp.exp(mp.mpc(z))
+
+        def ratio(cs):
+            cs = [mp.mpf(c.numerator) / c.denominator for c in cs]
+            return sum(j * c * w ** (j - 1) for j, c in enumerate(cs) if j) / sum(c * w ** j for j, c in enumerate(cs))
+
+        return w * (1 + ratio(t.numer) - ratio(t.denom))
+
+
+@pytest.mark.parametrize("pair, z", [(PairIndex(1, 1), -709.5 + 1j), (PairIndex(1, 1), -720.0 + 1j),
+                                     (PairIndex(1, 1), -5000.0 + 3j), (PairIndex(3, 2), -720.0 - 2j)])
+def test_far_left_values_are_finite(pair, z):
+    # past Re z = -709.78, e^-Re z overflows a double while g is about R(0) = 1;
+    # 1 + P'/P - Q'/Q cancels to O(w^(N-1)), so the oracle carries N |Re z| / ln 10 digits
+    g = oracle(pair, z)
+    ld = oracle_log_derivative(pair, z, dps=40 + int(pair.N * abs(z.real) / math.log(10.0)))
+    assert_logpolar_close(eval_model(pair, z), g)
+    assert_logpolar_close(eval_model(pair, z, HALF), (g + 1) / 2)
+    assert_logpolar_close(eval_model_derivative(pair, z), g * ld)
+    assert_logpolar_close(eval_model_derivative(pair, z, HALF), g * ld / 2)
+    for variant, want in ((PLAIN, ld), (HALF, g * ld / (g + 1))):
+        # |g'/g| ~ e^(N Re z) underflows; what is left is rounding far below any normal double
+        assert abs(log_derivative(pair, z, variant) - complex(want)) < 1e-300, variant
 
 
 # ---- singular points ---------------------------------------------------------
@@ -157,18 +187,18 @@ def test_pole_and_zero_hits():
     pole = complex(math.log(3.0), math.pi)        # Q(-3) = 0
     zroot = next(r for r in numer_roots(pair) if r.imag > 0)
     zero = complex(math.log(abs(zroot)), math.atan2(zroot.imag, zroot.real))
-    assert eval_model(pair, pole).is_pole
-    assert eval_model(pair, zero).is_zero
+    assert eval_model(pair, pole).real == math.inf
+    assert eval_model(pair, zero).real == -math.inf
     # half variant: g = 0 maps to 1/2
-    assert eval_model(pair, zero, HALF).to_complex() == pytest.approx(0.5)
+    assert to_complex(eval_model(pair, zero, HALF)) == pytest.approx(0.5)
 
 
 def test_near_miss_is_not_singular():
     pair = PairIndex(1, 1)
     pole = complex(math.log(3.0), math.pi)
-    assert eval_model(pair, pole + 1e-14).is_pole      # below resolvable distance
-    sc = eval_model(pair, pole + 1e-11)                 # resolvable: huge but finite
-    assert not sc.is_pole and sc.log_modulus > 20
+    assert eval_model(pair, pole + 1e-14).real == math.inf  # below resolvable distance
+    sc = eval_model(pair, pole + 1e-11)                      # resolvable: huge but finite
+    assert sc.real != math.inf and sc.real > 20
 
 
 def test_root_registries_annihilate():
@@ -189,7 +219,7 @@ def test_solve_negative_one_gives_half_zero():
     w = solve_value_negative_one(pair, -0.5 + 0.5j)
     z = complex(math.log(abs(w)), math.atan2(w.imag, w.real))
     sc = eval_model(pair, z, HALF)
-    assert sc.is_zero or sc.log_modulus < -25.0
+    assert sc.real == -math.inf or sc.real < -25.0
 
 
 # ---- seam exactness ----------------------------------------------------------
@@ -198,14 +228,14 @@ def test_integer_turns_are_exactly_real():
     for pair in (PairIndex(0, 0), PairIndex(1, 1), PairIndex(0, 4)):
         for k in (-3, 0, 1, 7):
             sc = eval_model_turns(pair, 0.37, float(k))
-            assert sc.phase == 0.0
+            assert sc.imag == 0.0
             ref = eval_model_turns(pair, 0.37, 0.0)
-            assert sc.log_modulus == ref.log_modulus
+            assert sc.real == ref.real
 
 
 def test_turn_snapping_tolerance():
     sc = eval_model_turns(PairIndex(1, 1), 1.0, 5.0 + 4e-13)
-    assert sc.phase == 0.0
+    assert sc.imag == 0.0
 
 
 # ---- derivatives -------------------------------------------------------------
@@ -213,10 +243,10 @@ def test_turn_snapping_tolerance():
 def test_derivative_never_vanishes_and_matches_fd():
     pair = PairIndex(1, 1)
     for z in (0.2 + 0.4j, 1.0 - 1.1j, 0.0 + 0.0j):
-        d = eval_model_derivative(pair, z).to_complex()
+        d = to_complex(eval_model_derivative(pair, z))
         h = 1e-6
-        fd = (eval_model(pair, z + h).to_complex()
-              - eval_model(pair, z - h).to_complex()) / (2 * h)
+        fd = (to_complex(eval_model(pair, z + h))
+              - to_complex(eval_model(pair, z - h))) / (2 * h)
         assert abs(d - fd) < 5e-9 * abs(d)
         assert d != 0
 
@@ -224,7 +254,7 @@ def test_derivative_never_vanishes_and_matches_fd():
 def test_derivative_frozen_at_origin():
     # g'(0) = e / (binom(3,1) * 3! * Q(1)^2) * 1, with Q(1) = 4/3
     want = math.e / (3 * 6 * (4.0 / 3.0) ** 2)
-    got = eval_model_derivative(PairIndex(1, 1), 0j).to_complex()
+    got = to_complex(eval_model_derivative(PairIndex(1, 1), 0j))
     assert got.real == pytest.approx(want, rel=1e-13)
     assert got.imag == pytest.approx(0.0, abs=1e-16)
 
@@ -232,8 +262,8 @@ def test_derivative_frozen_at_origin():
 def test_log_derivative_half_variant():
     pair, z = PairIndex(1, 1), 0.4 + 0.3j
     got = log_derivative(pair, z, HALF)
-    gp = eval_model_derivative(pair, z).to_complex()
-    g = eval_model(pair, z).to_complex()
+    gp = to_complex(eval_model_derivative(pair, z))
+    g = to_complex(eval_model(pair, z))
     assert abs(got - gp / (g + 1)) < 1e-12 * abs(got)
 
 
@@ -323,7 +353,7 @@ def test_real_axis_eval_matches_the_oracle(pair, xs):
         g = oracle(pair, x, dps=80).real
         for variant, want in ((PLAIN, g), (HALF, (g + 1) / 2)):
             ref = float(mp.log(want))
-            got = eval_model_turns(pair, x, 0.0, variant).log_modulus
+            got = eval_model_turns(pair, x, 0.0, variant).real
             assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (pair, x, variant)
 
 
@@ -448,7 +478,7 @@ def test_mp_fallback_recovers_the_digits_it_lost(m, n, x):
     specfun._real_gap.cache_clear()
     pair = PairIndex(m, n)
     ref = float(mp.log(abs(oracle(pair, complex(x, 0.0), dps=600))))
-    got = eval_model_turns(pair, x, 0.0).log_modulus
+    got = eval_model_turns(pair, x, 0.0).real
     assert got == pytest.approx(ref, rel=1e-13)
 
 
@@ -462,8 +492,8 @@ def test_mp_fallback_recovers_the_digits_it_lost_off_axis(m, n, x, monkeypatch):
     pair, turns = PairIndex(m, n), 0.01
     ref = oracle(pair, complex(x, 2 * math.pi * turns), dps=600)
     got = eval_model_turns(pair, x, turns)
-    assert got.log_modulus == pytest.approx(float(mp.log(abs(ref))), rel=1e-13)
-    assert got.phase == pytest.approx(float(mp.arg(ref)), abs=1e-12)
+    assert got.real == pytest.approx(float(mp.log(abs(ref))), rel=1e-13)
+    assert got.imag == pytest.approx(float(mp.arg(ref)), abs=1e-12)
 
 
 def _poly_logsum_mp_uncached(table, numer, x, yr, lost_digits):
@@ -588,7 +618,7 @@ def test_series_keeps_log_g_exact_near_the_axis(pair, x, turns):
     # the alternating sum of P lost up to 4 digits here and was kept: log g
     # was off by 1.1e-9 at (1,47) and by 3.7e-13 and 9.8e-13 at (1,28)
     ref = mp.log(oracle(pair, complex(x, 2 * math.pi * turns), dps=80))
-    got = eval_model_turns(pair, x, turns).logpolar
+    got = eval_model_turns(pair, x, turns)
     assert abs(got.real - float(ref.real)) <= 5e-14
     assert abs((got.imag - float(ref.imag) + math.pi) % (2 * math.pi) - math.pi) <= 1e-13
 
@@ -614,7 +644,7 @@ BL_PAIRS = [PairIndex(m, n) for m in range(4) for n in range(3)]
 
 
 def bank_laine_E(pair: PairIndex):
-    return lambda z: eval_model(pair, z).div(eval_model_derivative(pair, z))
+    return lambda z: from_log(eval_model(pair, z) - eval_model_derivative(pair, z))
 
 
 @pytest.mark.parametrize("pair", BL_PAIRS)
@@ -651,7 +681,7 @@ def test_bank_laine_derivative_at_zeros_and_poles(pair):
     for roots, sign in ((numer_roots(pair), 1.0), (denom_roots(pair), -1.0)):
         for r in roots:
             z0 = cmath.log(r)
-            d = (E(z0 + h).to_complex() - E(z0 - h).to_complex()) / (2 * h)
+            d = (to_complex(E(z0 + h)) - to_complex(E(z0 - h))) / (2 * h)
             assert abs(d - sign) < 1e-8
 
 
@@ -669,8 +699,8 @@ def test_bank_laine_derivative_over_pairs(m, n, at_pole, k, data):
     z0 = cmath.log(r) + 2j * math.pi * k
     E = bank_laine_E(pair)
     h = 1e-4
-    d = (E(z0 - 2 * h).to_complex() - 8 * E(z0 - h).to_complex()
-         + 8 * E(z0 + h).to_complex() - E(z0 + 2 * h).to_complex()) / (12 * h)
+    d = (to_complex(E(z0 - 2 * h)) - 8 * to_complex(E(z0 - h))
+         + 8 * to_complex(E(z0 + h)) - to_complex(E(z0 + 2 * h))) / (12 * h)
     assert abs(d - (-1.0 if at_pole else 1.0)) < 1e-9
 
 
@@ -707,6 +737,14 @@ def test_pair_index_rejects_out_of_range_or_non_integer(m, n, name, bad):
 def test_eval_model_rejects_a_non_finite_real_part(x):
     with pytest.raises(EvalDomainError, match=rf"^non-finite Re z: {x!r}$"):
         eval_model(PairIndex(1, 1), complex(x, 0.3))
+
+
+@pytest.mark.parametrize("read", [eval_model, eval_model_derivative, log_derivative])
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_imaginary_part_is_outside_the_domain(read, y):
+    # not an OverflowError or ValueError from reducing Im z to turns
+    with pytest.raises(EvalDomainError, match=rf"^non-finite Im z: {y!r}$"):
+        read(PairIndex(1, 1), complex(0.3, y))
 
 
 def test_unknown_variants_are_rejected():
