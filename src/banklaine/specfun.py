@@ -360,30 +360,34 @@ def eval_model_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> 
 
 
 def log_derivative(pair: PairIndex, z: complex, variant: str = PLAIN) -> complex:
-    """The value g'/g (plain) or g'/(g+1) (half) as an ordinary complex number."""
+    """g'/g (plain) or g'/(g+1) (half), in logs from g'/g = N c_N w^N / (P Q).
+
+    That product holds neither 1 + P'/P - Q'/Q, which cancels left of the
+    imaginary axis, nor e^z, whose rounding grows right of it.  The half
+    variant multiplies by g/(g+1) = 1/(1 + 1/g), and is g' at a zero of g.
+    """
     z = complex(z)
     _check_re(z.real)
     _gap_shift(variant)  # an unknown variant raises
     table = build_coefficients(pair)
     zred = complex(z.real, TWO_PI * _reduce_turns(z.imag / TWO_PI))
-    ez = cmath.exp(zred)
-    logQ, rQ, qsing = _poly_eval(table, False, z.real, zred.imag)
+    logQ, _, qsing = _poly_eval(table, False, z.real, zred.imag)
     if qsing:
         raise EvalDomainError(f"log-derivative requested at a pole near z={z}")
-    if variant == PLAIN:
-        logP, rP, psing = _poly_eval(table, True, z.real, zred.imag)
-        if psing:
-            raise EvalDomainError(f"log-derivative requested at a zero near z={z}")
-        return ez * (1.0 + rP - rQ)
-    # half: (g+1)'/(g+1) = g'/(g+1), via logs to dodge zeros of g
-    log_gp = ez + math.log(pair.N) + pair.N * zred - table.log_intercept - 2.0 * logQ
-    log_g = eval_model_turns(pair, z.real, z.imag / TWO_PI, PLAIN)
-    log_g1 = log_one_plus(log_g)
-    if log_g1.real == -math.inf:
-        raise EvalDomainError(f"log-derivative of half variant at its zero near z={z}")
-    expo = log_gp - log_g1
+    logP, _, psing = _poly_eval(table, True, z.real, zred.imag)
+    if psing and variant == PLAIN:
+        raise EvalDomainError(f"log-derivative requested at a zero near z={z}")
+    if psing:  # g = 0: g'/(g+1) = g'
+        expo = cmath.exp(zred) + math.log(pair.N) + pair.N * zred - table.log_intercept - 2.0 * logQ
+    else:
+        expo = math.log(pair.N) + pair.N * zred - table.log_intercept - logP - logQ  # log g'/g
+        if variant == HALF:
+            log_g1 = log_one_plus(-from_log(cmath.exp(zred) + logP - logQ))  # log(1 + 1/g)
+            if log_g1.real == -math.inf:
+                raise EvalDomainError(f"log-derivative of half variant at its zero near z={z}")
+            expo -= log_g1
     if expo.real > 709.0:
-        raise EvalDomainError("half-variant log-derivative overflows")
+        raise EvalDomainError(f"{variant}-variant log-derivative overflows")
     return cmath.exp(expo)
 
 

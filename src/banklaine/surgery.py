@@ -40,6 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import sequences
 from .diffeo import LEFT, RIGHT, DiffeoSpec, PhiSolver, PsiMap, psi_link
 from .scaledcx import conj, wrap_phase
 from .sequences import build_graded_slopes, build_paired_slopes, select_case
@@ -319,8 +320,8 @@ class _Strip:
     carries the model ``pair`` in ``variant`` scaled by
     chi = x/x_div + i y/y_div and shifted by ``shift``, and interpolates
     toward strip k+1 through its own ``psi`` (None when that map is the
-    identity), tabulated in ``psi_table``, which strips that repeat the
-    transition share.  ``active`` says whether it carries any dilatation.
+    identity), whose table ``transition`` keys in its owner ``_psi_table``,
+    shared by the strips that repeat it.  ``active`` says whether it carries any dilatation.
     """
 
     k: int
@@ -332,7 +333,7 @@ class _Strip:
     lo: float
     hi: float
     psi: Optional[PsiMap]
-    psi_table: Optional[_PsiCache]
+    transition: Optional[tuple]
     active: bool
 
 
@@ -353,10 +354,11 @@ class _StripSystem:
     only: ``_grow`` appends each record before its top, so a reader that
     finds y below ``_tops[-1]`` without the lock also finds its record.
 
-    ``_grow`` takes each strip's psi table from ``_psi_table``, one per
-    transition, and ``psi_read`` reads them stacked on one node grid.  The
-    tables, their exact band included, solve on solvers of their own, so
-    sharing a table moves no solve; each strip's psi serves the exact solves.
+    ``psi_read`` takes each row's psi table from its owner ``_psi_table`` by
+    the strip's ``transition`` and reads them stacked on one node grid, and
+    ``mu_parts`` reads one, both through the one reader ``_PsiCache.read_rows``.
+    The tables, exact band included, solve on solvers of their own; each
+    strip's psi serves the exact solves.
 
     The lower half-plane is the conjugated mirror image of ``below``: the
     system itself on plain strips, the plain lower system on mixed and power
@@ -383,6 +385,9 @@ class _StripSystem:
     # -- strip records -----------------------------------------------------
     def _model(self, k: int) -> tuple[PairIndex, str]:
         """(pair, variant) of strip k."""
+        if k > sequences.MAX_ENTRIES:
+            raise EvalDomainError(f"strip system {self.tag} stops at local height {self._tops[-1]!r}: strip "
+                                  f"{self.tag}{k} is past the slope sequences' MAX_ENTRIES = {sequences.MAX_ENTRIES}")
         m, n = self._m.entry(k), self._n.entry(k)
         if max(m, n) > PAIR_CAP:
             raise PairCapError(f"strip system {self.tag} stops at local height {self._tops[-1]!r}: "
@@ -395,10 +400,10 @@ class _StripSystem:
         model, model1 = self._model(k), self._model(k + 1)
         (pair, variant), pm = model, psi_link(model, model1, self.side, self.l)
         x_div, shift, y_div = pm.scale_out, pm.s_src, 1.0 if self.heights == "unit" else float(pair.N)
-        pm, table = (None, None) if pm.exact_identity else (pm, _psi_table(model, model1, self.side, self.l))
+        pm, key = (None, None) if pm.exact_identity else (pm, (model, model1, self.side, self.l))
         lo = self._tops[-1]
         hi = lo + TWO_PI * y_div
-        self._strips.append(_Strip(k, pair, variant, x_div, y_div, shift, lo, hi, pm, table,
+        self._strips.append(_Strip(k, pair, variant, x_div, y_div, shift, lo, hi, pm, key,
                                    pm is not None or x_div != y_div))
         self._tops.append(hi)
 
@@ -436,9 +441,10 @@ class _StripSystem:
         return self._cols[1]
 
     def psi_read(self, x: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``psi_table.eval`` at each x[c] in strip j[c] + 1, bit for bit (``_PsiCache.read_rows``)."""
+        """(psi(x[c]), psi'(x[c])) from the table of strip j[c] + 1 (``_PsiCache.read_rows``); x and 1 without psi."""
         rows, r = np.unique(j, return_inverse=True)
-        return _PsiCache.read_rows(self._xs, [self._strips[k].psi_table for k in rows.tolist()], x, r)
+        keys = [self._strips[k].transition for k in rows.tolist()]
+        return _PsiCache.read_rows(self._xs, [None if key is None else _psi_table(*key) for key in keys], x, r)
 
     # -- evaluation ------------------------------------------------------
     def value(self, s: _Strip, x: float, t: float) -> complex:
@@ -463,7 +469,8 @@ class _StripSystem:
         """
         a, b, dp, gap = 0.0, 0.0, 1.0, 0.0
         if s.psi is not None:
-            px, dp = s.psi_table.eval(x) if quad else (s.psi(x), s.psi.deriv(x))
+            px, dp = (v.item() for v in _psi_table(*s.transition).read(np.array([x]))) if quad \
+                else (s.psi(x), s.psi.deriv(x))
             a, b, gap = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * s.y_div), px - x
         mu, mu_band = _compose_affine(s.x_div, s.y_div, a, b), _band_mu(a, b)
         if conj:
@@ -519,11 +526,11 @@ def _plain_rule(_k: int) -> str:
 
 
 def _hermite(x, x0, h, v0, d0, v1, d1) -> tuple:
-    """Cubic Hermite (value, slope) at x in [x0, x0 + h] from end values v, slopes d; floats or arrays.
+    """Cubic Hermite (value, slope) at x in [x0, x0 + h] from end values v, slopes d; arrays.
 
-    (1 - s)^2 is Python's float ** (libm pow) on both: numpy's square and power round it otherwise."""
+    (1 - s)^2 is Python's float ** (libm pow): numpy's square and power round it otherwise."""
     s = (x - x0) / h
-    om2 = (1 - s) ** 2 if isinstance(s, float) else np.array([u ** 2 for u in (1 - s).tolist()])
+    om2 = np.array([u ** 2 for u in (1 - s).tolist()])
     s2 = s * s
     val = (1 + 2 * s) * om2 * v0 + h * s * om2 * d0 + s2 * (3 - 2 * s) * v1 + h * s2 * (s - 1) * d1
     der = (v0 * (6 * s2 - 6 * s) + h * d0 * (3 * s2 - 4 * s + 1)
@@ -543,12 +550,11 @@ class _PsiCache:
     at the nodes make the interpolant C^1 with error far under the
     midpoint-rule floor.
 
-    The first ``eval`` (or ``_build``) solves the whole table with ``f`` and
-    ``df`` in one sweep of ascending x (left tail constant, nodes, right tail
-    constant) under ``_lock``, and stores one immutable tuple (c_lo, psi and
-    psi' at the nodes, c_hi) that later reads take without a lock.  One sweep
-    keeps the nodes independent of the order cells reach them; a table that
-    no quadrature reads costs no solve.
+    A table is an immutable value, solved as it is built in one sweep of
+    ascending x with ``f`` and ``df`` (left tail, nodes, right tail), which no
+    reading order moves.  Its owner, ``_psi_table`` per strip transition or
+    ``_spiral_table`` per spiral, builds it on its first read, so a table
+    that no quadrature reads costs no solve.  ``read_rows`` is its one reader.
 
     Tables that start at x = 0 (right-side seams pin psi(0) = 0) tabulate a
     ``PsiMap`` from x = 2: psi turns over below within a few multiples of 1/N,
@@ -567,53 +573,33 @@ class _PsiCache:
         return np.arange(2.0 if lo == 0.0 else lo, hi + cls.STEP / 2.0, cls.STEP)
 
     def __init__(self, f: Callable[[float], float], df: Callable[[float], float], lo: float, hi: float):
-        self.f, self.df = f, df
+        self.f = f
         self.xs = self.nodes(lo, hi)
-        self._xl = self.xs.tolist()
-        self._table: Optional[tuple] = None  # (c_lo, psi at xs, psi' at xs, c_hi)
+        tail = self.SPAN + 2.0
+        c_lo = f(-tail) + tail
+        vs, ds = np.array([(f(x), df(x)) for x in self.xs.tolist()]).T
+        self.table = (c_lo, vs, ds, f(tail) - tail)  # (c_lo, psi at xs, psi' at xs, c_hi)
         self._band: dict[float, tuple[float, float]] = {}  # x -> (psi, psi') on the exact band
-        self._lock = threading.Lock()
-
-    def _build(self) -> tuple:
-        with self._lock:
-            if self._table is None:
-                tail = self.SPAN + 2.0
-                c_lo = self.f(-tail) + tail
-                vs, ds = np.array([(self.f(x), self.df(x)) for x in self._xl]).T
-                self._table = (c_lo, vs, ds, self.f(tail) - tail)
-            return self._table
 
     def band(self, x: float) -> tuple[float, float]:
         """(psi(x), psi'(x)) on the exact band, solved once per x; threads that race solve the same bits."""
         return self._band.get(x) or self._band.setdefault(x, self.f.anchored(x))
 
-    def eval(self, x: float) -> tuple[float, float]:
-        """(psi(x), psi'(x)) to interpolation accuracy, exact on the band the table leaves out."""
-        c_lo, vs, ds, c_hi = self._table or self._build()
-        xl = self._xl
-        if x >= xl[-1]:
-            return x + c_hi, 1.0
-        if x <= xl[0]:
-            return (x + c_lo, 1.0) if x <= -self.SPAN else self.band(x)
-        i = bisect_right(xl, x) - 1
-        val, der = _hermite(x, xl[i], xl[i + 1] - xl[i], vs.item(i), ds.item(i), vs.item(i + 1), ds.item(i + 1))
-        return float(val), float(der)
-
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``eval`` at each x, bit for bit."""
+        """``read_rows`` of this table alone at each x."""
         return self.read_rows(self.xs, [self], x, np.zeros(len(x), int))
 
     @classmethod
     def read_rows(cls, xs: np.ndarray, tables: list, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``tables[r[c]].eval(x[c])``, bit for bit, building each first as ``eval`` does; None reads x + 0 and 1."""
+        """(psi(x[c]), psi'(x[c])) from tables[r[c]], all on the node grid xs; a None table reads x + 0 and 1."""
         nan = np.full(len(xs), math.nan)
-        rows = [(0.0, nan, nan, 0.0) if t is None else t._table or t._build() for t in tables]
+        rows = [(0.0, nan, nan, 0.0) if t is None else t.table for t in tables]
         c_lo, c_hi = (np.array([row[k] for row in rows], float)[r] for k in (0, 3))
         vs, ds = (np.array([row[k] for row in rows]).reshape(len(rows), len(xs)) for k in (1, 2))
         high = np.array([t is None for t in tables], bool)[r] | (x >= xs[-1])
         px, dp = x + np.where(high, c_hi, c_lo), np.ones(len(x))
         herm = ~high & (x > xs[0])
-        xh, rh, i = x[herm], r[herm], np.searchsorted(xs, x[herm], side="right") - 1  # as eval bisects
+        xh, rh, i = x[herm], r[herm], np.searchsorted(xs, x[herm], side="right") - 1  # the cell [xs[i], xs[i+1])
         px[herm], dp[herm] = _hermite(xh, xs[i], xs[i + 1] - xs[i], vs[rh, i], ds[rh, i], vs[rh, i + 1], ds[rh, i + 1])
         band = np.flatnonzero(~high & ~herm & (x > -cls.SPAN))  # right tables' exact band, 0 <= x <= 2
         px[band], dp[band] = np.array([tables[k].band(v) for k, v in zip(r[band].tolist(), x[band].tolist())],
@@ -626,6 +612,13 @@ def _psi_table(model: tuple[PairIndex, str], model1: tuple[PairIndex, str], side
     """The table of one strip transition, over a ``psi_link`` of its own: the same bits whoever builds it."""
     pm = psi_link(model, model1, side, l)
     return _PsiCache(pm, pm.deriv, *_PsiCache.SIDES[side])
+
+
+@lru_cache(maxsize=None)
+def _spiral_table(spec: DiffeoSpec) -> _PsiCache:
+    """The table of a spiral's (base, base'), on a ``StripHomeo`` of its own: the same bits whoever builds it."""
+    homeo = StripHomeo(spec)
+    return _PsiCache(homeo._base, homeo._base_deriv, -_PsiCache.SPAN, _PsiCache.SPAN)
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +734,9 @@ class _Engine:
     mu_band of the interpolation chart q alone, the chart's (a, b), and the
     strip system's psi data (None on the spiral, which has none).
     ``quad=False`` solves the conjugacy exactly, the reference;
-    ``quad=True`` reads the :class:`_PsiCache` Hermite tables, to
-    quadrature accuracy only.
+    ``quad=True`` reads the :class:`_PsiCache` Hermite tables that ``_psi_table``
+    and ``_spiral_table`` own, to quadrature accuracy only, in one-element
+    reads of their one reader ``read_rows``.
     """
 
     def mu(self, z: complex) -> complex:
@@ -1038,10 +1032,7 @@ class _SpiralEngine(_Engine):
         self.lower, self.upper = lower, upper
         self.spec = DiffeoSpec(lower, upper)
         self.charts = spiral_charts(self.spec.kappa)
-        self.homeo = StripHomeo(self.spec)
-        # tabulates the homeo's axis profile (base, base')
-        self._qcache = _PsiCache(self.homeo._base, self.homeo._base_deriv,
-                                 -_PsiCache.SPAN, _PsiCache.SPAN)
+        self.homeo = StripHomeo(self.spec)  # the exact reads; quadrature reads _spiral_table(spec)
 
     def _locate(self, w: complex) -> tuple[complex, bool]:
         """The chart point h(w) (h(0) = 0) and whether it lies in the band.
@@ -1063,7 +1054,7 @@ class _SpiralEngine(_Engine):
         if not band:
             return 0j, 0j, 0.0, 0.0, None, None
         if quad:
-            base, dbase = self._qcache.eval(h.real)
+            base, dbase = (v.item() for v in _spiral_table(self.spec).read(np.array([h.real])))
             u_x, u_y, _, _ = _shear_jacobian(h.real, h.imag, base, dbase)
         else:
             u_x, u_y, _, _ = self.homeo.jacobian(h)
@@ -1078,7 +1069,7 @@ class _SpiralEngine(_Engine):
         band, out = (-1.0 < hi) & (hi < 0.0), np.zeros(len(zc))  # _locate's test on the bits of h itself
         if not band.any():
             return out  # reading builds the table, which mu_parts does at its first band cell
-        u_x, u_y, _, _ = _shear_jacobian(hr[band], hi[band], *self._qcache.read(hr[band]))
+        u_x, u_y, _, _ = _shear_jacobian(hr[band], hi[band], *_spiral_table(self.spec).read(hr[band]))
         a, b = 0.5 * (u_x - 1.0), 0.5 * u_y
         out[band] = np.hypot(*_c_quot(a, b, 1.0 + a, -b))  # abs(_band_mu(a, b))
         return out
@@ -1415,19 +1406,19 @@ class _PowerEngine(_Engine):
 class GluedMap:
     """An assembled quasiregular map; immutable, safe for parallel scans.
 
-    State built on first use is guarded where it lives: strip records by
-    the ``_StripSystem`` lock, Hermite tables by the ``_PsiCache`` lock (not
-    their exact-band memo: it is pure), slopes by the ``SlopeSequence`` lock
-    and mpmath's process-wide precision by ``specfun._MP_LOCK``.  A ``PhiSolver`` warm start needs no lock: it is
-    one immutable pair, and a seed that does not converge falls back to the
-    bracketed solve; nor does ``specfun._real_gap``'s memo of F = log(g - 1), an ``lru_cache`` of a pure function.
+    State built on first use is guarded where it lives, by three locks: strip records by the
+    ``_StripSystem`` lock, slopes by the ``SlopeSequence`` lock and mpmath's process-wide precision
+    by ``specfun._MP_LOCK``.  Psi tables are immutable values that ``lru_cache``d owners keep for
+    the process's lifetime: threads that miss one at once each build it, to the same bits, and the
+    cache keeps one copy.  Their exact-band memo is pure.  A ``PhiSolver``
+    warm start needs no lock: it is one immutable pair, and a seed that does not converge falls back to
+    the bracketed solve; nor does ``specfun._real_gap``'s memo of F = log(g - 1), an ``lru_cache`` of a pure function.
 
-    Calling the map returns the complex logarithm log|f| + i arg f of its
-    value f, with arg f in (-pi, pi] (:mod:`banklaine.scaledcx`); a zero
-    reads Re = -inf and a pole Re = +inf, not an error.  Points with a NaN
-    or infinite part, and points whose chart coordinate exceeds the
-    double-exponential overflow horizon, raise
-    :class:`~banklaine.specfun.EvalDomainError`; sector assemblies raise
+    Calling the map returns the complex logarithm log|f| + i arg f of its value f, with arg f in
+    (-pi, pi] (:mod:`banklaine.scaledcx`); a zero reads Re = -inf and a pole Re = +inf, not an
+    error.  Points with a NaN or infinite part, points whose chart coordinate exceeds the
+    double-exponential overflow horizon, and points in a strip past the slope sequences'
+    ``MAX_ENTRIES`` raise :class:`~banklaine.specfun.EvalDomainError`; sector assemblies raise
     :class:`UninterpolatedRegion` inside |Im z^n| <= 2 pi.
     """
 

@@ -446,7 +446,7 @@ def test_phi_solver_memo_keeps_the_bits():
     chain = [(P11, PLAIN), (PairIndex(1, 3), HALF), (PairIndex(2, 5), PLAIN)]
     for side, lo, hi in ((RIGHT, 0.0, _PsiCache.SPAN), (LEFT, -_PsiCache.SPAN, 0.0)):
         for pm in build_psi(chain, side, l=2):
-            xs = _PsiCache(pm, pm.deriv, lo, hi).xs.tolist()
+            xs = _PsiCache.nodes(lo, hi).tolist()
             sweeps = []
             for clear in (False, True):
                 psi, out, misses = dataclasses.replace(pm, solver=None), [], 0  # a fresh solver

@@ -180,6 +180,21 @@ def test_far_left_values_are_finite(pair, z):
         assert abs(log_derivative(pair, z, variant) - complex(want)) < 1e-300, variant
 
 
+@pytest.mark.parametrize("x", [-30.0, -15.0, -5.0, 5.0, 20.0, 30.0, 100.0])
+def test_log_derivative_off_the_axis_matches_the_oracle(x):
+    # the bracket of g'/g = e^z (1 + P'/P - Q'/Q) cancels to O(e^((N-1) x))
+    # left of the axis (relative errors 7e-8, 8e5 and 5e25 at x = -5, -15,
+    # -30), and exp(log g' - log g) or exp(log g' - log(g + 1)) keeps the
+    # rounding of e^z right of it (2e-9 at x = 20, 1e-3 at x = 30, every
+    # digit lost at x = 100)
+    pair, z = PairIndex(1, 1), complex(x, 1.0)
+    with mp.workdps(200):
+        g, ld = oracle(pair, z, dps=200), oracle_log_derivative(pair, z, dps=200)
+        wants = ((PLAIN, complex(ld)), (HALF, complex(g * ld / (g + 1))))
+    for variant, want in wants:
+        assert abs(log_derivative(pair, z, variant) - want) <= 1e-14 * abs(want), variant
+
+
 # ---- singular points ---------------------------------------------------------
 
 def test_pole_and_zero_hits():

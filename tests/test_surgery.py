@@ -32,7 +32,7 @@ from banklaine.surgery import (
     spiral_charts,
 )
 from banklaine.scaledcx import from_log, to_complex, wrap_phase
-from banklaine import specfun, surgery
+from banklaine import sequences, specfun, surgery
 from banklaine.surgery import (SpiralCharts, StripHomeo, _affine_mu_abs, _c_quot, _cell_range, _compose_affine,
                                _SpiralEngine)
 
@@ -789,6 +789,22 @@ def test_pair_cap_fails_loudly_where_a_strip_system_stops():
                                   "strip V4 needs the pair (157607, 719169), past PAIR_CAP = 10000")
 
 
+@pytest.mark.parametrize("params, z, tag", [({}, complex(1.0, 1.3e8), "R"),
+                                           ({"sectors": 3}, complex(-5000.0, 3.0), "L")], ids=["strips", "sectors"])
+def test_the_slope_cap_fails_as_a_domain_error_where_a_strip_system_stops(monkeypatch, params, z, tag):
+    # a strip past sequences.MAX_ENTRIES is outside the domain: the error names
+    # the system, the strip and the cap, where the slope sequence alone says
+    # "k = 2000001 outside [0, 2000000]".  The cap is lowered here, as at the
+    # real one the map first grows two million strip records
+    monkeypatch.setattr(sequences, "MAX_ENTRIES", 40)
+    gm = assemble("strips", lam1=0.5, lam2=0.5, **params)
+    for _ in range(2):  # the system stays where it stopped
+        with pytest.raises(specfun.EvalDomainError) as err:
+            gm(z)
+        assert str(err.value) == (f"strip system {tag} stops at local height 282.74333882308144: "
+                                  f"strip {tag}41 is past the slope sequences' MAX_ENTRIES = 40")
+
+
 def test_concurrent_evaluation_matches_serial(strips_map):
     pts = [complex(x, y)
            for x in np.linspace(0.3, 5.7, 6)
@@ -893,20 +909,30 @@ def test_frozen_psi_tails_track_the_exact_map(flavor, params, z, tol):
 
 
 def test_quadrature_tables_do_not_depend_on_reading_order():
-    # the heights sit in the transition strips 6 and 7 of both sides, and
-    # x crosses the exact band 0 <= x <= 2 of the right tables; the tables
-    # are rebuilt before each map, so each reads its own solves
-    pts = [complex(x, y) for x in np.arange(-25.8, 26.0, 0.45) for y in (33.0, 45.0, 60.0)]
-    shuffled = pts[:]
-    random.Random(7).shuffle(shuffled)
-    surgery._psi_table.cache_clear()
-    in_order = assemble("strips", lam1=0.5, lam2=0.5)._impl
-    want = {z: in_order.mu_quad(z) for z in sorted(pts, key=lambda z: (z.real, z.imag))}
-    surgery._psi_table.cache_clear()
-    mixed_up = assemble("strips", lam1=0.5, lam2=0.5)._impl
-    got = {z: mixed_up.mu_quad(z) for z in shuffled}
-    assert all(want[z] != 0 for z in pts) and sum(0.0 <= z.real <= 2.0 for z in pts) == 12
-    assert [z for z in pts if got[z] != want[z]] == []
+    # the strips heights sit in the transition strips 6 and 7 of both sides,
+    # and x crosses the exact band 0 <= x <= 2 of the right tables; the
+    # spiral's points are p(h) for h in its band -1 < Im h < 0, across its
+    # table's grid and tails.  The tables are rebuilt before each map, so
+    # each reads its own solves
+    grid = np.arange(-25.8, 26.0, 0.45)
+    charts = spiral_charts(DiffeoSpec(P00, P11).kappa)
+    for params, pts in (({"flavor": "strips", "lam1": 0.5, "lam2": 0.5},
+                         [complex(x, y) for x in grid for y in (33.0, 45.0, 60.0)]),
+                        ({"flavor": "spiral", "lower": (0, 0), "upper": (1, 1)},
+                         [charts.p(complex(x, y)) for x in grid for y in (-0.2, -0.5, -0.8)])):
+        shuffled = pts[:]
+        random.Random(7).shuffle(shuffled)
+        surgery._psi_table.cache_clear()
+        surgery._spiral_table.cache_clear()
+        in_order = assemble(**params)._impl
+        want = {z: in_order.mu_quad(z) for z in sorted(pts, key=lambda z: (z.real, z.imag))}
+        surgery._psi_table.cache_clear()
+        surgery._spiral_table.cache_clear()
+        mixed_up = assemble(**params)._impl
+        got = {z: mixed_up.mu_quad(z) for z in shuffled}
+        assert all(want[z] != 0 for z in pts)
+        assert [z for z in pts if got[z] != want[z]] == [], params["flavor"]
+    assert sum(0.0 <= x <= 2.0 for x in grid) == 4  # 12 strips points on the exact band
 
 
 def test_exact_band_is_solved_once_per_transition_and_x(monkeypatch):
@@ -923,8 +949,9 @@ def test_exact_band_is_solved_once_per_transition_and_x(monkeypatch):
     surgery._psi_table.cache_clear()
     gm = assemble("strips", lam1=0.5, lam2=0.5)
     dilatation_integral(gm, 1.0, 60.0)
-    tables = {id(s.psi_table): s.psi_table for sys_ in gm._impl._systems() for s in sys_._strips
-              if s.psi is not None}.values()
+    keys = {s.transition for sys_ in gm._impl._systems() for s in sys_._strips if s.psi is not None}
+    assert surgery._psi_table.cache_info().currsize == len(keys)  # the integral read every transition's table
+    tables = [surgery._psi_table(*key) for key in keys]
     memo = [(t.f, x, v) for t in tables for x, v in t._band.items()]
     assert len(solves) == len(memo) > 20
     for pm, x, (p, d) in memo:
@@ -949,22 +976,29 @@ def test_mu_quad_is_bit_identical_in_any_order_and_thread(seed):
     # map (tables rebuilt) give the bits of one serial pass, which a solve
     # warm-started from the previous point would not.  Power reads its band
     # in 0.5 < |z| < 8; strips reads none there, so its points fill a box
-    # over its first transition strips
+    # over its first transition strips.  The spiral has no exact band: its
+    # points p(h), h in its band, check that threads which miss the empty
+    # table cache at once read the bits of one build
     rng = random.Random(seed)
     annulus = [cmath.rect(rng.uniform(0.5, 8.0), rng.uniform(-math.pi, math.pi)) for _ in range(3600)]
     box = [complex(rng.uniform(-8.0, 8.0), rng.uniform(-160.0, 160.0)) for _ in range(3600)]
+    charts, h = spiral_charts(DiffeoSpec(P00, P11).kappa), np.random.default_rng(seed).uniform(0.01, 0.99, (2, 3600))
+    band = [charts.p(complex(60.0 * u - 30.0, -v)) for u, v in zip(*h.tolist())]
     n_threads = 6
 
     def bits(m):
         return m.real.hex(), m.imag.hex()
 
     for params, pts in (({"flavor": "power", "rho": 0.75, "delta": 0.5}, annulus),
-                        ({"flavor": "strips", "lam1": 0.5, "lam2": 0.5}, box)):
+                        ({"flavor": "strips", "lam1": 0.5, "lam2": 0.5}, box),
+                        ({"flavor": "spiral", "lower": (0, 0), "upper": (1, 1)}, band)):
         order = rng.sample(range(len(pts)), len(pts))
         surgery._psi_table.cache_clear()
+        surgery._spiral_table.cache_clear()
         eng = assemble(**params)._impl
         want = [bits(eng.mu_quad(z)) for z in pts]
         surgery._psi_table.cache_clear()
+        surgery._spiral_table.cache_clear()
         eng = assemble(**params)._impl
         got, errors, barrier = [None] * len(pts), [], threading.Barrier(n_threads)
 
@@ -987,8 +1021,35 @@ def test_mu_quad_is_bit_identical_in_any_order_and_thread(seed):
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads) and not errors, errors
-        assert sum(_reads_exact_band(eng, z) for z in pts) > 50, params["flavor"]
+        if params["flavor"] == "spiral":
+            assert all(eng._locate(z)[1] for z in pts) and surgery._spiral_table.cache_info().currsize == 1
+        else:
+            assert sum(_reads_exact_band(eng, z) for z in pts) > 50, params["flavor"]
         assert [c for c in range(len(pts)) if got[c] != want[c]] == [], params["flavor"]
+
+
+def test_spiral_table_ignores_the_exact_reads_made_before_it():
+    # the spiral's exact reads (eval, mu, seam residuals) warm-start its
+    # homeo's solver; its quadrature table solves on a StripHomeo of its own,
+    # so however many exact reads come first, the table has the bits of a
+    # table built on a fresh spec
+    surgery._spiral_table.cache_clear()
+    eng = assemble("spiral", lower=(0, 0), upper=(1, 1))._impl
+    for x in np.linspace(-30.0, 30.0, 41).tolist():
+        w = eng.charts.p(complex(x, -0.5))
+        eng.eval(w)
+        eng.mu(w)
+    eng.seam_residuals(16)
+    assert surgery._spiral_table.cache_info().currsize == 0
+    eng.mu_quad(eng.charts.p(complex(1.0, -0.5)))
+    got, want = surgery._spiral_table(eng.spec), surgery._spiral_table.__wrapped__(DiffeoSpec(eng.lower, eng.upper))
+    assert surgery._spiral_table.cache_info().currsize == 1 and got is not want
+
+    def bits(table):
+        c_lo, vs, ds, c_hi = table.table
+        return [v.hex() for v in [c_lo, *vs.tolist(), *ds.tolist(), c_hi]]
+
+    assert bits(got) == bits(want)
 
 
 def test_cell_state_agrees_with_classify_and_mu(strips_map, spiral_map, power_map, sectors_map):
@@ -1380,9 +1441,8 @@ def test_c_quot_divides_as_python_does():
     assert sum(o != w for o, w in zip(other, want)) > n // 2
 
 
-def _hermite_test_points(table, rng) -> np.ndarray:
-    """Every node, both neighbours of the grid ends, of 2 and of -24, and points where pow(1 - s, 2) != (1 - s)^2."""
-    xs = table.xs
+def _hermite_test_points(xs, rng) -> np.ndarray:
+    """Every node of xs, both neighbours of its ends, of 2 and of -24, and points where pow(1 - s, 2) != (1 - s)^2."""
     ends = np.array([xs[0], xs[-1], 2.0, -24.0])
     x = rng.uniform(xs[0], xs[-1], 1_500_000)
     i = np.searchsorted(xs, x, side="right") - 1
@@ -1398,16 +1458,25 @@ def _transition(sys_, s):
     return (s.pair, s.variant), (above.pair, above.variant), sys_.side, sys_.l
 
 
+def _hex_reads(px, dp) -> list:
+    return [(p.hex(), d.hex()) for p, d in zip(px.tolist(), dp.tolist())]
+
+
+def _one_by_one(read, x) -> list:
+    """``read`` of a one-element array at each x, as the scalar mu_parts(quad=True) reads, in hex."""
+    return [_hex_reads(*read(np.array([v])))[0] for v in x.tolist()]
+
+
 def test_psi_cache_hermite_array_reads_match_eval():
     # _StripSystem.psi_read (and _PsiCache.read on the spiral's table, last)
-    # gives _PsiCache.eval's bits everywhere and is never NaN: on the tails,
-    # the Hermite cells and the exact band of right tables (-24 < x <= 2),
-    # whose memo a twin table solving the band in reverse order matches, and
-    # x + 0 and 1 in strips without psi.  Reading one strip
-    # builds its transition's table, which a later strip repeating the
-    # transition shares, and leaves the table of another transition unbuilt
-    # (tables are shared process-wide, hence the cleared cache).  Rows read
-    # stacked in any order give what each row read alone gives
+    # gives at each x the bits of a one-element read, as mu_parts(quad=True)
+    # makes it, and of a twin table built afresh, and is never NaN: on the
+    # tails, the Hermite cells and the exact band of right tables
+    # (-24 < x <= 2), whose memo the twin solves in reverse order, and x + 0
+    # and 1 in strips without psi.  Reading one strip builds its transition's
+    # table, which a later strip repeating the transition shares, and builds
+    # no other (tables are shared process-wide, hence the cleared caches).
+    # Rows read stacked in any order give what each row read alone gives
     rng = np.random.default_rng(17)
     surgery._psi_table.cache_clear()
     eng = assemble("strips", lam1=0.5, lam2=0.5)._impl
@@ -1417,21 +1486,24 @@ def test_psi_cache_hermite_array_reads_match_eval():
         free = next(sys_.strip(k) for k in range(1, 9) if sys_.strip(k).psi is None)
         repeat = next(sys_.strip(k) for k in range(9, 60) if sys_.strip(k).psi is not None
                       and _transition(sys_, sys_.strip(k)) == _transition(sys_, with_psi[0]))
-        table = with_psi[0].psi_table
-        x = _hermite_test_points(table, rng)
-        exact = (x < table.xs[-1]) & (x > -24.0) & (x <= table.xs[0])
-        assert exact.any() == (table.xs[0] == 2.0)
-        assert repeat.psi_table is table and with_psi[1].psi_table is not table
-        assert _transition(sys_, with_psi[1]) != _transition(sys_, with_psi[0])
-        assert [s.psi_table._table for s in with_psi] == [None, None]
+        assert [s.transition for s in with_psi + [repeat]] == [_transition(sys_, s) for s in with_psi + [repeat]]
+        assert repeat.transition == with_psi[0].transition != with_psi[1].transition and free.transition is None
+        xs = sys_._xs
+        x = _hermite_test_points(xs, rng)
+        exact = (x < xs[-1]) & (x > -24.0) & (x <= xs[0])
+        assert exact.any() == (xs[0] == 2.0)
+        built = surgery._psi_table.cache_info().currsize
         px, dp = sys_.psi_read(x, np.full(len(x), with_psi[0].k - 1))
-        assert table._table is not None and with_psi[1].psi_table._table is None
-        want = [table.eval(v) for v in x.tolist()]
+        assert surgery._psi_table.cache_info().currsize == built + 1
         assert not np.isnan(px).any() and not np.isnan(dp).any()
-        assert [(p.hex(), d.hex()) for p, d in zip(px.tolist(), dp.tolist())] == \
-            [(p.hex(), d.hex()) for p, d in want]
-        twin = surgery._psi_table.__wrapped__(*_transition(sys_, with_psi[0]))
-        assert [twin.eval(v) for v in x[exact][::-1].tolist()] == [w for w, e in zip(want, exact) if e][::-1]
+        want = _hex_reads(px, dp)
+        assert _hex_reads(*sys_.psi_read(x, np.full(len(x), repeat.k - 1))) == want
+        assert surgery._psi_table.cache_info().currsize == built + 1
+        assert _one_by_one(lambda v: sys_.psi_read(v, np.full(1, with_psi[0].k - 1)), x) == want
+        twin = surgery._psi_table.__wrapped__(*with_psi[0].transition)
+        assert twin is not surgery._psi_table(*with_psi[0].transition)
+        assert _hex_reads(*twin.read(x[exact][::-1])) == [w for w, e in zip(want, exact) if e][::-1]
+        assert _hex_reads(*twin.read(x)) == want
         fx, fd = sys_.psi_read(x, np.full(len(x), free.k - 1))
         assert [v.hex() for v in fx.tolist()] == [(v + 0.0).hex() for v in x.tolist()] and (fd == 1.0).all()
         rows = [s.k - 1 for s in with_psi + [free]]
@@ -1441,37 +1513,50 @@ def test_psi_cache_hermite_array_reads_match_eval():
         assert [[v.hex() for v in got.tolist()] for got in stacked] == \
             [[v.hex() for v in got[order].tolist()] for got in alone]
     # the spiral's table spans -24..24 and has no exact band: _PsiCache.read
-    # gives eval's bits everywhere, never NaN
-    table = assemble("spiral", lower=(0, 0), upper=(1, 1))._impl._qcache
-    x = _hermite_test_points(table, rng)
+    # gives the bits of one-element reads and of a twin everywhere, never NaN
+    spec = assemble("spiral", lower=(0, 0), upper=(1, 1))._impl.spec
+    surgery._spiral_table.cache_clear()
+    table = surgery._spiral_table(spec)
+    x = _hermite_test_points(table.xs, rng)
     px, dp = table.read(x)
-    want = [table.eval(v) for v in x.tolist()]
-    assert None not in want and not np.isnan(px).any() and not np.isnan(dp).any()
-    assert [(p.hex(), d.hex()) for p, d in zip(px.tolist(), dp.tolist())] == [(p.hex(), d.hex()) for p, d in want]
+    assert not np.isnan(px).any() and not np.isnan(dp).any()
+    assert _one_by_one(table.read, x) == _hex_reads(px, dp)
+    assert _hex_reads(*surgery._spiral_table.__wrapped__(spec).read(x[::-1]))[::-1] == _hex_reads(px, dp)
 
 
-def test_psi_tables_are_shared_per_transition():
+def test_psi_tables_are_shared_per_transition(monkeypatch):
     # a psi table depends only on its transition, so strips 1..450 build one
-    # table per distinct transition read (4), not one per strip (12), and
-    # every strip that repeats a transition holds the one table
+    # table per distinct transition read (4), not one per strip read (12),
+    # and every strip that repeats a transition holds its key
+    read, psi_read = [], surgery._StripSystem.psi_read
+
+    def recorded(sys_, x, j):
+        read.extend((sys_, sys_.strip(k + 1)) for k in set(j.tolist()))
+        return psi_read(sys_, x, j)
+
+    monkeypatch.setattr(surgery._StripSystem, "psi_read", recorded)
     surgery._psi_table.cache_clear()
     gm = assemble("strips", lam1=0.5, lam2=0.5)
     dilatation_integral(gm, 1.0, 450.0)
-    strips = [(sys_, s) for sys_ in gm._impl._systems() for s in sys_._strips if s.psi is not None]
-    read = [(sys_, s) for sys_, s in strips if s.psi_table._table is not None]
-    assert len(read) == 12
-    assert len({id(s.psi_table) for _, s in read}) == len({_transition(*p) for p in read}) == 4
-    tables: dict = {}
-    for sys_, s in strips:
-        assert tables.setdefault(_transition(sys_, s), s.psi_table) is s.psi_table
+    read = {(id(sys_), s.k): s for sys_, s in read if s.psi is not None}.values()
+    assert len(read) == 12 and len({s.transition for s in read}) == 4
+    assert surgery._psi_table.cache_info().currsize == surgery._psi_table.cache_info().misses == 4
+    assert all(s.transition == _transition(sys_, s) for sys_ in gm._impl._systems() for s in sys_._strips
+               if s.psi is not None)
     # a mixed map's upper (half-model) and lower (plain) systems share the
     # entries whose keys agree: (0,0) -> (1,0), plain in both, first at strip 100
+    monkeypatch.undo()
     eng = assemble("mixed", lam1=0.5, lam2=0.9)._impl
     for side in (RIGHT, LEFT):
-        up, lo = ({_transition(sys_, s): s.psi_table for s in map(sys_.strip, range(1, 120)) if s.psi is not None}
-                  for sys_ in (eng.sides[side], eng.sides[side].below))
-        assert len(up.keys() & lo.keys()) == 1
-        assert all((up[k] is lo[k2]) == (k == k2) for k in up for k2 in lo)
+        systems = eng.sides[side], eng.sides[side].below
+        up, lo = ({_transition(sys_, s): s for s in map(sys_.strip, range(1, 120)) if s.psi is not None}
+                  for sys_ in systems)
+        (shared,) = up.keys() & lo.keys()
+        assert all(s.transition == key for strips in (up, lo) for key, s in strips.items())
+        surgery._psi_table.cache_clear()
+        for sys_, strips in zip(systems, (up, lo)):
+            sys_.psi_read(np.array([3.0 if side == RIGHT else -3.0]), np.array([strips[shared].k - 1]))
+        assert surgery._psi_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
@@ -1489,10 +1574,10 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams):
     want = [abs(twin.mu_quad(z)) for z in zc.tolist()]
     paths = []
     for z in zc.tolist():
-        _, s, _ = twin._locate(z)
+        sys_, s, _ = twin._locate(z)
         if s.psi is None:
             paths.append("psi-free")
-        elif z.real >= s.psi_table.xs[-1] or z.real <= -s.psi_table.SPAN:
+        elif z.real >= sys_._xs[-1] or z.real <= -surgery._PsiCache.SPAN:
             paths.append("tail-high" if z.real > 0 else "tail-low")
         else:
             paths.append("exact" if 0.0 <= z.real <= 2.0 else "hermite")
@@ -1510,8 +1595,9 @@ def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell():
     # of a fresh twin map to the last bit, and abs(mu_quad(w)), which twists
     # mu_band by the unit conj(h')/h', within 4 ulps: band cells on the
     # Hermite table and its two frozen tails, Im h within a few ulp of -1
-    # and of 0 (xi = 0 and +-pi), exact 0.0 off the band and at w = 0.  A call
-    # with no band cell leaves the table unbuilt, as mu_parts does
+    # and of 0 (xi = 0 and +-pi), exact 0.0 off the band and at w = 0.  The
+    # table is built afresh for the array pass, and a call with no band cell
+    # leaves it unbuilt, as mu_parts does
     eng, twin = (assemble("spiral", lower=(0, 0), upper=(1, 1))._impl for _ in range(2))
     pts, edge = _spiral_decision_points(eng)
     # and band points where np.log rounds log|w| otherwise than libm (rare, and
@@ -1535,7 +1621,8 @@ def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell():
     assert (band & (im > -4 * math.ulp(1.0))).sum() >= 20 and (im[~band] == 0.0).sum() >= 100
     assert (band & (im < -1.0 + 4 * math.ulp(1.0))).sum() >= 50 and len(edge) > 100
     off = zc[~band]
-    assert eng.mu_abs_quad(off).tolist() == [0.0] * len(off) and eng._qcache._table is None
+    surgery._spiral_table.cache_clear()
+    assert eng.mu_abs_quad(off).tolist() == [0.0] * len(off) and surgery._spiral_table.cache_info().currsize == 0
     got = eng.mu_abs_quad(zc).tolist()
     differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got, want) if g.hex() != w.hex()]
     assert differ == []
