@@ -155,23 +155,22 @@ def solve_shift(pair: PairIndex, variant: str = PLAIN) -> ShiftConstant:
 class PhiSolver:
     """Evaluator of the conjugating diffeomorphism for one DiffeoSpec.
 
-    value(x) solves F_src(phi) = F_dst(x) to 1e-13 in F-space by warm-started
-    Newton (bracketed bisection on a cold start).  The public conjugacy
-    residual |log g_dst(x) - log g_src(phi(x))| is never larger than the
-    F-space one.
+    solve(x) gives (phi(x), phi'(x)): it solves F_src(phi) = F_dst(x) to
+    1e-13 in F-space by Newton from the closed-form asymptotic guess
+    ``_guess``, with a bracketed bisection around that guess where Newton
+    does not converge, and phi' = F_dst'(x)/F_src'(phi).  ``value`` and
+    ``deriv`` read it.  The public conjugacy residual
+    |log g_dst(x) - log g_src(phi(x))| is never larger than the F-space one.
 
-    Threads may share one solver without a lock.  The warm start ``_warm`` is
-    one immutable (x, phi) pair, read once per solve, and only a seed: one
-    that does not converge falls back to the bracketed cold solve.  A fixed
-    seed passed to ``_solve`` replaces it (``PsiMap.anchored``).  F comes
-    from ``specfun._real_gap``, whose memo every solver shares.  The two
-    models are resolved once, in ``_src`` and ``_dst``: (pair, log 2 for the
-    half variant, else 0.0), so a lookup is one memo read and one subtraction.
+    A solver keeps no state, so phi(x) depends on x alone and threads may
+    share one without a lock.  F comes from ``specfun._real_gap``, whose memo
+    every solver shares.  The two models are resolved once, in ``_src`` and
+    ``_dst``: (pair, log 2 for the half variant, else 0.0), so a lookup is
+    one memo read and one subtraction.
     """
 
     def __init__(self, spec: DiffeoSpec):
         self.spec = spec
-        self._warm: Optional[tuple[float, float]] = None  # (x, phi)
         self._src = (spec.src, _gap_shift(spec.variant_src))
         self._dst = (spec.dst, _gap_shift(spec.variant_dst))
 
@@ -218,39 +217,30 @@ class PhiSolver:
         return u
 
     def value(self, x: float) -> float:
+        return self.solve(x)[0]
+
+    def deriv(self, x: float) -> float:
+        return self.solve(x)[1]
+
+    def solve(self, x: float) -> tuple[float, float]:
+        """(phi(x), phi'(x)) from Newton at the guess, bracketed around it where that does not converge."""
         if self.spec.is_identity or x > 64.0:
             # phi(x) - x ~ x e^{-x} past 64, far below one ulp of x itself, and
             # the double-exponential F would overflow long before 709 anyway
-            return x
-        return self._solve(x)[0]
-
-    def deriv(self, x: float) -> float:
-        if self.spec.is_identity or x > 64.0:
-            return 1.0
-        p, d_dst, d_src = self._solve(x)
-        return d_dst / (self._f_src(p)[1] if d_src is None else d_src)
-
-    def _solve(self, x: float, seed: Optional[float] = None) -> tuple[float, float, Optional[float]]:
-        """(phi(x), F_dst'(x), F_src'(phi(x)) where the solve evaluated it, else None); ``seed`` guesses phi(x)."""
+            return x, 1.0
         v, d_dst = self._slope(self._dst, x)
 
         def fdf(u: float) -> tuple[float, float]:
             fu, du = self._f_src(u)  # the memo repeats bisection's last point for polish, and polish's for the check
             return fu - v, du
 
-        warm = self._warm
-        seed = warm[1] if seed is None and warm is not None and abs(warm[0] - x) < 0.5 else seed
-        if seed is not None:
-            u = self._polish(seed, fdf)
-            fu, du = fdf(u)
-            if abs(fu) < 1e-10 * max(1.0, abs(v)):  # the seed actually converged
-                self._warm = (x, u)
-                return u, d_dst, du
         g = self._guess(v)
-        u, _, _ = _bisect_newton(fdf, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))
-        u = self._polish(u, fdf)
-        self._warm = (x, u)
-        return u, d_dst, None
+        u = self._polish(g, fdf)
+        fu, du = fdf(u)
+        if abs(fu) >= 1e-10 * max(1.0, abs(v)):  # Newton from the guess did not converge
+            u = self._polish(_bisect_newton(fdf, g - 2.0, g + 2.0, tol=1e-13 * max(1.0, abs(v)))[0], fdf)
+            du = fdf(u)[1]
+        return u, d_dst / du
 
     def conjugacy_residual(self, x: float) -> float:
         """|log g_dst(x) - log g_src(phi(x))| / max(1, |log g_dst(x)|).
@@ -343,7 +333,7 @@ def asymptotic_report(spec: DiffeoSpec, grid: Sequence[float]) -> AsymptoticRepo
 
 @dataclass
 class PsiMap:
-    """Strip-boundary interpolation map psi(x) = out*(phi(x/inn + s_dst) - s_src)."""
+    """Strip-boundary interpolation map psi(x) = out*(phi(x/inn + s_dst) - s_src); ``solve`` gives (psi, psi')."""
 
     spec: DiffeoSpec
     s_src: float
@@ -361,20 +351,17 @@ class PsiMap:
         return self.spec.is_identity and self.scale_in == self.scale_out
 
     def __call__(self, x: float) -> float:
-        if self.exact_identity:
-            return x
-        return self.scale_out * (self.solver.value(x / self.scale_in + self.s_dst) - self.s_src)
+        return self.solve(x)[0]
 
     def deriv(self, x: float) -> float:
-        if self.exact_identity:
-            return 1.0
-        return (self.scale_out / self.scale_in) * self.solver.deriv(x / self.scale_in + self.s_dst)
+        return self.solve(x)[1]
 
-    def anchored(self, x: float) -> tuple[float, float]:
-        """(psi(x), psi'(x)) from one solve seeded by psi(0) = 0, i.e. phi(s_dst) = s_src: a function of x alone."""
-        p, d_dst, d_src = self.solver._solve(x / self.scale_in + self.s_dst, self.s_src)
-        d_src = self.solver._f_src(p)[1] if d_src is None else d_src
-        return self.scale_out * (p - self.s_src), (self.scale_out / self.scale_in) * (d_dst / d_src)
+    def solve(self, x: float) -> tuple[float, float]:
+        """(psi(x), psi'(x)) from one stateless ``PhiSolver.solve``: a function of x alone."""
+        if self.exact_identity:
+            return x, 1.0
+        p, d = self.solver.solve(x / self.scale_in + self.s_dst)
+        return self.scale_out * (p - self.s_src), (self.scale_out / self.scale_in) * d
 
 
 RIGHT = "right-halfplane"

@@ -154,12 +154,12 @@ def build_coefficients(pair: PairIndex) -> CoefficientTable:
 # ---------------------------------------------------------------------------
 
 def _reduce_turns(t: float) -> float:
-    """Fractional part of t (in turns) in [-1/2, 1/2], snapping seam hits to 0."""
+    """Fractional part of t (in turns) in [-1/2, 1/2], snapped to 0 within 8 ulps of t, its own rounding."""
     if not math.isfinite(t):
         raise EvalDomainError(f"non-finite Im z: {TWO_PI * t!r}")
     k = round(t)
     frac = t - k
-    if abs(frac) <= 1e-12 or abs(frac) <= 8.0 * 2.220446049250313e-16 * abs(t):
+    if abs(frac) <= 8.0 * 2.220446049250313e-16 * abs(t):
         return 0.0
     return frac
 

@@ -276,20 +276,19 @@ class StripHomeo:
     def kappa(self) -> float:
         return self.spec.kappa
 
-    def _base(self, x: float) -> float:
-        return self._solver.value(x if x >= 0 else x / self.kappa)
-
-    def _base_deriv(self, x: float) -> float:
+    def _base(self, x: float) -> tuple[float, float]:
+        """(base(x), base'(x)) from one solve: phi(x) for x >= 0, phi(x/kappa) below."""
         if x >= 0:
-            return self._solver.deriv(x)
-        return self._solver.deriv(x / self.kappa) / self.kappa
+            return self._solver.solve(x)
+        p, dp = self._solver.solve(x / self.kappa)
+        return p, dp / self.kappa
 
     def __call__(self, z: complex) -> complex:
         z = complex(z)
         x, y = z.real, z.imag
         if abs(y) >= 1.0:
             return z
-        base = self._base(x)
+        base = self._base(x)[0]
         return complex(base + abs(y) * (x - base), y)
 
     def jacobian(self, z: complex) -> tuple[float, float, float, float]:
@@ -298,8 +297,7 @@ class StripHomeo:
         x, y = z.real, z.imag
         if abs(y) >= 1.0:
             return 1.0, 0.0, 0.0, 1.0
-        dp = self._base_deriv(x)
-        return _shear_jacobian(x, y, self._base(x), dp)
+        return _shear_jacobian(x, y, *self._base(x))
 
 
 def _shear_jacobian(x: float, y: float, base: float, dp: float) -> tuple[float, float, float, float]:
@@ -357,8 +355,7 @@ class _StripSystem:
     ``psi_read`` takes each row's psi table from its owner ``_psi_table`` by
     the strip's ``transition`` and reads them stacked on one node grid, and
     ``mu_parts`` reads one, both through the one reader ``_PsiCache.read_rows``.
-    The tables, exact band included, solve on solvers of their own; each
-    strip's psi serves the exact solves.
+    Every psi solve, exact or tabulated, is a function of x alone.
 
     The lower half-plane is the conjugated mirror image of ``below``: the
     system itself on plain strips, the plain lower system on mixed and power
@@ -469,8 +466,7 @@ class _StripSystem:
         """
         a, b, dp, gap = 0.0, 0.0, 1.0, 0.0
         if s.psi is not None:
-            px, dp = (v.item() for v in _psi_table(*s.transition).read(np.array([x]))) if quad \
-                else (s.psi(x), s.psi.deriv(x))
+            px, dp = (v.item() for v in _psi_table(*s.transition).read(np.array([x]))) if quad else s.psi.solve(x)
             a, b, gap = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * s.y_div), px - x
         mu, mu_band = _compose_affine(s.x_div, s.y_div, a, b), _band_mu(a, b)
         if conj:
@@ -539,7 +535,7 @@ def _hermite(x, x0, h, v0, d0, v1, d1) -> tuple:
 
 
 class _PsiCache:
-    """Cubic-Hermite table of a psi (value ``f``, derivative ``df``), for quadrature.
+    """Cubic-Hermite table of a psi, for quadrature; ``fdf(x)`` gives (psi(x), psi'(x)).
 
     Outside |x| <= SPAN the two tails are frozen as x + c.  But the map reads
     phi at x/N_{k+1} (left strips), x/l (right strips) or x/kappa (spiral, x < 0),
@@ -550,17 +546,17 @@ class _PsiCache:
     at the nodes make the interpolant C^1 with error far under the
     midpoint-rule floor.
 
-    A table is an immutable value, solved as it is built in one sweep of
-    ascending x with ``f`` and ``df`` (left tail, nodes, right tail), which no
-    reading order moves.  Its owner, ``_psi_table`` per strip transition or
+    A table is an immutable value, solved as it is built with one ``fdf``
+    call per node and the values of the two tails, each a function of x
+    alone.  Its owner, ``_psi_table`` per strip transition or
     ``_spiral_table`` per spiral, builds it on its first read, so a table
     that no quadrature reads costs no solve.  ``read_rows`` is its one reader.
 
     Tables that start at x = 0 (right-side seams pin psi(0) = 0) tabulate a
     ``PsiMap`` from x = 2: psi turns over below within a few multiples of 1/N,
     and no fixed grid keeps the *derivative* honest at the knee.  On that
-    exact band, -SPAN < x <= 2, ``band`` memoizes ``f.anchored(x)``, one solve
-    from a fixed seed, so each value depends on (transition, x) alone.
+    exact band, -SPAN < x <= 2, ``band`` memoizes ``fdf(x)``, so mirror
+    cells that read one x solve it once.
     """
 
     SPAN = 24.0
@@ -572,18 +568,17 @@ class _PsiCache:
         """The node grid of a table on [lo, hi]: from 2 when lo = 0, where the exact band ends."""
         return np.arange(2.0 if lo == 0.0 else lo, hi + cls.STEP / 2.0, cls.STEP)
 
-    def __init__(self, f: Callable[[float], float], df: Callable[[float], float], lo: float, hi: float):
-        self.f = f
+    def __init__(self, fdf: Callable[[float], tuple[float, float]], lo: float, hi: float):
+        self.fdf = fdf
         self.xs = self.nodes(lo, hi)
         tail = self.SPAN + 2.0
-        c_lo = f(-tail) + tail
-        vs, ds = np.array([(f(x), df(x)) for x in self.xs.tolist()]).T
-        self.table = (c_lo, vs, ds, f(tail) - tail)  # (c_lo, psi at xs, psi' at xs, c_hi)
+        vs, ds = np.array([fdf(x) for x in self.xs.tolist()]).T
+        self.table = (fdf(-tail)[0] + tail, vs, ds, fdf(tail)[0] - tail)  # (c_lo, psi at xs, psi' at xs, c_hi)
         self._band: dict[float, tuple[float, float]] = {}  # x -> (psi, psi') on the exact band
 
     def band(self, x: float) -> tuple[float, float]:
         """(psi(x), psi'(x)) on the exact band, solved once per x; threads that race solve the same bits."""
-        return self._band.get(x) or self._band.setdefault(x, self.f.anchored(x))
+        return self._band.get(x) or self._band.setdefault(x, self.fdf(x))
 
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``read_rows`` of this table alone at each x."""
@@ -611,14 +606,13 @@ class _PsiCache:
 def _psi_table(model: tuple[PairIndex, str], model1: tuple[PairIndex, str], side: str, l: int) -> _PsiCache:
     """The table of one strip transition, over a ``psi_link`` of its own: the same bits whoever builds it."""
     pm = psi_link(model, model1, side, l)
-    return _PsiCache(pm, pm.deriv, *_PsiCache.SIDES[side])
+    return _PsiCache(pm.solve, *_PsiCache.SIDES[side])
 
 
 @lru_cache(maxsize=None)
 def _spiral_table(spec: DiffeoSpec) -> _PsiCache:
-    """The table of a spiral's (base, base'), on a ``StripHomeo`` of its own: the same bits whoever builds it."""
-    homeo = StripHomeo(spec)
-    return _PsiCache(homeo._base, homeo._base_deriv, -_PsiCache.SPAN, _PsiCache.SPAN)
+    """The table of a spiral's (base, base'), from ``StripHomeo._base``: the same bits whoever builds it."""
+    return _PsiCache(StripHomeo(spec)._base, -_PsiCache.SPAN, _PsiCache.SPAN)
 
 
 # ---------------------------------------------------------------------------
@@ -1410,9 +1404,9 @@ class GluedMap:
     ``_StripSystem`` lock, slopes by the ``SlopeSequence`` lock and mpmath's process-wide precision
     by ``specfun._MP_LOCK``.  Psi tables are immutable values that ``lru_cache``d owners keep for
     the process's lifetime: threads that miss one at once each build it, to the same bits, and the
-    cache keeps one copy.  Their exact-band memo is pure.  A ``PhiSolver``
-    warm start needs no lock: it is one immutable pair, and a seed that does not converge falls back to
-    the bracketed solve; nor does ``specfun._real_gap``'s memo of F = log(g - 1), an ``lru_cache`` of a pure function.
+    cache keeps one copy.  Their exact-band memo is pure.  A ``PhiSolver`` keeps no state, so a
+    phi or psi solve is a function of x alone and needs no lock; nor does ``specfun._real_gap``'s
+    memo of F = log(g - 1), an ``lru_cache`` of a pure function.
 
     Calling the map returns the complex logarithm log|f| + i arg f of its value f, with arg f in
     (-pi, pi] (:mod:`banklaine.scaledcx`); a zero reads Re = -inf and a pole Re = +inf, not an

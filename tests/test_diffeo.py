@@ -421,25 +421,25 @@ def test_polish_fallbacks():
 
 
 def test_phi_deriv_is_the_ratio_of_gap_slopes():
-    # deriv(x) re-solves phi(x) from the warm start value(x) left, as
-    # value(x) on a twin solver does, and divides F_dst'(x) by F_src'(phi)
+    # value(x) and deriv(x) read one solve of phi(x), which a twin solver
+    # repeats to the bit, and deriv divides F_dst'(x) by F_src'(phi)
     spec = DiffeoSpec(P10, PairIndex(2, 3), PLAIN, HALF)
     solver, twin = PhiSolver(spec), PhiSolver(spec)
     for x in (-12.0, -11.8, 3.0, 0.5, 0.7, 9.0, -2.0):
         assert solver.value(x) == twin.value(x)
         want = real_log_gap_slope(spec.dst, x)[1] / real_log_gap_slope(spec.src, twin.value(x))[1]
         assert solver.deriv(x) == want
-    for x in (20.0, -6.0, -5.9):  # cold: no value(x) before
+    for x in (20.0, -6.0, -5.9):  # no value(x) before
         want = real_log_gap_slope(spec.dst, x)[1] / real_log_gap_slope(spec.src, twin.value(x))[1]
         assert solver.deriv(x) == want
 
 
 def test_phi_solver_memo_keeps_the_bits():
     # every real-axis caller reads F = log(g - 1) through specfun._real_gap's
-    # memo: deriv(x) after value(x) re-solves x from the warm start value(x)
-    # left and finds F_dst(x) and F_src at the checked phi there.  F is pure,
-    # so a psi table swept as _PsiCache sweeps it has the bits of a sweep that
-    # clears the memo before every call, with fewer evaluations (misses)
+    # memo: deriv(x) after value(x) repeats the solve of x and finds every F
+    # it reads there.  F is pure, so a sweep over a psi table's nodes has the
+    # bits of a sweep that clears the memo before every call, with fewer
+    # evaluations (misses)
     from banklaine.surgery import _PsiCache
 
     memo = specfun._real_gap
@@ -466,9 +466,9 @@ def test_phi_solver_memo_keeps_the_bits():
 # ---- sharing one solver ----------------------------------------------------------
 
 def test_concurrent_phi_solver_matches_serial():
-    # every value reads and rewrites the shared warm start, one immutable
-    # pair, and reads F through the process-wide memo, an lru_cache; a torn
-    # read of either would polish from another x
+    # a solve keeps no state and reads F through the process-wide memo, an
+    # lru_cache, so threads sharing one solver in any order give the serial
+    # bits; a torn memo read would polish on another F
     spec = DiffeoSpec(P00, P11)
     xs = [float(x) for x in np.linspace(-30.0, 20.0, 41)]
     serial = PhiSolver(spec)
@@ -501,4 +501,4 @@ def test_concurrent_phi_solver_matches_serial():
     for got in results:
         for x in xs:
             for a, b in zip(got[x], want[x]):
-                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12), x
+                assert a.hex() == b.hex(), x

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from banklaine import specfun
 from banklaine.scaledcx import from_log, to_complex
@@ -248,9 +248,15 @@ def test_integer_turns_are_exactly_real():
             assert sc.real == ref.real
 
 
-def test_turn_snapping_tolerance():
-    sc = eval_model_turns(PairIndex(1, 1), 1.0, 5.0 + 4e-13)
-    assert sc.imag == 0.0
+def test_turn_snapping_is_relative_to_the_turn_count():
+    # Im z snaps onto a seam only within 8 ulps of its turn count, that
+    # count's own rounding.  4e-13 turns past 5 is a phase of 2 pi frac
+    # Re(g'/g)(1) to first order (the next term is ~1e-35); frac = t - 5
+    # is exact, so it is the offset the model sees
+    pair, t = PairIndex(1, 1), 5.0 + 4e-13
+    want = 2.0 * math.pi * (t - 5.0) * log_derivative(pair, 1.0).real
+    assert abs(eval_model_turns(pair, 1.0, t).imag - want) <= 1e-12 * abs(want)
+    assert eval_model_turns(pair, 1.0, 5.0 + 4e-15).imag == 0.0
 
 
 # ---- derivatives -------------------------------------------------------------
@@ -675,9 +681,12 @@ def test_bank_laine_coefficient_is_twice_the_schwarzian(pair):
 @given(m=st.integers(0, 7), n=st.integers(0, 5),
        x=st.floats(-1.5, 1.5), y=st.floats(-math.pi, math.pi))
 @settings(max_examples=40, derandomize=True, deadline=None)
+@example(m=0, n=0, x=0.0, y=1e-12)
 def test_bank_laine_identity_over_pairs(m, n, x, y):
     # the identity above as a property over pairs and points, skipping the
-    # disks around z that hold a zero or pole of E
+    # disks around z that hold a zero or pole of E.  The example's Cauchy
+    # circle samples points within 1e-12 of the axis, where an absolute snap
+    # onto the seam would zero the phase of g
     pair, z = PairIndex(m, n), complex(x, y)
     try:
         B = apply_B(bank_laine_E(pair), z)

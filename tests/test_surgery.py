@@ -813,8 +813,7 @@ def test_concurrent_evaluation_matches_serial(strips_map):
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(strips_map, pts))
     for a, b in zip(serial, threaded):
-        assert math.isclose(a.real, b.real, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(a.imag, b.imag, rel_tol=1e-12, abs_tol=1e-12)
+        assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
 
 
 def test_concurrent_strip_growth_matches_serial():
@@ -866,8 +865,7 @@ def test_concurrent_strip_growth_matches_serial():
                     k, t, pair, v = got[z]
                     k0, t0, pair0, v0 = serial[z]
                     assert (k, t, pair) == (k0, t0, pair0), (params, z)
-                    assert math.isclose(v.real, v0.real, rel_tol=1e-12, abs_tol=1e-12)
-                    assert math.isclose(v.imag, v0.imag, rel_tol=1e-12, abs_tol=1e-12)
+                    assert (v.real.hex(), v.imag.hex()) == (v0.real.hex(), v0.imag.hex()), (params, z)
     finally:
         sys.setswitchinterval(old)
 
@@ -936,29 +934,58 @@ def test_quadrature_tables_do_not_depend_on_reading_order():
 
 
 def test_exact_band_is_solved_once_per_transition_and_x(monkeypatch):
-    # strips 1..60 solve each (transition, x) of the exact band once, from
-    # the seed psi(0) = 0, and every memo entry agrees with a cold solve on a
-    # freshly built psi: within 4 ulps of max(|psi|, 1) and 8 ulps of psi'
-    solves, anchored = [], PsiMap.anchored
+    # strips 1..60 solve each (transition, x) of the exact band once: past
+    # one solve per node and tail, a table's psi solves once per memo entry,
+    # and every entry has the bits of a solve on a freshly built psi
+    solves, solve = [], PsiMap.solve
 
     def counted(pm, x):
-        solves.append(x)
-        return anchored(pm, x)
+        solves.append(pm)
+        return solve(pm, x)
 
-    monkeypatch.setattr(PsiMap, "anchored", counted)
+    monkeypatch.setattr(PsiMap, "solve", counted)
     surgery._psi_table.cache_clear()
     gm = assemble("strips", lam1=0.5, lam2=0.5)
     dilatation_integral(gm, 1.0, 60.0)
     keys = {s.transition for sys_ in gm._impl._systems() for s in sys_._strips if s.psi is not None}
     assert surgery._psi_table.cache_info().currsize == len(keys)  # the integral read every transition's table
     tables = [surgery._psi_table(*key) for key in keys]
-    memo = [(t.f, x, v) for t in tables for x, v in t._band.items()]
-    assert len(solves) == len(memo) > 20
+    memo = [(t.fdf.__self__, x, v) for t in tables for x, v in t._band.items()]
+    owners, builds = {id(t.fdf.__self__) for t in tables}, sum(len(t.xs) + 2 for t in tables)
+    assert sum(id(pm) in owners for pm in solves) - builds == len(memo) > 20
     for pm, x, (p, d) in memo:
-        fresh = [dataclasses.replace(pm, solver=None) for _ in range(2)]  # two cold solvers
-        p0, d0 = fresh[0](x), fresh[1].deriv(x)
-        assert abs(p - p0) <= 4 * math.ulp(max(abs(p0), 1.0)), (x, p, p0)
-        assert abs(d - d0) <= 8 * math.ulp(d0), (x, d, d0)
+        fresh = dataclasses.replace(pm, solver=None).solve(x)
+        assert (p.hex(), d.hex()) == (fresh[0].hex(), fresh[1].hex()), x
+
+
+@pytest.mark.parametrize("flavor, params", [
+    ("strips", {"lam1": 0.5, "lam2": 0.5}),
+    ("mixed", {"lam1": 0.5, "lam2": 1.0}),
+    ("power", {"rho": 0.75, "delta": 0.5}),
+    ("spiral", {"lower": (0, 0), "upper": (1, 1)}),
+])
+def test_exact_values_are_bit_identical_in_any_order(flavor, params):
+    # every phi solve is a function of x alone, so on two fresh maps the value
+    # and the exact mu at 1,500 points keep their bits whichever points were
+    # read before them; a solve seeded by the previous x would move the last
+    # bits of some.  Strips and mixed read a box over their first transition
+    # strips, power its annulus 0.5 < |z| < 8 and the spiral p(h), h in its band
+    rng = random.Random(23)
+    if flavor == "power":
+        pts = [cmath.rect(rng.uniform(0.5, 8.0), rng.uniform(-math.pi, math.pi)) for _ in range(1500)]
+    elif flavor == "spiral":
+        charts = spiral_charts(DiffeoSpec(P00, P11).kappa)
+        pts = [charts.p(complex(rng.uniform(-30.0, 30.0), -rng.uniform(0.01, 0.99))) for _ in range(1500)]
+    else:
+        pts = [complex(rng.uniform(-8.0, 8.0), rng.uniform(-160.0, 160.0)) for _ in range(1500)]
+
+    def read(order):
+        gm = assemble(flavor, **params)
+        return {c: (_hex_value(lambda: gm(pts[c])), _hex_value(lambda: gm._impl.mu(pts[c]))) for c in order}
+
+    serial = list(range(len(pts)))
+    want, got = read(serial), read(rng.sample(serial, len(serial)))
+    assert [c for c in serial if got[c] != want[c]] == [], flavor
 
 
 def _reads_exact_band(eng, z) -> bool:
@@ -970,15 +997,14 @@ def _reads_exact_band(eng, z) -> bool:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mu_quad_is_bit_identical_in_any_order_and_thread(seed):
-    # the exact band of right tables is solved once per (transition, x) from
-    # the fixed seed psi(0) = 0, so mu_quad does not depend on the points read
-    # before it: 6 threads reading a shuffled copy of 3,600 points on a fresh
-    # map (tables rebuilt) give the bits of one serial pass, which a solve
-    # warm-started from the previous point would not.  Power reads its band
-    # in 0.5 < |z| < 8; strips reads none there, so its points fill a box
-    # over its first transition strips.  The spiral has no exact band: its
-    # points p(h), h in its band, check that threads which miss the empty
-    # table cache at once read the bits of one build
+    # the exact band of right tables is solved once per (transition, x), by
+    # a solve that is a function of x alone, so mu_quad does not depend on
+    # the points read before it: 6 threads reading a shuffled copy of 3,600
+    # points on a fresh map (tables rebuilt) give the bits of one serial
+    # pass.  Power reads its band in 0.5 < |z| < 8; strips reads none there,
+    # so its points fill a box over its first transition strips.  The spiral
+    # has no exact band: its points p(h), h in its band, check that threads
+    # which miss the empty table cache at once read the bits of one build
     rng = random.Random(seed)
     annulus = [cmath.rect(rng.uniform(0.5, 8.0), rng.uniform(-math.pi, math.pi)) for _ in range(3600)]
     box = [complex(rng.uniform(-8.0, 8.0), rng.uniform(-160.0, 160.0)) for _ in range(3600)]
@@ -1029,10 +1055,10 @@ def test_mu_quad_is_bit_identical_in_any_order_and_thread(seed):
 
 
 def test_spiral_table_ignores_the_exact_reads_made_before_it():
-    # the spiral's exact reads (eval, mu, seam residuals) warm-start its
-    # homeo's solver; its quadrature table solves on a StripHomeo of its own,
-    # so however many exact reads come first, the table has the bits of a
-    # table built on a fresh spec
+    # the spiral's exact reads (eval, mu, seam residuals) solve on its homeo
+    # and its quadrature table on a StripHomeo of its own; every solve is a
+    # function of x alone, so however many exact reads come first, the table
+    # has the bits of a table built on a fresh spec
     surgery._spiral_table.cache_clear()
     eng = assemble("spiral", lower=(0, 0), upper=(1, 1))._impl
     for x in np.linspace(-30.0, 30.0, 41).tolist():
