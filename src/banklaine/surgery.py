@@ -445,7 +445,8 @@ class _StripSystem:
 
     # -- evaluation ------------------------------------------------------
     def value(self, s: _Strip, x: float, t: float) -> complex:
-        xt = x if s.psi is None else x + t * (s.psi(x) - x)
+        """The model of strip s at x, height t; at t = 0 (bottom edge, upper side of a seam) no psi is solved."""
+        xt = x if s.psi is None or t == 0.0 else x + t * (s.psi(x) - x)  # x + 0 * (psi - x) is x, bar x = -0.0
         return eval_model_turns(s.pair, xt / s.x_div + s.shift, t, s.variant)
 
     def eval_at(self, q: complex) -> complex:
@@ -498,7 +499,9 @@ class _StripSystem:
         return [s.hi for s in self._strips[:self.reach(y_max)] if s.psi is not None and s.hi <= y_max]
 
     def seam_checks(self, xs, strips: int, k_cap: int, name: Callable[[int], str]) -> list[SeamCheck]:
-        """Log-space gaps across the first ``strips`` seams below strip k_cap, sampled at xs."""
+        """Log-space gaps across the first ``strips`` seams below strip k_cap, sampled at xs.
+
+        A seam's upper side is the bottom edge t = 0 of the strip above, where ``value`` solves no psi."""
         checks = []
         k = 1
         while len(checks) < strips and k < k_cap:
@@ -594,11 +597,14 @@ class _PsiCache:
         high = np.array([t is None for t in tables], bool)[r] | (x >= xs[-1])
         px, dp = x + np.where(high, c_hi, c_lo), np.ones(len(x))
         herm = ~high & (x > xs[0])
-        xh, rh, i = x[herm], r[herm], np.searchsorted(xs, x[herm], side="right") - 1  # the cell [xs[i], xs[i+1])
-        px[herm], dp[herm] = _hermite(xh, xs[i], xs[i + 1] - xs[i], vs[rh, i], ds[rh, i], vs[rh, i + 1], ds[rh, i + 1])
+        if herm.any():
+            xh, rh, i = x[herm], r[herm], np.searchsorted(xs, x[herm], side="right") - 1  # the cell [xs[i], xs[i+1])
+            j = i + 1
+            px[herm], dp[herm] = _hermite(xh, xs[i], xs[j] - xs[i], vs[rh, i], ds[rh, i], vs[rh, j], ds[rh, j])
         band = np.flatnonzero(~high & ~herm & (x > -cls.SPAN))  # right tables' exact band, 0 <= x <= 2
-        px[band], dp[band] = np.array([tables[k].band(v) for k, v in zip(r[band].tolist(), x[band].tolist())],
-                                      float).reshape(-1, 2).T
+        if band.size:
+            px[band], dp[band] = np.array([tables[k].band(v) for k, v in zip(r[band].tolist(), x[band].tolist())],
+                                          float).reshape(-1, 2).T
         return px, dp
 
 

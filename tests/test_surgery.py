@@ -1148,6 +1148,60 @@ def test_power_seam_gaps_are_bit_identical():
     assert [(c.name, float(c.max_gap).hex()) for c in checks] == list(case["max_gap"].items())
 
 
+def _strip_systems(gm) -> list:
+    """The right and left strip systems of a strips, mixed or power map (U and V on power)."""
+    impl = gm._impl
+    return [impl.U, impl.V] if gm.flavor == "power" else [impl.sides[RIGHT], impl.sides[LEFT]]
+
+
+@pytest.mark.parametrize("flavor, params", [
+    ("strips", {"lam1": 0.5, "lam2": 0.5}),
+    ("mixed", {"lam1": 0.5, "lam2": 0.9}),
+    ("power", {"rho": 0.75, "delta": 0.5}),
+])
+def test_bottom_edge_reads_no_psi(flavor, params, monkeypatch):
+    # at t = 0, the bottom edge of a strip and the upper side of the seam
+    # below it, x + t (psi(x) - x) is x, so value reads the model at x itself
+    # and solves no psi.  At x = -0.0 a solve would have given x_t = +0.0
+    # wherever psi(-0.0) >= 0, but every strip here that has a psi has
+    # shift != 0, so x_t / x_div + shift keeps its bits either way
+    gm = assemble(flavor, **params)
+    strips = [(sys_, s) for sys_ in _strip_systems(gm) for s in map(sys_.strip, range(1, 7)) if s.psi is not None]
+    assert strips
+
+    def values() -> list:
+        return [(sys_.value(s, x, 0.0), specfun.eval_model_turns(s.pair, x / s.x_div + s.shift, 0.0, s.variant))
+                for sys_, s in strips for x in (-3.7, -0.0, 0.0, 0.5, 6.0)]
+
+    def hexes(v: complex) -> tuple:
+        return v.real.hex(), v.imag.hex()
+
+    assert all(hexes(got) == hexes(want) for got, want in values())
+
+    def refuse(pm, x):
+        raise AssertionError(f"psi solved at x = {x!r} on a bottom edge")
+
+    monkeypatch.setattr(PsiMap, "solve", refuse)
+    assert all(hexes(got) == hexes(want) for got, want in values())
+
+
+def test_seam_sweep_solves_psi_on_the_lower_side_only(monkeypatch):
+    # the upper side of each seam is the bottom edge (t = 0) of the strip
+    # above, where value solves no psi; 128 more solves would mean it does.
+    # F evaluations are not counted: solve_shift's process-wide memo makes
+    # them depend on test order
+    solves, solve = [], PsiMap.solve
+
+    def counted(pm, x):
+        solves.append(x)
+        return solve(pm, x)
+
+    gm = assemble("power", rho=0.75, delta=0.5)
+    monkeypatch.setattr(PsiMap, "solve", counted)
+    gm.seam_residuals(16, strips=2)
+    assert len(solves) == 206
+
+
 def _hex_value(read) -> str:
     """'Re Im' of read() as hex floats, or the name of the domain error it raises."""
     try:
