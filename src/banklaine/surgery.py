@@ -95,10 +95,14 @@ def affine_beltrami(x_div: float, y_div: float) -> complex:
     return _compose_affine(x_div, y_div, 0.0, 0.0)
 
 
+def _affine_parts(x_div, y_div):
+    """(alpha, beta) of chi = alpha w + beta wbar = x/x_div + i y/y_div, for floats or arrays alike."""
+    return 0.5 * (1.0 / x_div + 1.0 / y_div), 0.5 * (1.0 / x_div - 1.0 / y_div)
+
+
 def _compose_affine(x_div: float, y_div: float, a: float, b: float) -> complex:
     # mu of chi o q with q_z = 1+a-ib, q_zbar = a+ib and chi = alpha w + beta wbar
-    alpha = 0.5 * (1.0 / x_div + 1.0 / y_div)
-    beta = 0.5 * (1.0 / x_div - 1.0 / y_div)
+    alpha, beta = _affine_parts(x_div, y_div)
     num = beta + (alpha + beta) * complex(a, b)
     den = alpha + (alpha + beta) * complex(a, -b)
     if den == 0:
@@ -116,13 +120,12 @@ def _c_quot(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray) -> t
                 np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-def _affine_mu_abs(x_div: np.ndarray, y_div: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _affine_mu_abs(alpha: np.ndarray, beta: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """abs(_compose_affine(x_div, y_div, a, b)) over arrays, bit for bit, NaN (0/0) where den == 0.
 
-    num = (beta + f a, f b) over den = (alpha + f a, -f b), f = alpha + beta, by ``_c_quot``, then hypot
-    as complex abs; np.abs of a complex rounds differently.
+    alpha, beta are ``_affine_parts(x_div, y_div)`` per cell; num = (beta + f a, f b) over den = (alpha + f a, -f b),
+    f = alpha + beta, by ``_c_quot``, then hypot as complex abs; np.abs of a complex rounds differently.
     """
-    alpha, beta = 0.5 * (1.0 / x_div + 1.0 / y_div), 0.5 * (1.0 / x_div - 1.0 / y_div)
     fa, fb = (alpha + beta) * a, (alpha + beta) * b
     return np.hypot(*_c_quot(beta + fa, fb, alpha + fa, -fb))
 
@@ -429,17 +432,20 @@ class _StripSystem:
         return (sys, *sys.locate(abs(y)))
 
     def columns(self) -> dict:
-        """``x_div``, ``y_div``, ``active`` of the strips grown so far by k - 1, and ``tops``; rebuilt after growth."""
+        """``x_div``, ``y_div``, ``active``, ``alpha``, ``beta`` of the strips grown so far by k - 1, and ``tops``."""
         n = len(self._tops) - 1  # _grow appends each record before its top
         if self._cols[0] != n:
             cols = {a: np.array([getattr(s, a) for s in self._strips[:n]]) for a in ("x_div", "y_div", "active")}
+            cols["alpha"], cols["beta"] = _affine_parts(cols["x_div"], cols["y_div"])
             cols["tops"] = np.array(self._tops[:n + 1])
             self._cols = n, cols
         return self._cols[1]
 
     def psi_read(self, x: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(psi(x[c]), psi'(x[c])) from the table of strip j[c] + 1 (``_PsiCache.read_rows``); x and 1 without psi."""
-        rows, r = np.unique(j, return_inverse=True)
+        seen = np.zeros(len(self._strips), bool)
+        seen[j] = True  # the strips read, in increasing k: one table row each, numbered by cumsum without a sort
+        rows, r = np.flatnonzero(seen), (np.cumsum(seen) - 1)[j]
         keys = [self._strips[k].transition for k in rows.tolist()]
         return _PsiCache.read_rows(self._xs, [None if key is None else _psi_table(*key) for key in keys], x, r)
 
@@ -659,6 +665,8 @@ class SeamCheck:
 def _sweep(name: str, points, gap: Callable[[complex], float]) -> SeamCheck:
     """The largest ``gap(p)`` over ``points``, and the point where it occurs."""
     gaps = [gap(p) for p in points]
+    if not gaps:
+        raise ValueError(f"seam sweep {name!r} has no sample points")
     i = int(np.argmax(gaps))
     return SeamCheck(name, len(gaps), float(gaps[i]), points[i])
 
@@ -789,11 +797,12 @@ class _StripsEngine(_Engine):
         return self.sides[RIGHT if z.real >= 0 else LEFT].read(z.imag)
 
     def _located(self, zc: np.ndarray):
-        """``_locate`` over an array: (system, columns, cell mask, strip indices k - 1) per system and half."""
-        x, y, up = zc.real, zc.imag, zc.imag >= 0
-        for half, mirror in ((up, False), (~up, True)):
-            for side, sel in ((RIGHT, half & (x >= 0)), (LEFT, half & ~(x >= 0))):
-                sys = self.sides[side].below if mirror else self.sides[side]
+        """``_locate`` over an array: (system, columns, cell mask, strip indices k - 1) per strip system at |y|."""
+        y, up, right = zc.imag, zc.imag >= 0, zc.real >= 0
+        for side, on in ((RIGHT, right), (LEFT, ~right)):
+            top = self.sides[side]
+            # a plain side (below is self) reads both halves as one group, a mixed side each half apart
+            for sys, sel in ((top, on),) if top.below is top else ((top, on & up), (top.below, on & ~up)):
                 ay = np.abs(y[sel])
                 if len(ay):
                     sys.locate(float(ay.max()))  # grows the system past the highest cell
@@ -835,7 +844,7 @@ class _StripsEngine(_Engine):
             px, dp = sys.psi_read(x, j)
             t = (np.abs(zc.imag[sel]) - cols["tops"][j]) / (TWO_PI * cols["y_div"][j])
             a, b = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * cols["y_div"][j])
-            out[sel] = _affine_mu_abs(cols["x_div"][j], cols["y_div"][j], a, b)
+            out[sel] = _affine_mu_abs(cols["alpha"][j], cols["beta"][j], a, b)
         return out
 
     # -- dilatation hooks -------------------------------------------------
@@ -1654,7 +1663,8 @@ def _merge_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, floa
     return [(lo, hi) for lo, hi in out if hi > lo]
 
 
-# nodes per engine call: 8192 adds ~4% to peak RSS over a shell per call, 32,768 adds 19% (7 MiB on spiral 1..200)
+# nodes per engine call: a call costs ~0.45 ms fixed on strips 1..450 and ~0.3 ms on spiral 1..200 (warm, one Xeon
+# core); 8192 adds ~4% to peak RSS over a shell per call, 32,768 adds 19% (7 MiB on spiral 1..200)
 BLOCK_CELLS = 8192
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -33,8 +34,8 @@ from banklaine.surgery import (
 )
 from banklaine.scaledcx import from_log, to_complex, wrap_phase
 from banklaine import sequences, specfun, surgery
-from banklaine.surgery import (SpiralCharts, StripHomeo, _affine_mu_abs, _c_quot, _cell_range, _compose_affine,
-                               _SpiralEngine)
+from banklaine.surgery import (SpiralCharts, StripHomeo, _affine_mu_abs, _affine_parts, _c_quot, _cell_range,
+                               _compose_affine, _SpiralEngine)
 
 P00, P11 = PairIndex(0, 0), PairIndex(1, 1)
 TWO_PI = 2.0 * math.pi
@@ -286,6 +287,18 @@ def test_power_seam_residuals(power_map):
     assert {"axis-identity", "ray+", "ray-"} <= names
     for c in checks:
         assert c.max_gap < 1e-9, c
+
+
+@pytest.mark.parametrize("fixture, kw, name", [("strips_map", {"samples": 0}, "upper:R"),
+                                               ("power_map", {"samples": 0}, "ray+"),
+                                               ("sectors_map", {"samples": 0}, "upper:R"),
+                                               ("strips_map", {"strips": 0}, "axis")],
+                         ids=["strips-samples0", "power-samples0", "sectors-samples0", "strips-strips0"])
+def test_empty_seam_sweep_is_named(request, fixture, kw, name):
+    # a sweep over no sample points has no largest gap: it says which sweep,
+    # rather than failing inside numpy's argmax
+    with pytest.raises(ValueError, match=rf"seam sweep '{re.escape(name)}[^']*' has no sample points"):
+        request.getfixturevalue(fixture).seam_residuals(**kw)
 
 
 def test_power_seams_need_no_mp_fallback(monkeypatch):
@@ -1484,7 +1497,7 @@ def test_affine_mu_abs_divides_as_python_does():
     assert (np.abs(alpha + a) == np.abs(b))[tie].all() and ((alpha + a) == 0.0)[zero].all()
     want = [abs(_compose_affine(xd, yd, av, bv))
             for xd, yd, av, bv in zip(x_div.tolist(), y_div.tolist(), a.tolist(), b.tolist())]
-    got = _affine_mu_abs(x_div, y_div, a, b).tolist()
+    got = _affine_mu_abs(*_affine_parts(x_div, y_div), a, b).tolist()
     assert [g.hex() for g in got] == [w.hex() for w in want]
     assert all(math.isnan(g) for g in np.array(got)[zero]) and (a == 0.0).sum() > 4000
 
@@ -1639,35 +1652,73 @@ def test_psi_tables_are_shared_per_transition(monkeypatch):
         assert surgery._psi_table.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("flavor, lams", [("strips", (0.5, 0.5)), ("mixed", (0.5, 0.9))])
-def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, lams):
+@pytest.mark.parametrize("flavor, opts, radii", [("strips", {}, (1.0, 450.0)), ("mixed", {"lam2": 0.9}, (1.0, 450.0)),
+                                                ("strips", {"sectors": 3}, (2.0, 5.0))],
+                         ids=["strips-lams0", "mixed-lams1", "sectors3"])  # the ids of the first two predate sectors
+def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, opts, radii):
     # the array hook must give abs(mu_quad(z)) to the last bit on every path:
     # frozen psi tails on both sides, strips without psi, Hermite cells and
     # the exact band of right tables (0 <= x <= 2), which each table solves
     # once per x from a fixed seed.  The tables are rebuilt before every map,
     # so the array pass solves the band in its own order, in one call or
-    # split over two, and the scalar twin in cell order
+    # split over two, and the scalar twin in cell order.  A plain side reads
+    # both halves in one pass at |y|, so points sit where that pass splits:
+    # on both axes with either sign of zero, and on +-Y_k, the seam heights.
+    # sectors=3 reads the base strips engine at the point w that z lands on:
+    # there the hook gives abs(base.mu_quad(w)), at interpolated points only
     rng = np.random.default_rng(11)
-    zc = rng.uniform(1.0, 450.0, 4000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))
+    zc = rng.uniform(*radii, 4000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))
     surgery._psi_table.cache_clear()
-    twin = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
-    want = [abs(twin.mu_quad(z)) for z in zc.tolist()]
+    twin = assemble(flavor, **{"lam1": 0.5, "lam2": 0.5, **opts})._impl
+    base = getattr(twin, "base", twin)
+    r = rng.uniform(*radii, 24).tolist()
+    edges = [complex(sx * 0.0, sy * v) for v in r[:12] for sx in (1, -1) for sy in (1, -1)]
+    edges += [complex(sx * v, sy * 0.0) for v in r[12:] for sx in (1, -1) for sy in (1, -1)]
+    if base is twin:
+        tops = {y for sys_ in twin._systems() for y in sys_._tops[1:sys_.reach(radii[1])] if y < radii[1]}
+        edges += [complex(x, sy * y) for y in sorted(tops) for x in (rng.uniform(-y, y), 0.0, -0.0)
+                  for sy in (1, -1)]
+        assert len(tops) > 20
+    zc = np.array([z for z in zc.tolist() + edges if base is twin or not twin._locate(z)[2]])
+    ws = zc.tolist() if base is twin else [twin._locate(z)[1] for z in zc.tolist()]
+    want = [abs(base.mu_quad(w)) for w in ws]
     paths = []
-    for z in zc.tolist():
-        sys_, s, _ = twin._locate(z)
+    for w in ws:
+        sys_, s, _ = base._locate(w)
         if s.psi is None:
             paths.append("psi-free")
-        elif z.real >= sys_._xs[-1] or z.real <= -surgery._PsiCache.SPAN:
-            paths.append("tail-high" if z.real > 0 else "tail-low")
+        elif w.real >= sys_._xs[-1] or w.real <= -surgery._PsiCache.SPAN:
+            paths.append("tail-high" if w.real > 0 else "tail-low")
         else:
-            paths.append("exact" if 0.0 <= z.real <= 2.0 else "hermite")
+            paths.append("exact" if 0.0 <= w.real <= 2.0 else "hermite")
     assert set(paths) == {"psi-free", "tail-high", "tail-low", "exact", "hermite"}
     for cuts in ([], [1700]):
         surgery._psi_table.cache_clear()
-        eng = assemble(flavor, lam1=lams[0], lam2=lams[1])._impl
+        eng = assemble(flavor, **{"lam1": 0.5, "lam2": 0.5, **opts})._impl
         got = np.concatenate([eng.mu_abs_quad(part) for part in np.split(zc, cuts)])
         differ = [(p, z) for p, z, g, w in zip(paths, zc.tolist(), got.tolist(), want) if g.hex() != w.hex()]
         assert differ == [], cuts
+
+
+@pytest.mark.parametrize("flavor, opts, radii, calls", [("strips", {}, (1.0, 450.0), 88),
+                                                        ("strips", {"sectors": 3}, (2.0, 5.0), 8),
+                                                        ("mixed", {"lam2": 1.0}, (1.0, 60.0), 8)],
+                         ids=["strips", "sectors3", "mixed"])
+def test_psi_read_once_per_strip_system_and_block(monkeypatch, flavor, opts, radii, calls):
+    # the |mu| pass groups a block's cells by strip system: a plain side reads
+    # both of its halves in one psi_read (44 blocks x 2 sides on strips
+    # 1..450), a mixed side its upper and its lower system apart
+    counts, psi_read = [], surgery._StripSystem.psi_read
+
+    def counted(sys_, x, j):
+        counts[-1] += 1
+        return psi_read(sys_, x, j)
+
+    monkeypatch.setattr(surgery._StripSystem, "psi_read", counted)
+    for _ in range(2):
+        counts.append(0)
+        dilatation_integral(assemble(flavor, **{"lam1": 0.5, "lam2": 0.5, **opts}), *radii)
+    assert counts == [calls, calls]
 
 
 def test_spiral_mu_abs_quad_matches_mu_quad_cell_by_cell():
