@@ -455,12 +455,17 @@ def test_value_above_one_on_axis(m, n, x):
     assert real_log_value(PairIndex(m, n), x) > 0.0
 
 
-def test_concurrent_mp_fallbacks_keep_their_precision():
-    # mpmath's working precision is one process-wide setting: a fallback
-    # sum running at 230 digits must not finish at another thread's 30
+def _fallback_sums() -> list[tuple]:
+    """Arguments of 18 fallback sums of P and Q of (3,20) off the axis, at 30, 90 and 230 digits."""
     table = build_coefficients(PairIndex(3, 20))
-    args = [(table, numer, x, 0.3, lost) for numer in (True, False)
+    return [(table, numer, x, 0.3, lost) for numer in (True, False)
             for x in (-2.0, 0.5, 3.0) for lost in (0, 60, 200)]
+
+
+def test_concurrent_mp_fallbacks_keep_their_precision():
+    # each fallback sum runs in an mpmath context of its own: one at 230
+    # digits must not finish at the 30 digits of another thread's sum
+    args = _fallback_sums()
     want = [_poly_logsum_mp(*a) for a in args]
     bad = []
 
@@ -481,6 +486,32 @@ def test_concurrent_mp_fallbacks_keep_their_precision():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
+def test_fallback_ignores_mpmath_precision_set_elsewhere():
+    # mpmath's global context is anyone's to set: a thread that keeps setting
+    # it to 15 digits must not reach the fallback sums running meanwhile
+    args = _fallback_sums()
+    want = [_poly_logsum_mp(*a) for a in args]
+    stop = threading.Event()
+
+    def writer():
+        while not stop.is_set():
+            mp.mp.dps = 15
+
+    old_interval, old_dps = sys.getswitchinterval(), mp.mp.dps
+    sys.setswitchinterval(1e-5)
+    thread = threading.Thread(target=writer, daemon=True)
+    try:
+        thread.start()
+        bad = [a[1:] for _ in range(5) for a, w in zip(args, want) if _poly_logsum_mp(*a) != w]
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(old_interval)
+        mp.mp.dps = old_dps
+    assert not thread.is_alive()
     assert not bad
 
 
@@ -517,8 +548,8 @@ def test_mp_fallback_recovers_the_digits_it_lost_off_axis(m, n, x, monkeypatch):
     assert got.imag == pytest.approx(float(mp.arg(ref)), abs=1e-12)
 
 
-def _poly_logsum_mp_uncached(table, numer, x, yr, lost_digits):
-    """The fallback sum with every coefficient converted in the loop: the reference."""
+def _poly_logsum_mp_reference(table, numer, x, yr, lost_digits):
+    """The fallback sum in mpmath's global context, each coefficient converted in the loop: the reference."""
     dps = 30 + int(lost_digits)
     with mp.workdps(dps):
         w = mp.exp(mp.mpc(x, yr))
@@ -534,15 +565,15 @@ def _poly_logsum_mp_uncached(table, numer, x, yr, lost_digits):
         loss = float(mp.log10(scale / abs(T)))
         if dps - loss >= 20:
             return complex(mp.log(T)), complex(D / (T * w)), float(abs(T) / scale)
-    return _poly_logsum_mp_uncached(table, numer, x, yr, loss)
+    return _poly_logsum_mp_reference(table, numer, x, yr, loss)
 
 
-def test_mp_fallback_coefficient_cache_keeps_the_bits():
-    # the fallback reads its coefficients from a cache per (pair, P or Q,
-    # digits); sums that reach it cold, warm and through the retry at more
-    # digits give the bits of the sum that converts them in place.  The
-    # first points are where power-seams falls back, the others sum P where
-    # its alternating terms cancel
+def test_mp_fallback_keeps_the_bits_of_the_in_place_sum():
+    # sums that reach the fallback at the digits _poly_eval asks for, and
+    # through the retry at more digits, give the bits of the reference sum,
+    # also when the caller has set mpmath's global precision to 7 digits.
+    # The first points are where power-seams falls back, the others sum P
+    # where its alternating terms cancel
     rng = np.random.default_rng(8)
     points = [(PairIndex(1, 47), numer, 3.3605105160065034, 0.009103728793501631) for numer in (True, False)]
     for _ in range(24):
@@ -557,9 +588,10 @@ def test_mp_fallback_coefficient_cache_keeps_the_bits():
         lost = (-math.log10(tiny) if tiny > 0 else 60.0) + 10  # as _poly_eval asks
         deep += tiny < 1e-10
         for digits in (lost, 0.0):  # 0 digits retries at loss + 30
-            want = _poly_logsum_mp_uncached(table, numer, x, yr, digits)
+            want = _poly_logsum_mp_reference(table, numer, x, yr, digits)
             assert _poly_logsum_mp(table, numer, x, yr, digits) == want, (pair, numer, x, yr)
-            assert _poly_logsum_mp(table, numer, x, yr, digits) == want, (pair, numer, x, yr)
+            with mp.workdps(7):
+                assert _poly_logsum_mp(table, numer, x, yr, digits) == want, (pair, numer, x, yr)
     assert deep >= 12
 
 

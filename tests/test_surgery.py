@@ -301,6 +301,14 @@ def test_empty_seam_sweep_is_named(request, fixture, kw, name):
         request.getfixturevalue(fixture).seam_residuals(**kw)
 
 
+@pytest.mark.parametrize("fixture", ["power_map", "strips_map", "spiral_map"])
+@pytest.mark.parametrize("strips", [-1, 2.5, True], ids=["negative", "fraction", "bool"])
+def test_seam_residuals_reject_a_strips_that_is_not_a_count(request, fixture, strips):
+    # every flavour reads strips as a whole number >= 0, the spiral too, though it has no strip seams
+    with pytest.raises(ValueError, match="strips"):
+        request.getfixturevalue(fixture).seam_residuals(4, strips=strips)
+
+
 def test_power_seams_need_no_mp_fallback(monkeypatch):
     # the numerator sums of (1,47) near x = 3.36 that lose 12-13 digits in
     # their alternating form (38 of them) are summed by the positive series
