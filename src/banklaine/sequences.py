@@ -3,16 +3,15 @@
 All bookkeeping lives on the 2*pi grid: a sequence assigns an integer slope
 to each interval [2pi(k-1), 2pi k], and profiles are the running integrals.
 Each sequence draws its entries on demand from a generator, because a
-profile queried at x needs about x / 2pi of them.
+profile queried at x needs about x / 2pi of them, and publishes them whole.
 """
 from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -46,39 +45,39 @@ def _power_mark(i: int, lam: float) -> int:
 
 
 class SlopeSequence:
-    """Integer slopes m_k (k >= 1) drawn on demand from a generator.
+    """Integer slopes m_k (k >= 1) drawn on demand from a generator that ``source()`` starts afresh.
 
-    ``entries_list`` holds the entries drawn so far; ``ensure`` extends it
-    from the source under ``_lock``.  A source that raised is finished, so
-    every later request past the entries it gave raises too.
+    ``_run`` is one value: the entries drawn so far and the error that ended the source, if it failed.
+    ``ensure`` draws a run past them from the start, at least twice as long, and publishes it by one
+    store, so no reader needs a lock.  A source that failed keeps failing past the entries it gave.
     """
 
-    def __init__(self, source: Iterable[int]):
-        self._source: Iterator[int] = iter(source)
-        self.entries_list: list = []
-        self._lock = threading.Lock()
+    def __init__(self, source: Callable[[], Iterable[int]]):
+        self._source = source
+        self._run: tuple[list, Optional[Exception]] = ([], None)
 
-    def ensure(self, kmax: int) -> None:
+    def ensure(self, kmax: int) -> list:
         if not 0 <= kmax <= MAX_ENTRIES:
             raise ValueError(f"k = {kmax} outside [0, {MAX_ENTRIES}]")
-        if len(self.entries_list) < kmax:
-            with self._lock:
-                have = len(self.entries_list)
-                if have < kmax:
-                    self.entries_list.extend(islice(self._source, kmax - have))
-                    if len(self.entries_list) < kmax:
-                        raise RuntimeError(
-                            f"the source of this sequence stopped after {len(self.entries_list)} entries")
+        entries, error = self._run
+        if len(entries) < kmax and error is None:
+            want, entries = min(max(kmax, 2 * len(entries)), MAX_ENTRIES), []
+            try:  # a source fails by overflow or by a failed read of another sequence; its entries stay
+                entries.extend(islice(self._source(), want))
+            except (OverflowError, RuntimeError) as exc:
+                error = exc
+            self._run = entries, error
+        if len(entries) < kmax:
+            raise RuntimeError(f"the source of this sequence stopped after {len(entries)} entries") from error
+        return entries
 
     def entry(self, k: int) -> int:
         if k < 1:
             raise IndexError("sequence indices start at 1")
-        self.ensure(k)
-        return self.entries_list[k - 1]
+        return self.ensure(k)[k - 1]
 
     def prefix(self, kmax: int) -> np.ndarray:
-        self.ensure(kmax)
-        return np.asarray(self.entries_list[:kmax], dtype=np.int64)
+        return np.asarray(self.ensure(kmax)[:kmax], dtype=np.int64)
 
     def cumulative(self, kmax: int) -> np.ndarray:
         """Partial sums S_1..S_kmax; of a binary profile, the marks up to strip k, ~ (2 pi k)^lam / (2 pi)."""
@@ -86,9 +85,7 @@ class SlopeSequence:
 
     def partial(self, k: int) -> int:
         """S_k, with S_0 = 0: the count of marked strips (zeros or poles) among the first k."""
-        if k == 0:
-            return 0
-        return int(self.cumulative(k)[-1])
+        return int(self.prefix(k).sum())
 
     def marked(self, kmax: int) -> list:
         """Indices k <= kmax with a nonzero entry (unit-slope kinds)."""
@@ -115,11 +112,11 @@ def build_binary_profile(lam: float) -> SlopeSequence:
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"profile exponent must lie in [0, 1), got {lam}")
-    return SlopeSequence(_binary_slopes(lam))
+    return SlopeSequence(lambda: _binary_slopes(lam))
 
 
 def _constant_tail(value: int) -> SlopeSequence:
-    return SlopeSequence(chain((0, 0, 0), repeat(value)))
+    return SlopeSequence(lambda: chain((0, 0, 0), repeat(value)))
 
 
 def _graded_slopes(dg: float) -> Iterator[int]:
@@ -155,7 +152,7 @@ def build_graded_slopes(gamma: float, delta: float) -> SlopeSequence:
         return _constant_tail(1)
     if dg < 1.0:
         return build_binary_profile(dg)
-    return SlopeSequence(_graded_slopes(dg))
+    return SlopeSequence(lambda: _graded_slopes(dg))
 
 
 def _paired_slopes(gamma: float, m_seq: SlopeSequence) -> Iterator[int]:
@@ -181,7 +178,7 @@ def build_paired_slopes(gamma: float, m_seq: SlopeSequence) -> SlopeSequence:
     """
     if gamma <= 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
-    return SlopeSequence(_paired_slopes(gamma, m_seq))
+    return SlopeSequence(lambda: _paired_slopes(gamma, m_seq))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +225,6 @@ class ProfileBundle:
 
     def script_N(self, k: int) -> int:
         """Partial sum of N_j up to k: H(2 pi k) = 2 pi script_N(k), the height of strip k's top seam."""
-        if k == 0:
-            return 0
         return int(np.sum(self.slopes_N(k)))
 
     @property

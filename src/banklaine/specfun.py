@@ -217,20 +217,12 @@ def _poly_logsum(
     return logT, ratio, tiny
 
 
-def _mp_context(dps: int):
-    """A new mpmath context at dps digits, private to its caller; mpmath loads here, at the first fallback."""
-    import mpmath
-    ctx = mpmath.MPContext()
-    ctx.dps = dps
-    return ctx
-
-
 def _poly_logsum_mp(
     table: CoefficientTable, numer: bool, x: float, yr: float, lost_digits: float
 ) -> tuple[complex, complex, float]:
     """High-precision fallback for the cancellation-prone alternating sum.
 
-    The sum runs at 30 + lost_digits digits in its own ``_mp_context``, on
+    The sum runs at 30 + lost_digits digits in an mpmath context of its own, on
     the exact coefficients, and measures its own loss, log10(max_k |c_k w^k|
     / |T|); with fewer than 20 digits to spare it is redone at loss + 30
     digits.  A sum that needs more than 300 digits raises EvalDomainError.
@@ -238,7 +230,9 @@ def _poly_logsum_mp(
     dps = 30 + int(lost_digits)
     if dps > 300:
         raise EvalDomainError(f"polynomial sum at x={x} needs {dps} digits (cap 300)")
-    mp = _mp_context(dps)
+    import mpmath  # loads here, at the first fallback
+    mp = mpmath.MPContext()
+    mp.dps = dps
     w = mp.exp(mp.mpc(x, yr))
     T = mp.mpc(0)
     D = mp.mpc(0)
@@ -565,22 +559,16 @@ def solve_value_negative_one(pair: PairIndex, w_seed: complex) -> complex | None
 def tail_expansion_residual(pair: PairIndex, y: float) -> float:
     """Gap between log(h(y)-1) and its leading closed-form tail at real y > 0.
 
-    h(y) = (P(y)/Q(y)) e^y; the comparison term is
-    y + N log y - log(binom(m+2n,m) N!) - 2 log Q(y) - log(1 + y/N).
-    Evaluated at 40 significant digits so the caller can trust ~1e-20.
+    h(y) = (P(y)/Q(y)) e^y is g at x = log y: log(h - 1) is ``_real_gap``'s F, a positive series
+    that cancels nothing.  The lead y + N log y - log(binom(m+2n,m) N!) - 2 log Q(y) - log(1 + y/N)
+    is formed in doubles, N log y - log(...) as F forms it and Q by Horner's rule (positive terms).
     """
     if y <= 0:
         raise ValueError("tail residual needs y > 0")
-    m, n, N = pair.m, pair.n, pair.N
-    table = build_coefficients(pair)
-    mp = _mp_context(40)
-    yy = mp.mpf(y)
-    P, _ = _horner([mp.mpf(b.numerator) / b.denominator for b in table.numer], yy)
-    Q, _ = _horner([mp.mpf(a.numerator) / a.denominator for a in table.denom], yy)
-    h = P / Q * mp.exp(yy)
-    norm = mp.mpf(math.comb(m + 2 * n, m)) * mp.factorial(N)
-    lead = yy + N * mp.log(yy) - mp.log(norm) - 2 * mp.log(Q) - mp.log(1 + yy / N)
-    return float(mp.log(h - 1) - lead)
+    table, x = build_coefficients(pair), math.log(y)
+    (hi, lo), (q, _) = table.lead_zero, _horner([float(a) for a in table.denom], y)
+    lead = y + pair.N * ((x - hi) - lo) - 2.0 * math.log(q) - math.log1p(y / pair.N)
+    return _real_gap(pair, x)[0] - lead
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ import io
 import json
 import math
 import numbers
-import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -338,6 +337,21 @@ class _Strip:
     active: bool
 
 
+class _StripRecords:
+    """One published value of a strip system: strips 1..n, tops Y_0 = 0, ..., Y_n, and columns built on first read."""
+
+    def __init__(self, strips: list, tops: list):
+        self.strips, self.tops, self._columns = strips, tops, None
+
+    def columns(self) -> dict:
+        """``x_div``, ``y_div``, ``active``, ``alpha``, ``beta`` by k - 1 and ``tops``; 176 rebuilds cost 7-14 ms."""
+        if self._columns is None:
+            cols = {a: np.array([getattr(s, a) for s in self.strips]) for a in ("x_div", "y_div", "active")}
+            cols["alpha"], cols["beta"] = _affine_parts(cols["x_div"], cols["y_div"])
+            cols["tops"], self._columns = np.array(self.tops), cols
+        return self._columns
+
+
 class _StripSystem:
     """Strip-indexed evaluator on one horizontal side of a half-plane.
 
@@ -349,11 +363,11 @@ class _StripSystem:
     the top edge of strip k and the bottom edge of strip k+1 agree to the
     accuracy of the conjugacy solve.
 
-    Each strip is one :class:`_Strip` record, appended by ``_grow`` the
-    first time a lookup reaches it; ``_tops`` holds the heights
-    Y_0 = 0, Y_1, ... that ``locate`` bisects.  ``_lock`` guards growth
-    only: ``_grow`` appends each record before its top, so a reader that
-    finds y below ``_tops[-1]`` without the lock also finds its record.
+    The strip records, their tops and their columns are one :class:`_StripRecords`
+    value, grown into local lists and published whole by ``_covering``.  A racing
+    thread may publish a shorter value, so an operation reads one value and takes
+    every index from it: strips, tops, columns, and the strips that ``psi_read``
+    reads by the rows those columns gave.
 
     ``psi_read`` takes each row's psi table from its owner ``_psi_table`` by
     the strip's ``transition`` and reads them stacked on one node grid, and
@@ -376,54 +390,71 @@ class _StripSystem:
         self.variant_rule = variant_rule
         self.tag = tag
         self.below = self if below is None else below
-        self._lock = threading.Lock()
-        self._strips: list[_Strip] = []
-        self._tops: list[float] = [0.0]
-        self._cols: tuple[int, dict] = (-1, {})  # (strips laid out, columns)
+        self._records = _StripRecords([], [0.0])
         self._xs = _PsiCache.nodes(*_PsiCache.SIDES[side])  # the node grid of every psi table here
 
     # -- strip records -----------------------------------------------------
-    def _model(self, k: int) -> tuple[PairIndex, str]:
-        """(pair, variant) of strip k."""
+    def _model(self, k: int, top: float) -> tuple[PairIndex, str]:
+        """(pair, variant) of strip k, read by growth that stands at local height top."""
+        stop = f"strip system {self.tag} stops at local height {top!r}: strip {self.tag}{k}"
         if k > sequences.MAX_ENTRIES:
-            raise EvalDomainError(f"strip system {self.tag} stops at local height {self._tops[-1]!r}: strip "
-                                  f"{self.tag}{k} is past the slope sequences' MAX_ENTRIES = {sequences.MAX_ENTRIES}")
+            raise EvalDomainError(f"{stop} is past the slope sequences' MAX_ENTRIES = {sequences.MAX_ENTRIES}")
         m, n = self._m.entry(k), self._n.entry(k)
         if max(m, n) > PAIR_CAP:
-            raise PairCapError(f"strip system {self.tag} stops at local height {self._tops[-1]!r}: "
-                               f"strip {self.tag}{k} needs the pair ({m}, {n}), past PAIR_CAP = {PAIR_CAP}")
+            raise PairCapError(f"{stop} needs the pair ({m}, {n}), past PAIR_CAP = {PAIR_CAP}")
         return PairIndex(m, n), self.variant_rule(k)
 
-    def _grow(self) -> None:
-        """Append the next strip record, its x_div and shift read off its psi; the caller holds the lock."""
-        k = len(self._strips) + 1
-        model, model1 = self._model(k), self._model(k + 1)
-        (pair, variant), pm = model, psi_link(model, model1, self.side, self.l)
-        x_div, shift, y_div = pm.scale_out, pm.s_src, 1.0 if self.heights == "unit" else float(pair.N)
-        pm, key = (None, None) if pm.exact_identity else (pm, (model, model1, self.side, self.l))
-        lo = self._tops[-1]
-        hi = lo + TWO_PI * y_div
-        self._strips.append(_Strip(k, pair, variant, x_div, y_div, shift, lo, hi, pm, key,
-                                   pm is not None or x_div != y_div))
-        self._tops.append(hi)
+    def _entry_cap_first(self, y: float) -> None:
+        """Raise the entry cap's error before any record is built where growth to y reaches it: strips are 2 pi high
+        or more and their sums round by far less than 1%, so only at y >= 0.99 * 2 pi (MAX_ENTRIES - 1).  A pair past
+        PAIR_CAP or a failing source, found in doubling blocks of the slope prefixes, stops growth first instead."""
+        cap, k = sequences.MAX_ENTRIES, 0
+        while y >= 0.99 * TWO_PI * (cap - 1) and k < cap:
+            k = min(max(2 * k, 16), cap)
+            try:  # the entries as Python ints: a pair past the cap may pass int64 too
+                if max(max(self._m.ensure(k)), max(self._n.ensure(k))) > PAIR_CAP:
+                    return
+            except RuntimeError:
+                return
+        if k == cap:  # Y_{cap-1} by the sequential sums lo + 2 pi y_div that growth forms
+            y_div = np.ones(cap) if self.heights == "unit" else (self._m.prefix(cap) + 2 * self._n.prefix(cap) + 1.0)
+            top = float(np.cumsum(np.concatenate([[0.0], TWO_PI * y_div[:cap - 1]]))[-1])
+            if top <= y:
+                self._model(cap + 1, top)
+
+    def _covering(self, k: int, y: float) -> _StripRecords:
+        """The published value if it holds strip k and reaches above local height y, else one grown to do so, strip i
+        from the models of strips i and i + 1, and published whole, with the strips built before an error."""
+        rec = self._records
+        if len(rec.strips) >= k and rec.tops[-1] > y:
+            return rec
+        self._entry_cap_first(y)
+        strips, tops = list(rec.strips), list(rec.tops)
+        try:
+            while len(strips) < k or tops[-1] <= y:
+                i, lo = len(strips) + 1, tops[-1]
+                model, model1 = self._model(i, lo), self._model(i + 1, lo)
+                (pair, variant), pm = model, psi_link(model, model1, self.side, self.l)
+                x_div, shift, y_div = pm.scale_out, pm.s_src, 1.0 if self.heights == "unit" else float(pair.N)
+                pm, key = (None, None) if pm.exact_identity else (pm, (model, model1, self.side, self.l))
+                strips.append(_Strip(i, pair, variant, x_div, y_div, shift, lo, lo + TWO_PI * y_div, pm, key,
+                                     pm is not None or x_div != y_div))
+                tops.append(strips[-1].hi)
+        finally:
+            if len(strips) > len(rec.strips):
+                self._records = rec = _StripRecords(strips, tops)
+        return rec
 
     def strip(self, k: int) -> _Strip:
         """The record of strip k >= 1."""
-        if k > len(self._strips):
-            with self._lock:
-                while len(self._strips) < k:
-                    self._grow()
-        return self._strips[k - 1]
+        return self._covering(k, -math.inf).strips[k - 1]
 
     def locate(self, y: float) -> tuple[_Strip, float]:
         """Strip record and normalized height for y >= 0."""
         if y < 0:
             raise ValueError("strip systems cover y >= 0")
-        if self._tops[-1] <= y:
-            with self._lock:
-                while self._tops[-1] <= y:
-                    self._grow()
-        s = self._strips[bisect_right(self._tops, y) - 1]
+        rec = self._covering(0, y)
+        s = rec.strips[bisect_right(rec.tops, y) - 1]
         return s, (y - s.lo) / (TWO_PI * s.y_div)
 
     def read(self, y: float) -> tuple["_StripSystem", _Strip, float]:
@@ -431,24 +462,12 @@ class _StripSystem:
         sys = self if y >= 0 else self.below
         return (sys, *sys.locate(abs(y)))
 
-    def columns(self) -> dict:
-        """``x_div``, ``y_div``, ``active``, ``alpha``, ``beta`` of the strips grown so far by k - 1, and ``tops``.
-
-        Rebuilt only when the system has grown: over strips 1..450 its 176 calls take 0.3-0.7 ms, 7-14 ms without."""
-        n = len(self._tops) - 1  # _grow appends each record before its top
-        if self._cols[0] != n:
-            cols = {a: np.array([getattr(s, a) for s in self._strips[:n]]) for a in ("x_div", "y_div", "active")}
-            cols["alpha"], cols["beta"] = _affine_parts(cols["x_div"], cols["y_div"])
-            cols["tops"] = np.array(self._tops[:n + 1])
-            self._cols = n, cols
-        return self._cols[1]
-
-    def psi_read(self, x: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi(x[c]), psi'(x[c])) from the table of strip j[c] + 1 (``_PsiCache.read_rows``); x and 1 without psi."""
-        seen = np.zeros(len(self._strips), bool)
+    def psi_read(self, strips: list, x: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi(x[c]), psi'(x[c])) from the table of strips[j[c]] (``_PsiCache.read_rows``); x and 1 without psi."""
+        seen = np.zeros(len(strips), bool)
         seen[j] = True  # the strips read, in increasing k: one table row each, numbered by cumsum without a sort
         rows, r = np.flatnonzero(seen), (np.cumsum(seen) - 1)[j]
-        keys = [self._strips[k].transition for k in rows.tolist()]
+        keys = [strips[k].transition for k in rows.tolist()]
         return _PsiCache.read_rows(self._xs, [None if key is None else _psi_table(*key) for key in keys], x, r)
 
     # -- evaluation ------------------------------------------------------
@@ -495,16 +514,16 @@ class _StripSystem:
 
     def reach(self, y_max: float) -> int:
         """The k of the first strip that reaches y_max (Y_k is the first top >= y_max), grown if need be."""
-        self.locate(y_max)  # grows the system past y_max
-        return bisect_left(self._tops, y_max)
+        s, _ = self.locate(y_max)  # Y_{k-1} <= y_max < Y_k
+        return s.k - (s.lo == y_max)
 
     def active_windows(self, k: int) -> list[tuple[float, float]]:
         """(y_lo, y_hi) of the strips 1..k with dilatation."""
-        return [(s.lo, s.hi) for s in self._strips[:k] if s.active]
+        return [(s.lo, s.hi) for s in self._covering(k, -math.inf).strips[:k] if s.active]
 
     def seam_ys(self, y_max: float) -> list[float]:
         """Heights Y_k <= y_max of the seams."""
-        return [s.hi for s in self._strips[:self.reach(y_max)] if s.psi is not None and s.hi <= y_max]
+        return [s.hi for s in self._covering(0, y_max).strips if s.psi is not None and s.hi <= y_max]
 
     def seam_checks(self, xs, strips: int, k_cap: int, name: Callable[[int], str]) -> list[SeamCheck]:
         """Log-space gaps across the first ``strips`` seams below strip k_cap, sampled at xs.
@@ -799,17 +818,15 @@ class _StripsEngine(_Engine):
         return self.sides[RIGHT if z.real >= 0 else LEFT].read(z.imag)
 
     def _located(self, zc: np.ndarray):
-        """``_locate`` over an array: (system, columns, cell mask, strip indices k - 1) per strip system at |y|."""
+        """``_locate`` over an array: (system, a value that holds its top cell, cell mask, indices k - 1) per system."""
         y, up, right = zc.imag, zc.imag >= 0, zc.real >= 0
         for side, on in ((RIGHT, right), (LEFT, ~right)):
             top = self.sides[side]
             # a plain side (below is self) reads both halves as one group, a mixed side each half apart
             for sys, sel in ((top, on),) if top.below is top else ((top, on & up), (top.below, on & ~up)):
                 ay = np.abs(y[sel])
-                if len(ay):
-                    sys.locate(float(ay.max()))  # grows the system past the highest cell
-                cols = sys.columns()
-                yield sys, cols, sel, np.searchsorted(cols["tops"], ay, side="right") - 1  # as locate bisects
+                rec = sys._covering(sys.locate(float(ay.max()))[0].k, -math.inf) if len(ay) else sys._records
+                yield sys, rec, sel, np.searchsorted(rec.columns()["tops"], ay, side="right") - 1  # as locate bisects
 
     def eval(self, z: complex) -> complex:
         return self.sides[RIGHT if z.real >= 0 else LEFT].eval_at(z)
@@ -833,17 +850,17 @@ class _StripsEngine(_Engine):
 
     def cell_states(self, zc: np.ndarray) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
         codes, active, n = np.empty(len(zc), int), np.empty(len(zc), bool), 0
-        for sys, cols, sel, j in self._located(zc):  # a side's mirror shares its tag, so its labels and codes
-            codes[sel], active[sel], n = 2 * j + (sys.side == LEFT), cols["active"][j], max(n, len(cols["active"]))
+        for sys, rec, sel, j in self._located(zc):  # a side's mirror shares its tag, so its labels and codes
+            codes[sel], active[sel], n = 2 * j + (sys.side == LEFT), rec.columns()["active"][j], max(n, len(rec.strips))
         names = [f"{self.sides[side].tag}{k}" for k in range(1, n + 1) for side in (RIGHT, LEFT)]  # R1, L1, R2, ...
         return codes, names, ~active, np.zeros(len(zc), bool)
 
     def mu_abs_quad(self, zc: np.ndarray) -> np.ndarray:
         """|mu_quad| at zc as arrays from ``psi_read``, bit for bit."""
         out = np.empty(len(zc))
-        for sys, cols, sel, j in self._located(zc):  # as mu_parts: a = t (psi' - 1)/2, b = (psi(x) - x)/(4 pi y_div)
-            x = zc.real[sel]
-            px, dp = sys.psi_read(x, j)
+        for sys, rec, sel, j in self._located(zc):  # as mu_parts: a = t (psi' - 1)/2, b = (psi(x) - x)/(4 pi y_div)
+            x, cols = zc.real[sel], rec.columns()
+            px, dp = sys.psi_read(rec.strips, x, j)
             t = (np.abs(zc.imag[sel]) - cols["tops"][j]) / (TWO_PI * cols["y_div"][j])
             a, b = 0.5 * t * (dp - 1.0), (px - x) / (2.0 * TWO_PI * cols["y_div"][j])
             out[sel] = _affine_mu_abs(cols["alpha"][j], cols["beta"][j], a, b)
@@ -1419,9 +1436,9 @@ class _PowerEngine(_Engine):
 class GluedMap:
     """An assembled quasiregular map; immutable, safe for parallel scans.
 
-    State built on first use is guarded where it lives, by two locks, each over sequential growth:
-    strip records by the ``_StripSystem`` lock and slopes by the ``SlopeSequence`` lock.  Each mpmath
-    fallback sum runs at a precision private to it (``specfun._mp_context``).  Psi tables are
+    State built on first use, a strip system's records and a slope sequence's run, is one value published
+    whole by one store; each operation reads one value, and threads that race build the same bits.  Each
+    mpmath fallback sum runs in a context private to it (``specfun._poly_logsum_mp``).  Psi tables are
     immutable values that ``lru_cache``d owners keep for the process's lifetime: threads that miss
     one at once each build it, to the same bits, and the cache keeps one copy.  Their exact-band
     memo is pure.  A ``PhiSolver`` keeps no state, so a phi or psi solve is a function of x alone

@@ -2,6 +2,8 @@
 import hashlib
 import io
 import math
+import os
+import sys
 import threading
 
 import numpy as np
@@ -320,22 +322,41 @@ def test_partial_sums_memoized():
 
 
 def test_concurrent_materialization():
-    seq = build_binary_profile(0.0)
-    out = {}
+    # a read past the published run draws a run of its own from the start and
+    # publishes it whole, so threads that race read the entries of a serial
+    # draw, by prefix and by entry; the paired sequence's source reads its m
+    # sequence while other threads extend that sequence.  The threads start
+    # together, and a 1e-6 s switch interval interleaves them finely
+    n_threads = (os.cpu_count() or 1) + 3
+    kmax = 3300 + 137 * n_threads
+    serial = dict(zip(("binary", "graded", "paired"), (build_binary_profile(0.0).prefix(kmax),
+                                                       *(seq.prefix(kmax) for seq in _graded_pair(2.0, 1.0)))))
+    seqs = dict(zip(("binary", "graded", "paired"), (build_binary_profile(0.0), *_graded_pair(2.0, 1.0))))
+    barrier, out, errors = threading.Barrier(n_threads), {}, []
 
-    def grab(tag, k):
-        out[tag] = seq.prefix(k).copy()
+    def grab(i):
+        try:
+            barrier.wait(timeout=60)
+            for name in ("paired", "graded", "binary") if i % 2 else ("graded", "binary", "paired"):
+                for k in (1 + 97 * i, 2000 + 137 * i, 3300 - 13 * i):
+                    out[i, name, k] = seqs[name].prefix(k).copy(), seqs[name].entry(k)
+        except BaseException as exc:  # surfaced by the asserts below
+            errors.append(exc)
 
-    threads = [
-        threading.Thread(target=grab, args=(i, 2000 + 137 * i)) for i in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    ref = seq.prefix(2000)
-    for tag, arr in out.items():
-        assert np.array_equal(arr[:2000], ref)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grab, args=(i,), daemon=True) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert len(out) == 3 * 3 * n_threads
+    for (_, name, k), (arr, last) in out.items():
+        assert np.array_equal(arr, serial[name][:k]) and last == serial[name][k - 1], (name, k)
 
 
 def test_csv_export_roundtrip():

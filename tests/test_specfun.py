@@ -438,6 +438,16 @@ def test_tail_expansion_residual_frozen():
     assert tail_expansion_residual(PairIndex(0, 0), 1.0) == pytest.approx(want, abs=1e-14)
 
 
+@pytest.mark.parametrize("pair, y, want", [((1, 10), 0.5, 0.0029341010677521208),
+                                           ((1, 10), 0.2, 0.0012031474152930548),
+                                           ((0, 20), 1.0, 0.00055445036339170249)])
+def test_tail_expansion_residual_keeps_its_digits_where_h_is_near_1(pair, y, want):
+    # h - 1 is 1e-29, 1e-38 and 1e-49 here, past what a fixed 40-digit sum keeps
+    # (it gave 0.00194 for the second value and a negative h - 1 for the
+    # third); the positive series loses nothing.  Values from 400-digit sums
+    assert tail_expansion_residual(PairIndex(*pair), y) == pytest.approx(want, rel=0, abs=5e-14)
+
+
 def test_monotone_on_real_axis():
     xs = np.linspace(-20, 10, 121)
     for pair in (PairIndex(0, 0), PairIndex(1, 1), PairIndex(4, 2)):

@@ -815,8 +815,7 @@ def test_pair_cap_fails_loudly_where_a_strip_system_stops():
 def test_the_slope_cap_fails_as_a_domain_error_where_a_strip_system_stops(monkeypatch, params, z, tag):
     # a strip past sequences.MAX_ENTRIES is outside the domain: the error names
     # the system, the strip and the cap, where the slope sequence alone says
-    # "k = 2000001 outside [0, 2000000]".  The cap is lowered here, as at the
-    # real one the map first grows two million strip records
+    # "k = 2000001 outside [0, 2000000]"
     monkeypatch.setattr(sequences, "MAX_ENTRIES", 40)
     gm = assemble("strips", lam1=0.5, lam2=0.5, **params)
     for _ in range(2):  # the system stays where it stopped
@@ -824,6 +823,38 @@ def test_the_slope_cap_fails_as_a_domain_error_where_a_strip_system_stops(monkey
             gm(z)
         assert str(err.value) == (f"strip system {tag} stops at local height 282.74333882308144: "
                                   f"strip {tag}41 is past the slope sequences' MAX_ENTRIES = 40")
+
+
+@pytest.mark.parametrize("params, z, tag, built", [({}, complex(1.0, 1.3e8), "R", [0, 0]),
+                                                  ({"sectors": 3}, complex(-5000.0, 3.0), "L", [2, 0])],
+                         ids=["strips", "sectors"])
+def test_the_entry_cap_fails_before_any_record_is_built(params, z, tag, built):
+    # at the real cap, 2 pi (MAX_ENTRIES - 1) lies below the point's height:
+    # the error comes from the slope prefixes, with the height that growth
+    # record by record would have reached, Y_1999999, and no record is built
+    # (the sector map's base holds R1 and R2, read as it assembles)
+    gm = assemble("strips", lam1=0.5, lam2=0.5, **params)
+    for _ in range(2):
+        with pytest.raises(specfun.EvalDomainError) as err:
+            gm(z)
+        assert str(err.value) == (f"strip system {tag} stops at local height 12576995.480460651: strip {tag}2000001 "
+                                  f"is past the slope sequences' MAX_ENTRIES = 2000000")
+        assert [len(sys_._records.strips) for sys_ in getattr(gm._impl, "base", gm._impl)._systems()] == built
+
+
+def test_the_pair_cap_fails_first_above_the_entry_cap():
+    # rho = 0.55 reads its left wedge at Im q = 3.1e7 at -25 + 3i, above
+    # 2 pi (MAX_ENTRIES - 1), but V4 needs a pair past PAIR_CAP: the slope
+    # prefixes are read only up to the first block that holds it, and growth
+    # raises its PairCapError with the strips below it built, V1 and V2
+    gm = assemble("power", rho=0.55, delta=0.5)
+    for _ in range(2):
+        with pytest.raises(PairCapError) as err:
+            gm(-25.0 + 3.0j)
+        assert str(err.value) == ("strip system V stops at local height 12.566370614359172: "
+                                  "strip V4 needs the pair (157607, 8001819093717), past PAIR_CAP = 10000")
+        assert max(len(seq._run[0]) for seq in (gm._impl.m_seq, gm._impl.n_seq)) <= 64
+        assert [len(sys_._records.strips) for sys_ in (gm._impl.V, gm._impl.V.below)] == [2, 0]
 
 
 def test_concurrent_evaluation_matches_serial(strips_map):
@@ -837,13 +868,42 @@ def test_concurrent_evaluation_matches_serial(strips_map):
         assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
 
 
+def _in_threads(n_threads: int, work) -> list:
+    """work(i) in n_threads threads that start together at a 1e-6 s switch interval; their results, in order."""
+    barrier, results, errors = threading.Barrier(n_threads), [None] * n_threads, []
+
+    def run(i):
+        try:
+            barrier.wait(timeout=60)
+            results[i] = work(i)
+        except BaseException as exc:  # surfaced by the asserts below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
+    return results
+
+
 def test_concurrent_strip_growth_matches_serial():
-    # fresh maps start with empty strip tables, so threads append strip
-    # records while others bisect them; a lost or doubled append would
-    # shift the strip index of every point above it
+    # fresh maps start with no strip records, so threads grow and publish
+    # values while others read them; a read that took an index from one value
+    # into another, or a lost record, would shift the strip of the points
+    # above it.  The mixed map has two systems per side that share its slopes
     cases = (
         ({"flavor": "strips", "lam1": 0.5, "lam2": 0.5},
          [complex(x, y) for y in np.linspace(0.2, 300.0, 25) for x in (-3.1, 0.8)]),
+        ({"flavor": "mixed", "lam1": 0.5, "lam2": 0.9},
+         [complex(x, y) for y in np.linspace(-300.0, 300.0, 25) for x in (-3.1, 0.8)]),
         ({"flavor": "power", "rho": 0.75, "delta": 0.5},
          [cmath.rect(r, th) for r in np.geomspace(0.7, 250.0, 7) for th in (-2.9, -1.9, 1.0, 2.5)]),
     )
@@ -856,39 +916,57 @@ def test_concurrent_strip_growth_matches_serial():
             out[z] = (info.k, info.t, info.pair, gm(z))
         return out
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for params, zs in cases:
-            serial = sample(assemble(**params), zs)
-            gm = assemble(**params)
-            barrier = threading.Barrier(n_threads)
-            results, errors = [None] * n_threads, []
+    for params, zs in cases:
+        serial = sample(assemble(**params), zs)
+        gm = assemble(**params)
 
-            def work(i):
-                try:
-                    barrier.wait(timeout=60)
-                    order = zs[::-1] if i % 2 else zs  # half start at the top
-                    results[i] = sample(gm, order[i:] + order[:i])
-                except BaseException as exc:  # surfaced by the asserts below
-                    errors.append(exc)
+        def work(i):
+            order = zs[::-1] if i % 2 else zs  # half start at the top
+            return sample(gm, order[i:] + order[:i])
 
-            threads = [threading.Thread(target=work, args=(i,), daemon=True)
-                       for i in range(n_threads)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-            assert not any(th.is_alive() for th in threads), params
-            assert not errors, errors
-            for got in results:
-                for z in zs:
-                    k, t, pair, v = got[z]
-                    k0, t0, pair0, v0 = serial[z]
-                    assert (k, t, pair) == (k0, t0, pair0), (params, z)
-                    assert (v.real.hex(), v.imag.hex()) == (v0.real.hex(), v0.imag.hex()), (params, z)
-    finally:
-        sys.setswitchinterval(old)
+        for got in _in_threads(n_threads, work):
+            for z in zs:
+                k, t, pair, v = got[z]
+                k0, t0, pair0, v0 = serial[z]
+                assert (k, t, pair) == (k0, t0, pair0), (params, z)
+                assert (v.real.hex(), v.imag.hex()) == (v0.real.hex(), v0.imag.hex()), (params, z)
+    # threads integrate strips 1..r on one fresh map, each to its own r, so
+    # each block's |mu| pass reads the columns and psi tables of a value that
+    # other threads are extending: every total has the bits of a serial run
+    radii = (30.0, 45.0, 60.0, 75.0)
+    serial = [dilatation_integral(assemble("strips", lam1=0.5, lam2=0.5), 1.0, r) for r in radii]
+    gm = assemble("strips", lam1=0.5, lam2=0.5)
+    got = _in_threads(len(radii), lambda i: dilatation_integral(gm, 1.0, radii[i]))
+    assert [(r.total.hex(), r.straddle_fraction.hex()) for r in got] == \
+        [(r.total.hex(), r.straddle_fraction.hex()) for r in serial]
+
+
+@pytest.mark.parametrize("flavor", ["strips", "mixed"])
+def test_array_hooks_read_one_value_when_a_shorter_one_is_published(monkeypatch, flavor):
+    # a racing thread may publish a value shorter than the one a locate just
+    # grew; here one is published after every locate.  The array hooks must
+    # still take the strips, the columns and the psi tables of each group of
+    # cells from one value that holds them: the labels, the conformal flags
+    # and |mu| keep the bits of a map that no such value disturbs
+    rng = np.random.default_rng(23)
+    zc = rng.uniform(1.0, 60.0, 3000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3000))
+    params = {"lam1": 0.5, "lam2": 0.9 if flavor == "mixed" else 0.5}
+
+    def hooks(eng):
+        codes, names, conformal, _ = eng.cell_states(zc)
+        return [names[c] for c in codes], conformal.tolist(), [v.hex() for v in eng.mu_abs_quad(zc).tolist()]
+
+    want = hooks(assemble(flavor, **params)._impl)
+    locate = surgery._StripSystem.locate
+
+    def racing(sys_, y):
+        found = locate(sys_, y)
+        rec = sys_._records
+        sys_._records = surgery._StripRecords(rec.strips[:1], rec.tops[:2])
+        return found
+
+    monkeypatch.setattr(surgery._StripSystem, "locate", racing)
+    assert hooks(assemble(flavor, **params)._impl) == want
 
 
 def test_quadrature_mu_tracks_exact_mu(strips_map, spiral_map, power_map):
@@ -968,7 +1046,7 @@ def test_exact_band_is_solved_once_per_transition_and_x(monkeypatch):
     surgery._psi_table.cache_clear()
     gm = assemble("strips", lam1=0.5, lam2=0.5)
     dilatation_integral(gm, 1.0, 60.0)
-    keys = {s.transition for sys_ in gm._impl._systems() for s in sys_._strips if s.psi is not None}
+    keys = {s.transition for sys_ in gm._impl._systems() for s in sys_._records.strips if s.psi is not None}
     assert surgery._psi_table.cache_info().currsize == len(keys)  # the integral read every transition's table
     tables = [surgery._psi_table(*key) for key in keys]
     memo = [(t.fdf.__self__, x, v) for t in tables for x, v in t._band.items()]
@@ -1589,28 +1667,28 @@ def test_psi_cache_hermite_array_reads_match_eval():
                       and _transition(sys_, sys_.strip(k)) == _transition(sys_, with_psi[0]))
         assert [s.transition for s in with_psi + [repeat]] == [_transition(sys_, s) for s in with_psi + [repeat]]
         assert repeat.transition == with_psi[0].transition != with_psi[1].transition and free.transition is None
-        xs = sys_._xs
+        xs, strips = sys_._xs, sys_._records.strips
         x = _hermite_test_points(xs, rng)
         exact = (x < xs[-1]) & (x > -24.0) & (x <= xs[0])
         assert exact.any() == (xs[0] == 2.0)
         built = surgery._psi_table.cache_info().currsize
-        px, dp = sys_.psi_read(x, np.full(len(x), with_psi[0].k - 1))
+        px, dp = sys_.psi_read(strips, x, np.full(len(x), with_psi[0].k - 1))
         assert surgery._psi_table.cache_info().currsize == built + 1
         assert not np.isnan(px).any() and not np.isnan(dp).any()
         want = _hex_reads(px, dp)
-        assert _hex_reads(*sys_.psi_read(x, np.full(len(x), repeat.k - 1))) == want
+        assert _hex_reads(*sys_.psi_read(strips, x, np.full(len(x), repeat.k - 1))) == want
         assert surgery._psi_table.cache_info().currsize == built + 1
-        assert _one_by_one(lambda v: sys_.psi_read(v, np.full(1, with_psi[0].k - 1)), x) == want
+        assert _one_by_one(lambda v: sys_.psi_read(strips, v, np.full(1, with_psi[0].k - 1)), x) == want
         twin = surgery._psi_table.__wrapped__(*with_psi[0].transition)
         assert twin is not surgery._psi_table(*with_psi[0].transition)
         assert _hex_reads(*twin.read(x[exact][::-1])) == [w for w, e in zip(want, exact) if e][::-1]
         assert _hex_reads(*twin.read(x)) == want
-        fx, fd = sys_.psi_read(x, np.full(len(x), free.k - 1))
+        fx, fd = sys_.psi_read(strips, x, np.full(len(x), free.k - 1))
         assert [v.hex() for v in fx.tolist()] == [(v + 0.0).hex() for v in x.tolist()] and (fd == 1.0).all()
         rows = [s.k - 1 for s in with_psi + [free]]
-        alone = [np.concatenate(r) for r in zip(*(sys_.psi_read(x, np.full(len(x), k)) for k in rows))]
+        alone = [np.concatenate(r) for r in zip(*(sys_.psi_read(strips, x, np.full(len(x), k)) for k in rows))]
         order = rng.permutation(len(rows) * len(x))
-        stacked = sys_.psi_read(np.tile(x, len(rows))[order], np.repeat(rows, len(x))[order])
+        stacked = sys_.psi_read(strips, np.tile(x, len(rows))[order], np.repeat(rows, len(x))[order])
         assert [[v.hex() for v in got.tolist()] for got in stacked] == \
             [[v.hex() for v in got[order].tolist()] for got in alone]
     # the spiral's table spans -24..24 and has no exact band: _PsiCache.read
@@ -1631,9 +1709,9 @@ def test_psi_tables_are_shared_per_transition(monkeypatch):
     # and every strip that repeats a transition holds its key
     read, psi_read = [], surgery._StripSystem.psi_read
 
-    def recorded(sys_, x, j):
-        read.extend((sys_, sys_.strip(k + 1)) for k in set(j.tolist()))
-        return psi_read(sys_, x, j)
+    def recorded(sys_, strips, x, j):
+        read.extend((sys_, strips[k]) for k in set(j.tolist()))
+        return psi_read(sys_, strips, x, j)
 
     monkeypatch.setattr(surgery._StripSystem, "psi_read", recorded)
     surgery._psi_table.cache_clear()
@@ -1642,7 +1720,7 @@ def test_psi_tables_are_shared_per_transition(monkeypatch):
     read = {(id(sys_), s.k): s for sys_, s in read if s.psi is not None}.values()
     assert len(read) == 12 and len({s.transition for s in read}) == 4
     assert surgery._psi_table.cache_info().currsize == surgery._psi_table.cache_info().misses == 4
-    assert all(s.transition == _transition(sys_, s) for sys_ in gm._impl._systems() for s in sys_._strips
+    assert all(s.transition == _transition(sys_, s) for sys_ in gm._impl._systems() for s in sys_._records.strips
                if s.psi is not None)
     # a mixed map's upper (half-model) and lower (plain) systems share the
     # entries whose keys agree: (0,0) -> (1,0), plain in both, first at strip 100
@@ -1656,7 +1734,8 @@ def test_psi_tables_are_shared_per_transition(monkeypatch):
         assert all(s.transition == key for strips in (up, lo) for key, s in strips.items())
         surgery._psi_table.cache_clear()
         for sys_, strips in zip(systems, (up, lo)):
-            sys_.psi_read(np.array([3.0 if side == RIGHT else -3.0]), np.array([strips[shared].k - 1]))
+            sys_.psi_read(sys_._records.strips, np.array([3.0 if side == RIGHT else -3.0]),
+                          np.array([strips[shared].k - 1]))
         assert surgery._psi_table.cache_info().currsize == 1
 
 
@@ -1683,7 +1762,8 @@ def test_mu_abs_quad_matches_mu_quad_cell_by_cell(flavor, opts, radii):
     edges = [complex(sx * 0.0, sy * v) for v in r[:12] for sx in (1, -1) for sy in (1, -1)]
     edges += [complex(sx * v, sy * 0.0) for v in r[12:] for sx in (1, -1) for sy in (1, -1)]
     if base is twin:
-        tops = {y for sys_ in twin._systems() for y in sys_._tops[1:sys_.reach(radii[1])] if y < radii[1]}
+        reach = [(sys_, sys_.reach(radii[1])) for sys_ in twin._systems()]  # grown before its tops are read
+        tops = {y for sys_, k in reach for y in sys_._records.tops[1:k] if y < radii[1]}
         edges += [complex(x, sy * y) for y in sorted(tops) for x in (rng.uniform(-y, y), 0.0, -0.0)
                   for sy in (1, -1)]
         assert len(tops) > 20
@@ -1718,9 +1798,9 @@ def test_psi_read_once_per_strip_system_and_block(monkeypatch, flavor, opts, rad
     # 1..450), a mixed side its upper and its lower system apart
     counts, psi_read = [], surgery._StripSystem.psi_read
 
-    def counted(sys_, x, j):
+    def counted(sys_, strips, x, j):
         counts[-1] += 1
-        return psi_read(sys_, x, j)
+        return psi_read(sys_, strips, x, j)
 
     monkeypatch.setattr(surgery._StripSystem, "psi_read", counted)
     for _ in range(2):
